@@ -42,6 +42,16 @@ def _dispersion_tol(cfg: RunConfig) -> float:
     return cfg.get("dispersion", "tol", 1e-10)
 
 
+def _solver_speed(cfg: RunConfig, model, sr, tol: float):
+    """sr if the solvers would compute the same threshold themselves, else None.
+
+    The solvers use the default exponent mode and bisection tolerance.
+    """
+    same = (_ctx(cfg, model) == dispersion.CharacteristicContext.from_model(model)
+            and tol == dispersion.BISECTION_TOL)
+    return sr if same else None
+
+
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
     kwargs = {}
@@ -112,7 +122,7 @@ def cmd_speed(cfg: RunConfig, args) -> int:
     roots_rows, beta_rows = [], []
     for c in speeds:
         rp = dispersion.decay_roots(c, ctx)
-        kr = dispersion.choose_beta(c, model, range_end=K, ctx=ctx)
+        kr = dispersion.choose_beta(c, model, range_end=K, ctx=ctx, speed=sr)
         roots_rows.append({"c": c, "lambda1": rp.lambda1, "lambda2": rp.lambda2})
         beta_rows.append({"c": c, "beta": kr.beta,
                           "gamma1": kr.gamma1, "gamma2": kr.gamma2})
@@ -138,14 +148,14 @@ def cmd_speed(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _solve_profile(cfg: RunConfig, model, c, critical, sc) -> profile.WaveSolution:
+def _solve_profile(model, c, critical, sc, speed) -> profile.WaveSolution:
     if critical:
-        return profile.solve_critical(model, sc)
+        return profile.solve_critical(model, sc, speed=speed)
     if sc.mode == "nonmonotone":
-        return profile.solve_nonmonotone(model, c, sc)
+        return profile.solve_nonmonotone(model, c, sc, speed=speed)
     if sc.mode == "monotone":
-        return profile.solve_monotone(model, c, sc)
-    return profile.solve(model, c, sc)
+        return profile.solve_monotone(model, c, sc, speed=speed)
+    return profile.solve(model, c, sc, speed=speed)
 
 
 def cmd_profile(cfg: RunConfig, args) -> int:
@@ -160,7 +170,8 @@ def cmd_profile(cfg: RunConfig, args) -> int:
                    else "nonmonotone")
         if sc.mode == "nonmonotone" and sc.damping == 1.0:
             sc.damping = 0.5
-    sol = _solve_profile(cfg, model, c, critical, sc)
+    speed = _solver_speed(cfg, model, sr, _dispersion_tol(cfg))
+    sol = _solve_profile(model, c, critical, sc, speed)
     out = Path(args.out) if args.out else _out_dir(cfg, args) / "profile.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     reporting.write_csv(out, "xi,phi", [sol.profile.xi, sol.profile.values])
@@ -197,7 +208,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     sidecar = csv_path.with_suffix(".json")
     if not sidecar.exists():
         raise ConfigError(f"sidecar report not found: {sidecar}")
-    meta = json.loads(sidecar.read_text())["results"]
+    try:
+        meta = json.loads(sidecar.read_text())["results"]
+        c, beta, shift, recorded = (float(meta[key]) for key in
+                                    ("c", "beta", "phase_shift", "residual_sup"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sidecar report {sidecar} lacks a usable value: {exc}")
     cols = reporting.read_csv(csv_path)
     if set(cols) != {"xi", "phi"}:
         raise ConfigError(f"{csv_path}: expected header 'xi,phi'")
@@ -205,14 +221,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     K = equilibrium(model)
     grid = profile.ProfileGrid(xi=xi, values=values, left_limit=0.0,
                                right_limit=float(values[-1]))
-    c = float(meta["c"])
     res_sup, res_arr = profile.residual(grid, c, model)
     monotone = meta.get("mode", "monotone") == "monotone"
     level = K if monotone else bounds.build_envelopes(model).level
-    mem = profile.gamma_membership(grid, c, float(meta["beta"]), model,
+    mem = profile.gamma_membership(grid, c, beta, model, shift=shift,
                                    level=level, require_monotone=monotone,
                                    sandwich_tol=1e-6)
-    recorded = float(meta["residual_sup"])
     tol = max(2.0 * recorded, 1e-9)
     failures = {}
     if res_sup > tol:
@@ -468,7 +482,8 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
                    else "nonmonotone")
         if sc.mode == "nonmonotone" and sc.damping == 1.0:
             sc.damping = 0.5
-        sol = _solve_profile(cfg, model, factor * sr.c_star, False, sc)
+        speed = _solver_speed(cfg, model, sr, dispersion.BISECTION_TOL)
+        sol = _solve_profile(model, factor * sr.c_star, False, sc, speed)
         row["residual_sup"] = sol.residual_sup
         sweep = cfg.section("sweep")
         pde = dict(cfg.section("pde"))

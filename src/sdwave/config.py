@@ -7,6 +7,7 @@ before execution.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,13 +80,20 @@ class RunConfig:
             raise ConfigError(f"missing required key '{key}' in section [{section}]")
 
 
+def _finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return val
+
+
 def _parse_value(raw: str, kind: str, base: Path, where: str):
     raw = raw.strip()
     if raw == "":
         return None
     try:
         if kind == "f":
-            return float(raw)
+            return _finite(raw)
         if kind == "i":
             return int(raw)
         if kind == "b":
@@ -96,7 +104,7 @@ def _parse_value(raw: str, kind: str, base: Path, where: str):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if kind == "fl":
-            return [float(tok) for tok in raw.replace(",", " ").split()]
+            return [_finite(tok) for tok in raw.replace(",", " ").split()]
         if kind == "p":
             return (base / raw).resolve()
         return raw

@@ -19,6 +19,10 @@ from .model import ModelSpec, equilibrium, sup_delay_slope
 
 ROOT_RESIDUAL_TOL = 1e-12
 BISECTION_TOL = 1e-10
+MAX_BRACKET_STEPS = 4000     # cap on golden-section and bisection steps
+# Above this, lam^2 overflows on the speed bracket: lam reaches about
+# 2^12 * sqrt(d + b'(0)) there.
+MAX_RATE_SUM = 1e300
 BETA_SAFETY = 1.01
 L_BOUND_INFLATION = 1.05
 
@@ -33,6 +37,15 @@ class CharacteristicContext:
     exponent_mode: str = "lambda_c_m"
 
     def __post_init__(self):
+        for name in ("d", "growth_at_zero", "lag_at_zero"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelInvalidError(
+                    f"characteristic context needs a finite {name}, got "
+                    f"{getattr(self, name)}")
+        if not self.d + self.growth_at_zero < MAX_RATE_SUM:
+            raise ModelInvalidError(
+                f"characteristic context needs d + b'(0) < {MAX_RATE_SUM:g}, "
+                f"got {self.d} + {self.growth_at_zero}")
         if self.growth_at_zero <= self.d:
             raise ModelInvalidError(
                 f"characteristic context needs b'(0) > d, got "
@@ -95,7 +108,9 @@ def char_min(c: float, ctx: CharacteristicContext) -> tuple:
 
     The function is strictly convex in lam, so golden-section over
     [0, lambda_hi] followed by a Newton polish on the lam-derivative finds
-    the unique minimum.
+    the unique minimum.  The bracket stops shrinking at 1e-10 or at four
+    ulps of its upper end, whichever is larger, so huge coefficients cannot
+    make the loop spin forever.
     """
     if c < 0:
         raise ValueError("speed must be nonnegative")
@@ -105,7 +120,9 @@ def char_min(c: float, ctx: CharacteristicContext) -> tuple:
     x2 = lo + invphi * (hi - lo)
     f1 = char_value(x1, c, ctx)
     f2 = char_value(x2, c, ctx)
-    while hi - lo > 1e-10:
+    for _ in range(MAX_BRACKET_STEPS):
+        if hi - lo <= max(1e-10, 4.0 * math.ulp(hi)):
+            break
         if f1 > f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
@@ -114,12 +131,16 @@ def char_min(c: float, ctx: CharacteristicContext) -> tuple:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = char_value(x1, c, ctx)
+    else:
+        raise _stalled("characteristic minimum")
     lam = 0.5 * (lo + hi)
     for _ in range(60):
         slope = _char_slope(lam, c, ctx)
         lag = ctx.lag_at_zero * (c if ctx.exponent_mode == "lambda_c_m" else 1.0)
         curve = 2.0 + ctx.growth_at_zero * lag * lag * math.exp(-lam * lag)
         step = slope / curve
+        if not math.isfinite(step):
+            break                  # curvature overflowed: keep the bracket midpoint
         lam_new = lam - step
         if lam_new < 0:
             lam_new = 0.5 * lam
@@ -134,7 +155,8 @@ def critical_speed(ctx: CharacteristicContext, tol: float = BISECTION_TOL) -> Sp
 
     The zero-lag closed form 2*sqrt(b'(0) - d) plus one bounds the initial
     upper bracket; the bracket doubles (up to 2^10 times) if the predicate
-    is not yet true there.
+    is not yet true there.  Bisection stops at `tol` or at four ulps of the
+    upper end, whichever is larger.
     """
     c_lo = 1e-6
     if char_min(c_lo, ctx)[1] <= 0.0:
@@ -149,16 +171,26 @@ def critical_speed(ctx: CharacteristicContext, tol: float = BISECTION_TOL) -> Sp
             raise ModelInvalidError("no speed with nonpositive characteristic "
                                     "minimum found below bracket limit")
         c_hi = c_lo + 2.0 * (c_hi - c_lo)
-    while c_hi - c_lo > tol:
+    for _ in range(MAX_BRACKET_STEPS):
+        if c_hi - c_lo <= max(tol, 4.0 * math.ulp(c_hi)):
+            break
         mid = 0.5 * (c_lo + c_hi)
         if char_min(mid, ctx)[1] <= 0.0:
             c_hi = mid
         else:
             c_lo = mid
+    else:
+        raise _stalled("threshold speed bisection")
     c_star = 0.5 * (c_lo + c_hi)
     lam_star, _ = char_min(c_star, ctx)
     return SpeedResult(c_star=c_star, lambda_star=lam_star,
                        bracket=(c_lo, c_hi), tolerance=c_hi - c_lo)
+
+
+def _stalled(what: str) -> ModelInvalidError:
+    return ModelInvalidError(
+        f"{what} did not converge in {MAX_BRACKET_STEPS} steps; "
+        "model coefficients out of numerical range")
 
 
 def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
@@ -219,17 +251,33 @@ def _newton_polish(lam: float, c: float, ctx: CharacteristicContext) -> float:
 
 def speed_root_bounds(ctx: CharacteristicContext, c_lo: float, c_hi: float,
                       n: int = 200) -> tuple:
-    """Inflated suprema of c*lambda1(c) and lambda1(c) over [c_lo, c_hi]."""
-    speeds = np.linspace(c_lo, c_hi, n)
+    """Inflated suprema of c*lambda1(c) and lambda1(c) over [c_lo, c_hi].
+
+    The speeds are sampled on linspace(c_lo, c_hi, n).  In the default
+    "lambda_c_m" mode both suprema sit at the first supercritical sample,
+    so the walk stops there:
+
+    * lambda1 decreases in c.  At fixed lam > 0 the characteristic function
+      decreases in c, and it falls through zero at lambda1, so the implicit
+      derivative of lambda1 is negative.
+    * With mu = c*lambda1 the root equation reads
+      lambda1^2 = mu + d - b'(0) exp(-mu m), whose right side increases in
+      mu.  So mu rises and falls with lambda1 and decreases in c as well.
+
+    The "lambda_m" comparison mode has no such identity; it scans every
+    sample.
+    """
     sup_cl = 0.0
     sup_l = 0.0
-    for c in speeds:
+    for c in np.linspace(c_lo, c_hi, n):
         try:
             roots = decay_roots(float(c), ctx)
         except NoRootsError:
             continue
         sup_cl = max(sup_cl, c * roots.lambda1)
         sup_l = max(sup_l, roots.lambda1)
+        if ctx.exponent_mode == "lambda_c_m":
+            break
     if sup_cl == 0.0:
         raise NoRootsError("no supercritical speeds in the requested range")
     return L_BOUND_INFLATION * sup_cl, L_BOUND_INFLATION * sup_l
@@ -242,12 +290,14 @@ def kernel_rates(c: float, beta: float) -> KernelRates:
 
 
 def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
-                ctx: CharacteristicContext | None = None) -> KernelRates:
+                ctx: CharacteristicContext | None = None,
+                speed: SpeedResult | None = None) -> KernelRates:
     """Kernel parameter satisfying every constraint the solver relies on.
 
     With A = 1 + b'(0) * range_end * sup-slope(tau) over [0, range_end]:
     beta exceeds (by 1%) the largest of the smoothing bound, the
     monotonicity bound, three times the root bound times A, and d + 1.
+    `speed` is the threshold speed of `ctx`; it is computed when absent.
     """
     if ctx is None:
         ctx = CharacteristicContext.from_model(model)
@@ -256,14 +306,20 @@ def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
     T = sup_delay_slope(model, range_end)
     bp0 = model.birth.derivative_at_zero
     A = 1.0 + bp0 * range_end * T
-    sr = critical_speed(ctx)
+    sr = speed if speed is not None else critical_speed(ctx)
     lo = sr.c_star * (1.0 + 1e-9)
     hi = max(c, 2.0 * sr.c_star)
     L1, _ = speed_root_bounds(ctx, lo, hi)
-    beta = BETA_SAFETY * max(
-        model.d * A + (A * c) ** 2 / 4.0,
-        ((A * c) ** 2 + 4.0 * model.d) / 4.0,
-        3.0 * L1 * A,
-        model.d + 1.0,
-    )
+    try:
+        beta = BETA_SAFETY * max(
+            model.d * A + (A * c) ** 2 / 4.0,
+            ((A * c) ** 2 + 4.0 * model.d) / 4.0,
+            3.0 * L1 * A,
+            model.d + 1.0,
+        )
+    except OverflowError:
+        beta = math.inf
+    if not math.isfinite(beta):
+        raise ModelInvalidError(f"kernel parameter beta overflows at c={c:.9g}; "
+                                "model coefficients out of numerical range")
     return kernel_rates(c, beta)

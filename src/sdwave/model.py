@@ -7,6 +7,7 @@ peak, delay slope supremum).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,13 @@ GAP_SAFETY = 0.01             # inflation on the quadratic gap supremum
 EQUILIBRIUM_TOL = 1e-10
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ModelInvalidError(f"{name} must be finite, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # birth functions
 
@@ -30,9 +38,10 @@ class RickerBirth:
     kind = "ricker"
 
     def __init__(self, p: float):
+        p = _finite("ricker coefficient p", p)
         if p <= 0:
             raise ModelInvalidError(f"ricker coefficient must be positive, got {p}")
-        self.p = float(p)
+        self.p = p
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -69,6 +78,8 @@ class TabulatedBirth:
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise ModelInvalidError("tabulated birth needs >= 4 (u, b) rows")
+        if not np.all(np.isfinite(pts)):
+            raise ModelInvalidError("tabulated birth samples must be finite")
         u, b = pts[:, 0], pts[:, 1]
         if np.any(np.diff(u) <= 0):
             raise ModelInvalidError("tabulated birth abscissae must increase")
@@ -120,8 +131,8 @@ class ConstantDelay:
     kind = "constant"
 
     def __init__(self, m: float):
-        self.m = float(m)
-        self.M = float(m)
+        self.m = _finite("delay m", m)
+        self.M = self.m
 
     def tau(self, u):
         u = np.asarray(u, dtype=float)
@@ -146,8 +157,8 @@ class RationalDelay:
     kind = "saturating_rational"
 
     def __init__(self, m: float, M: float):
-        self.m = float(m)
-        self.M = float(M)
+        self.m = _finite("delay m", m)
+        self.M = _finite("delay M", M)
 
     def tau(self, u):
         u = np.asarray(u, dtype=float)
@@ -173,8 +184,8 @@ class ExponentialDelay:
     kind = "saturating_exponential"
 
     def __init__(self, m: float, M: float):
-        self.m = float(m)
-        self.M = float(M)
+        self.m = _finite("delay m", m)
+        self.M = _finite("delay M", M)
 
     def tau(self, u):
         u = np.asarray(u, dtype=float)
@@ -209,7 +220,7 @@ class ModelSpec:
     delay: object
 
     def __post_init__(self):
-        self.d = float(self.d)
+        self.d = _finite("death rate d", self.d)
         if self.d <= 0:
             raise ModelInvalidError(f"death rate must be positive, got {self.d}")
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import _kernels as kernels
 from .bounds import UpperSolution, build_envelopes, build_lower, build_upper
-from .dispersion import (CharacteristicContext, KernelRates, choose_beta,
-                         critical_speed, decay_roots)
+from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
+                         choose_beta, critical_speed, decay_roots, kernel_rates)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
 from .model import ModelSpec, equilibrium, sup_delay_slope, validate_hypotheses
 
@@ -408,30 +408,36 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
 # ---------------------------------------------------------------------------
 # public solvers
 
-def _require_supercritical(model: ModelSpec, c: float) -> None:
-    ctx = CharacteristicContext.from_model(model)
-    sr = critical_speed(ctx)
-    if c <= sr.c_star:
+def _require_supercritical(c: float, ctx: CharacteristicContext,
+                           speed: Optional[SpeedResult]) -> SpeedResult:
+    """The threshold speed of ctx (computed unless given); rejects c <= c*."""
+    if speed is None:
+        speed = critical_speed(ctx)
+    if c <= speed.c_star:
         raise NoRootsError(
-            f"speed {c:.9g} is at or below the threshold {sr.c_star:.9g}: no "
+            f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
             "profile exists; use the simulator's nonexistence probe instead")
+    return speed
 
 
 def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
-                   note: str = "") -> WaveSolution:
-    """Monotone wavefront for a supercritical speed; order-preserving iteration."""
+                   note: str = "", speed: Optional[SpeedResult] = None) -> WaveSolution:
+    """Monotone wavefront for a supercritical speed; order-preserving iteration.
+
+    `speed` is the model's threshold speed, if the caller already has it.
+    """
     config = config or SolverConfig()
     rep = validate_hypotheses(model, "monotone")
     if not rep.all_hold:
         failed = [e.id for e in rep.entries if not e.holds]
         raise ModelInvalidError(
             f"monotone solve requires the monotone hypothesis set; failed: {failed}")
-    _require_supercritical(model, c)
     ctx = CharacteristicContext.from_model(model)
+    speed = _require_supercritical(c, ctx, speed)
     roots = decay_roots(c, ctx)
     K = equilibrium(model)
-    rates = (choose_beta(c, model, range_end=K) if config.beta is None
-             else _rates_from_beta(c, config.beta))
+    rates = (choose_beta(c, model, range_end=K, ctx=ctx, speed=speed)
+             if config.beta is None else kernel_rates(c, config.beta))
     upper = build_upper(c, model, level=K)
     lower = build_lower(c, model)
     anchor = config.phase_level if config.phase_level is not None else K / 2.0
@@ -456,14 +462,16 @@ def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = 
 
 
 def solve_nonmonotone(model: ModelSpec, c: float,
-                      config: Optional[SolverConfig] = None) -> WaveSolution:
+                      config: Optional[SolverConfig] = None,
+                      speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Positive wave profile for nonmonotone birth via the envelope sandwich.
 
     The lower bound is the computed wavefront of the lower-envelope equation,
     translated so its leading edge matches the unit-amplitude exponential;
     the upper bound caps the same exponential at the upper-envelope
     equilibrium.  Damped iteration with clamping; convergence is certified by
-    the residual (the operator is not order preserving here).
+    the residual (the operator is not order preserving here).  `speed` is the
+    model's threshold speed, if the caller already has it.
     """
     config = config or SolverConfig(damping=0.5, mode="nonmonotone")
     rep = validate_hypotheses(model, "nonmonotone")
@@ -471,8 +479,8 @@ def solve_nonmonotone(model: ModelSpec, c: float,
         failed = [e.id for e in rep.entries if not e.holds]
         raise ModelInvalidError(
             f"nonmonotone solve requires the relaxed hypothesis set; failed: {failed}")
-    _require_supercritical(model, c)
     ctx = CharacteristicContext.from_model(model)
+    speed = _require_supercritical(c, ctx, speed)
     roots = decay_roots(c, ctx)
     K = equilibrium(model)
     pair = build_envelopes(model)
@@ -482,12 +490,14 @@ def solve_nonmonotone(model: ModelSpec, c: float,
     aux_cfg = SolverConfig(tol=config.tol, max_iters=config.max_iters,
                            h=config.h, left_width=config.left_width,
                            right_width=config.right_width)
-    aux = solve_monotone(aux_model, c, aux_cfg, note="lower-envelope wavefront")
+    same_ctx = CharacteristicContext.from_model(aux_model) == ctx
+    aux = solve_monotone(aux_model, c, aux_cfg, note="lower-envelope wavefront",
+                         speed=speed if same_ctx else None)
     lower_fn = _normalized_front(aux, roots.lambda1, k)
 
     upper = UpperSolution(lam1=roots.lambda1, level=level)
-    rates = (choose_beta(c, model, range_end=level) if config.beta is None
-             else _rates_from_beta(c, config.beta))
+    rates = (choose_beta(c, model, range_end=level, ctx=ctx, speed=speed)
+             if config.beta is None else kernel_rates(c, config.beta))
     anchor = config.phase_level if config.phase_level is not None else k / 4.0
     rate = _approach_rate(aux_model, c, k)
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
@@ -534,22 +544,18 @@ def _normalized_front(aux: WaveSolution, lam1: float, k: float):
     return fn
 
 
-def _rates_from_beta(c: float, beta: float) -> KernelRates:
-    disc = math.sqrt(c * c + 4.0 * beta)
-    return KernelRates(gamma1=0.5 * (c - disc), gamma2=0.5 * (c + disc),
-                       beta=beta, c=c)
-
-
-def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None) -> WaveSolution:
+def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
+                   speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Near-critical solve at c = c* (1 + 1e-6): surrogate for the limit front.
 
     The leading-edge decay degenerates at the threshold, so the left half of
     the grid is doubled and the tolerance tightened.  Requested speeds below
-    the surrogate speed are rejected.
+    the surrogate speed are rejected.  `speed` is the model's threshold
+    speed, if the caller already has it.
     """
     config = config or SolverConfig()
     ctx = CharacteristicContext.from_model(model)
-    sr = critical_speed(ctx)
+    sr = speed if speed is not None else critical_speed(ctx)
     c = sr.c_star * (1.0 + NEAR_CRITICAL_OFFSET)
     if config.c is not None:
         if config.c < c:
@@ -567,18 +573,19 @@ def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None) -> W
                        initial_shift=config.initial_shift)
     note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
     if config.mode == "nonmonotone":
-        return solve_nonmonotone(model, c, cfg)
-    return solve_monotone(model, c, cfg, note=note)
+        return solve_nonmonotone(model, c, cfg, speed=sr)
+    return solve_monotone(model, c, cfg, note=note, speed=sr)
 
 
-def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None) -> WaveSolution:
+def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
+          speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Dispatch on the hypothesis set that holds for the model."""
     config = config or SolverConfig()
     if config.mode == "nonmonotone":
-        return solve_nonmonotone(model, c, config)
+        return solve_nonmonotone(model, c, config, speed=speed)
     if validate_hypotheses(model, "monotone").all_hold:
-        return solve_monotone(model, c, config)
+        return solve_monotone(model, c, config, speed=speed)
     cfg = config
     if cfg.damping == 1.0:
         cfg = SolverConfig(**{**cfg.__dict__, "damping": 0.5, "mode": "nonmonotone"})
-    return solve_nonmonotone(model, c, cfg)
+    return solve_nonmonotone(model, c, cfg, speed=speed)

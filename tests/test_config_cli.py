@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,30 @@ class TestSpeedCommand:
         p = write_cfg(tmp_path, bad)
         assert run_cli(["--config", p, "speed"]) == 2
 
+    @pytest.mark.parametrize("key, old, new", [
+        ("d", "d = 1.0", "d = nan"),
+        ("birth.p", "birth.p = 2.0", "birth.p = nan"),
+        ("delay.m", "delay.m = 0.2", "delay.m = nan"),
+        ("delay.M", "delay.M = 0.7", "delay.M = -inf"),
+    ])
+    def test_nonfinite_value_names_key(self, tmp_path, capsys, key, old, new):
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace(old, new))
+        assert run_cli(["--config", p, "speed"]) == 1
+        err = capsys.readouterr().err
+        assert f"[model] {key}:" in err and "finite" in err
+
+    def test_huge_coefficient_ends_with_one_line(self, tmp_path):
+        p = write_cfg(tmp_path, BASE_MODEL.replace("birth.p = 2.0",
+                                                   "birth.p = 1e308"))
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            ["timeout", "20", sys.executable, "-m", "sdwave.cli",
+             "--config", str(p), "speed"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert 0 <= proc.returncode <= 4, proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
     def test_csv_output(self, tmp_path):
         p = write_cfg(tmp_path, BASE_MODEL)
         out = tmp_path / "roots.csv"
@@ -147,6 +175,26 @@ class TestProfileVerifyCommands:
         err = capsys.readouterr()
         assert "residual" in err.out + err.err
 
+    def test_verify_rejects_incomplete_sidecar(self, profile_run, capsys,
+                                               tmp_path):
+        cfg_path, out, _ = profile_run
+        copy = tmp_path / "old.csv"
+        copy.write_bytes(out.read_bytes())
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        del sidecar["results"]["phase_shift"]
+        copy.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert run_cli(["--config", cfg_path, "verify", "--profile", copy]) == 1
+        assert "phase_shift" in capsys.readouterr().err
+
+    def test_nonmonotone_profile_then_verify_roundtrip(self, tmp_path):
+        text = DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
+        p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\nc_factor = 1.3\n")
+        out = tmp_path / "band.csv"
+        assert run_cli(["--config", p, "--out", out, "profile"]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["results"]["mode"] == "nonmonotone"
+        assert run_cli(["--config", p, "verify", "--profile", out]) == 0
+
     def test_sidecar_report_fields(self, profile_run):
         _, out, _ = profile_run
         rep = json.loads(out.with_suffix(".json").read_text())
@@ -175,6 +223,7 @@ class TestProfileVerifyCommands:
         rep = json.loads(capsys.readouterr().out)
         assert "near-critical" in rep["results"]["note"]
         assert rep["results"]["c"] > rep["results"]["c_star"]
+        assert run_cli(["--config", p, "verify", "--profile", out]) == 0
 
 
 class TestEnvelopeCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdwave import dispersion, model
-from sdwave.errors import NoRootsError
+from sdwave.errors import ModelInvalidError, NoRootsError
 from conftest import bisect
 
 
@@ -173,3 +173,111 @@ def test_exponent_switch_changes_values():
     # plain-lag variant at c=1 coincides with moving-frame variant by scaling
     assert dispersion.char_value(1.3, 1.0, base) == \
         pytest.approx(dispersion.char_value(1.3, 1.0, alt), abs=1e-14)
+
+
+def dense_root_bounds(ctx, c_lo, c_hi, n=200):
+    """The full 200-speed scan, kept as the reference for speed_root_bounds."""
+    sup_cl = sup_l = 0.0
+    for c in np.linspace(c_lo, c_hi, n):
+        try:
+            roots = dispersion.decay_roots(float(c), ctx)
+        except NoRootsError:
+            continue
+        sup_cl = max(sup_cl, c * roots.lambda1)
+        sup_l = max(sup_l, roots.lambda1)
+    assert sup_cl > 0.0
+    return (dispersion.L_BOUND_INFLATION * sup_cl,
+            dispersion.L_BOUND_INFLATION * sup_l)
+
+
+EXACT_SCAN_MODELS = [
+    model.ModelSpec(d=1.0, birth=model.RickerBirth(p), delay=model.ConstantDelay(m))
+    for p, m in ((2.0, 0.2), (3.0, 0.2), (2.0, 0.0), (5.0, 1.0))
+] + [model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
+                     delay=model.RationalDelay(0.2, 0.7))]
+
+
+@pytest.mark.parametrize("m", EXACT_SCAN_MODELS, ids=repr)
+def test_root_bounds_equal_dense_scan(m, monkeypatch):
+    ctx = dispersion.CharacteristicContext.from_model(m)
+    sr = dispersion.critical_speed(ctx)
+    lo, hi = sr.c_star * (1.0 + 1e-9), 2.0 * sr.c_star
+    reference = dense_root_bounds(ctx, lo, hi)
+    assert dispersion.speed_root_bounds(ctx, lo, hi) == reference
+    K = model.equilibrium(m)
+    for factor in (1.2, 2.0):
+        c = factor * sr.c_star
+        fast = dispersion.choose_beta(c, m, range_end=K, ctx=ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(dispersion, "speed_root_bounds", dense_root_bounds)
+            slow = dispersion.choose_beta(c, m, range_end=K, ctx=ctx)
+        assert fast.beta == slow.beta
+
+
+def test_root_bounds_lambda_m_mode_scans_every_speed():
+    ctx = ctx_of(1.0, 2.0, 0.5, mode="lambda_m")
+    c_star = dispersion.critical_speed(ctx).c_star
+    lo, hi = 1.001 * c_star, 3.0 * c_star
+    assert dispersion.speed_root_bounds(ctx, lo, hi, n=40) == \
+        dense_root_bounds(ctx, lo, hi, n=40)
+
+
+def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_cstar, monkeypatch):
+    calls = []
+    original = dispersion.decay_roots
+
+    def counting(c, ctx):
+        calls.append(c)
+        return original(c, ctx)
+
+    monkeypatch.setattr(dispersion, "decay_roots", counting)
+    dispersion.choose_beta(1.2 * ricker2_cstar, ricker2)
+    assert 1 <= len(calls) <= 2
+
+
+def test_choose_beta_reuses_given_speed(ricker2, ricker2_ctx, ricker2_cstar,
+                                        monkeypatch):
+    sr = dispersion.critical_speed(ricker2_ctx)
+    expected = dispersion.choose_beta(1.2 * ricker2_cstar, ricker2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("critical_speed recomputed")
+
+    monkeypatch.setattr(dispersion, "critical_speed", forbidden)
+    got = dispersion.choose_beta(1.2 * ricker2_cstar, ricker2, speed=sr)
+    assert got == expected
+
+
+def test_scalar_loops_are_capped(monkeypatch):
+    ctx = ctx_of(1.0, 2.0, 0.5)
+    monkeypatch.setattr(dispersion, "MAX_BRACKET_STEPS", 5)
+    with pytest.raises(ModelInvalidError, match="did not converge"):
+        dispersion.char_min(2.0, ctx)
+    # a stand-in minimum whose sign flips at c = 1: bisection to 1e-10 from
+    # the bracket [1e-6, 2 + 1] needs about 35 steps
+    monkeypatch.setattr(dispersion, "MAX_BRACKET_STEPS", 20)
+    monkeypatch.setattr(dispersion, "char_min", lambda c, ctx: (1.0, 1.0 - c))
+    with pytest.raises(ModelInvalidError, match="threshold speed bisection"):
+        dispersion.critical_speed(ctx)
+
+
+def test_huge_brackets_stop_on_ulp_floor():
+    # lambda_hi is about 2e15 here: its spacing in floating point exceeds the
+    # 1e-10 tolerance, so only the ulp floor can end the golden section
+    ctx = ctx_of(1.0, 1e30, 0.0)
+    lam, val = dispersion.char_min(1e15, ctx)
+    assert lam == pytest.approx(5e14, rel=1e-9)
+    assert dispersion.critical_speed(ctx).c_star == pytest.approx(2e15, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["d", "growth_at_zero", "lag_at_zero"])
+def test_context_rejects_nonfinite(field):
+    values = {"d": 1.0, "growth_at_zero": 2.0, "lag_at_zero": 0.2}
+    values[field] = math.nan
+    with pytest.raises(ModelInvalidError, match=field):
+        dispersion.CharacteristicContext(**values)
+
+
+def test_context_rejects_overflowing_rates():
+    with pytest.raises(ModelInvalidError, match="b'\\(0\\)"):
+        ctx_of(1.0, 1e308, 0.0)

@@ -191,3 +191,25 @@ def test_tabulated_matches_ricker_closely():
     probe = np.linspace(0.0, 5.5, 777)
     assert np.max(np.abs(tab.value(probe) - b.value(probe))) < 5e-7
     assert tab.derivative_at_zero == pytest.approx(2.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda x: model.ModelSpec(d=x, birth=model.RickerBirth(2.0),
+                               delay=model.ConstantDelay(0.0)), "death rate d"),
+    (lambda x: model.RickerBirth(x), "ricker coefficient p"),
+    (lambda x: model.ConstantDelay(x), "delay m"),
+    (lambda x: model.RationalDelay(x, 0.7), "delay m"),
+    (lambda x: model.ExponentialDelay(0.2, x), "delay M"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_nonfinite(build, name, value):
+    with pytest.raises(ModelInvalidError, match=name):
+        build(value)
+
+
+def test_tabulated_birth_rejects_nonfinite():
+    u = np.linspace(0.0, 5.0, 20)
+    b = 2.0 * u * np.exp(-u)
+    b[7] = math.nan
+    with pytest.raises(ModelInvalidError, match="finite"):
+        model.TabulatedBirth(np.column_stack([u, b]))

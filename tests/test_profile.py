@@ -172,7 +172,7 @@ class TestMonotoneSolve:
     def test_fixed_point_consistency(self, ricker2, ricker2_solution):
         sol = ricker2_solution
         F = profile.apply_F(sol.profile, ricker2,
-                            profile._rates_from_beta(sol.c, sol.beta))
+                            dispersion.kernel_rates(sol.c, sol.beta))
         assert np.max(np.abs(F - sol.profile.values)) <= 2e-8
 
     def test_translation_covariance(self, ricker2, ricker2_cstar,
