@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,7 @@ from . import __version__, bounds, dispersion, pdesim, profile, reporting
 from .config import RunConfig, build_model, load_config
 from .errors import (ConfigError, ModelInvalidError, NonconvergenceError,
                      NoRootsError, SchemeError, SdwaveError, VerificationError)
-from .model import (ConstantDelay, ModelSpec, RickerBirth, equilibrium,
-                    validate_hypotheses)
+from .model import ConstantDelay, ModelSpec, RickerBirth, equilibrium
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,16 +52,14 @@ def _solver_speed(cfg: RunConfig, model, sr, tol: float):
 
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
-    kwargs = {}
-    for key in ("c", "tol", "max_iters", "damping", "phase_level", "h",
-                "left_width", "right_width", "beta", "mode"):
-        if key in sec:
-            kwargs[key] = sec[key]
-    kwargs.setdefault("mode", "auto")
-    mode = kwargs.pop("mode")
-    sc = profile.SolverConfig(**kwargs)
-    sc.mode = mode
-    return sc
+    kwargs = {key: sec[key] for key in ("c", "tol", "max_iters", "damping",
+                                        "phase_level", "h", "left_width",
+                                        "right_width", "beta", "mode")
+              if key in sec}
+    try:
+        return profile.SolverConfig(**kwargs)
+    except ModelInvalidError as exc:
+        raise ModelInvalidError(f"[profile] {exc}") from None
 
 
 def _resolve_speed(cfg: RunConfig, model, explicit_c=None, critical=False):
@@ -148,16 +144,6 @@ def cmd_speed(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _solve_profile(model, c, critical, sc, speed) -> profile.WaveSolution:
-    if critical:
-        return profile.solve_critical(model, sc, speed=speed)
-    if sc.mode == "nonmonotone":
-        return profile.solve_nonmonotone(model, c, sc, speed=speed)
-    if sc.mode == "monotone":
-        return profile.solve_monotone(model, c, sc, speed=speed)
-    return profile.solve(model, c, sc, speed=speed)
-
-
 def cmd_profile(cfg: RunConfig, args) -> int:
     watch = reporting.Stopwatch()
     model = build_model(cfg)
@@ -165,13 +151,9 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     sc = _solver_config(cfg)
     critical = bool(args.critical) or cfg.get("profile", "critical", False)
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c, critical=critical)
-    if sc.mode == "auto":
-        sc.mode = ("monotone" if validate_hypotheses(model, "monotone").all_hold
-                   else "nonmonotone")
-        if sc.mode == "nonmonotone" and sc.damping == 1.0:
-            sc.damping = 0.5
     speed = _solver_speed(cfg, model, sr, _dispersion_tol(cfg))
-    sol = _solve_profile(model, c, critical, sc, speed)
+    sol = (profile.solve_critical(model, sc, speed=speed) if critical
+           else profile.solve(model, c, sc, speed=speed))
     out = Path(args.out) if args.out else _out_dir(cfg, args) / "profile.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     reporting.write_csv(out, "xi,phi", [sol.profile.xi, sol.profile.values])
@@ -180,7 +162,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
         "c": sol.c, "c_star": sr.c_star, "beta": sol.beta,
         "lambda1": sol.lambda1, "lambda2": sol.lambda2,
         "residual_sup": sol.residual_sup, "iterations": sol.iterations,
-        "mode": sc.mode, "phase_shift": sol.shift, "note": sol.note,
+        "mode": sol.mode, "phase_shift": sol.shift, "note": sol.note,
         "csv": str(out),
     }
     rep.invariants = {"sandwich_ok": sol.sandwich_ok,
@@ -191,7 +173,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     rep.timings["total"] = watch.lap("total")
     reporting.write_json(out.with_suffix(".json"), rep.as_dict())
     _emit(rep, args, [
-        f"profile at c = {sol.c:.9g} (c* = {sr.c_star:.9g}), mode {sc.mode}",
+        f"profile at c = {sol.c:.9g} (c* = {sr.c_star:.9g}), mode {sol.mode}",
         f"converged in {sol.iterations} iterations, residual {sol.residual_sup:.3e}",
         f"wrote {out} and {out.with_suffix('.json')}",
     ])
@@ -289,9 +271,8 @@ def cmd_envelope(cfg: RunConfig, args) -> int:
 def _sim_config_from(cfg: RunConfig, section: str, model=None,
                      default_high=None) -> pdesim.SimConfig:
     sec = cfg.section(section)
-    for key in ("x_min", "x_max", "nx", "t_end"):
-        if key not in sec:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
+    x_min, x_max, nx, t_end = (cfg.require(section, key)
+                               for key in ("x_min", "x_max", "nx", "t_end"))
 
     def resolve_high(raw):
         if raw is None or (isinstance(raw, str) and raw in ("equilibrium", "plateau")):
@@ -344,12 +325,11 @@ def _sim_config_from(cfg: RunConfig, section: str, model=None,
         raise ConfigError(f"unknown history.kind {hkind!r}")
     n_snap = sec.get("snapshot_count", 41)
     return pdesim.SimConfig(
-        x_min=sec["x_min"], x_max=sec["x_max"], nx=sec["nx"],
-        t_end=sec["t_end"], dt=sec.get("dt"),
+        x_min=x_min, x_max=x_max, nx=nx, t_end=t_end, dt=sec.get("dt"),
         boundary=sec.get("boundary", "neumann"),
         dirichlet=(sec.get("dirichlet_left", 0.0), sec.get("dirichlet_right", 0.0)),
         initial=initial, history=history,
-        snapshot_times=list(np.linspace(0.0, sec["t_end"], n_snap)),
+        snapshot_times=list(np.linspace(0.0, t_end, n_snap)),
         store_every=sec.get("store_every", 1),
         track_every=sec.get("track_every", 1),
         level=sec.get("level"), front_level=sec.get("front_level"))
@@ -427,11 +407,8 @@ def cmd_frontspeed(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     watch = reporting.Stopwatch()
     sec = cfg.section("comparison")
-    for key in ("D1", "D2", "D3"):
-        if key not in sec:
-            raise ConfigError(f"missing required key '{key}' in section [comparison]")
-    params = pdesim.ComparisonParams(D1=sec["D1"], D2=sec["D2"], D3=sec["D3"],
-                                     m=sec.get("m", 0.0))
+    D1, D2, D3 = (cfg.require("comparison", key) for key in ("D1", "D2", "D3"))
+    params = pdesim.ComparisonParams(D1=D1, D2=D2, D3=D3, m=sec.get("m", 0.0))
     sim_cfg = _sim_config_from(cfg, "comparison", default_high=params.plateau)
     record = pdesim.simulate_comparison(params, None, sim_cfg,
                                         meta={"kind": "comparison"})
@@ -477,13 +454,9 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
         sr = dispersion.critical_speed(ctx)
         row["c_star"] = sr.c_star
         factor = cfg.get("sweep", "c_factor", 1.2)
-        sc = _solver_config(cfg)
-        sc.mode = ("monotone" if validate_hypotheses(model, "monotone").all_hold
-                   else "nonmonotone")
-        if sc.mode == "nonmonotone" and sc.damping == 1.0:
-            sc.damping = 0.5
         speed = _solver_speed(cfg, model, sr, dispersion.BISECTION_TOL)
-        sol = _solve_profile(model, factor * sr.c_star, False, sc, speed)
+        sol = profile.solve(model, factor * sr.c_star, _solver_config(cfg),
+                            speed=speed)
         row["residual_sup"] = sol.residual_sup
         sweep = cfg.section("sweep")
         pde = dict(cfg.section("pde"))
@@ -509,18 +482,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     Ms = sec.get("M") or []
     if not ps or not ms or not Ms:
         raise ConfigError("sweep needs nonempty p, m, and M lists")
-    grid = [(p, m, M) for p in ps for m in ms for M in Ms]
-    threads = max(1, args.threads)
-    rows = [None] * len(grid)
-    if threads == 1:
-        for i, (p, m, M) in enumerate(grid):
-            rows[i] = _sweep_row(cfg, p, m, M)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_sweep_row, cfg, p, m, M): i
-                       for i, (p, m, M) in enumerate(grid)}
-            for fut, i in futures.items():
-                rows[i] = fut.result()
+    rows = [_sweep_row(cfg, p, m, M) for p in ps for m in ms for M in Ms]
     out_dir = _out_dir(cfg, args)
     path = out_dir / "sweep.csv"
     lines = ["p,m,M,c_star,measured_speed,residual_sup"]
@@ -531,8 +493,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     path.write_text("\n".join(lines) + "\n")
     n_fail = sum(1 for r in rows if r["error"])
     rep = _base_report(cfg, "sweep")
-    rep.results = {"rows": rows, "csv": str(path),
-                   "seed": cfg.get("output", "seed", 0)}
+    rep.results = {"rows": rows, "csv": str(path)}
     rep.timings["total"] = watch.lap("total")
     _emit(rep, args, [f"swept {len(rows)} rows ({n_fail} failed), wrote {path}"],
           out_dir / "sweep.json")
@@ -553,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true",
                     help="print the JSON report to stdout")
     ap.add_argument("--out", help="primary output path (command specific)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for sweep rows")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("speed", help="threshold speed and decay roots")

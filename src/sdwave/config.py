@@ -54,7 +54,7 @@ SCHEMA = {
         "nx": "i", "t_end": "f", "x_min": "f", "x_max": "f",
     },
     "output": {
-        "dir": "p", "seed": "i",
+        "dir": "p",
     },
 }
 
@@ -140,8 +140,7 @@ def load_config(path) -> RunConfig:
 
 def build_model(cfg: RunConfig) -> ModelSpec:
     sec = cfg.section("model")
-    if "d" not in sec:
-        raise ConfigError("missing required key 'd' in section [model]")
+    d = cfg.require("model", "d")
     kind = sec.get("birth.kind", "ricker")
     if kind == "ricker":
         if "birth.p" not in sec:
@@ -165,7 +164,7 @@ def build_model(cfg: RunConfig) -> ModelSpec:
         delay = ExponentialDelay(m, M)
     else:
         raise ConfigError(f"unknown delay.kind {dkind!r}")
-    return ModelSpec(d=sec["d"], birth=birth, delay=delay)
+    return ModelSpec(d=d, birth=birth, delay=delay)
 
 
 def _read_table(path: Path):

@@ -10,7 +10,7 @@ finite-difference residual, never by the iteration metric alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ from .model import ModelSpec, equilibrium, sup_delay_slope, validate_hypotheses
 NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
 ANCHOR_DEAD_ZONE = 0.75      # cells; hysteresis against one-cell flapping
+MODES = ("auto", "monotone", "nonmonotone")
 
 
 @dataclass
@@ -48,9 +49,6 @@ class ProfileGrid:
         return np.interp(x, self.xi, self.values,
                          left=self.left_limit, right=self.right_limit)
 
-    def is_monotone(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.diff(self.values) >= -tol))
-
 
 @dataclass
 class SolverConfig:
@@ -59,7 +57,7 @@ class SolverConfig:
     max_iters: int = 10_000
     damping: float = 1.0
     phase_level: Optional[float] = None
-    mode: str = "monotone"            # or "nonmonotone"
+    mode: str = "auto"                # one of MODES; auto picks by the hypotheses
     h: Optional[float] = None
     left_width: Optional[float] = None
     right_width: Optional[float] = None
@@ -68,9 +66,12 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ModelInvalidError("tolerance must be positive")
+            raise ModelInvalidError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ModelInvalidError("damping must lie in (0, 1]")
+        if self.mode not in MODES:
+            raise ModelInvalidError(
+                f"mode must be one of {', '.join(MODES)}, not {self.mode!r}")
 
 
 @dataclass
@@ -103,6 +104,7 @@ class WaveSolution:
     clamp_excess: float
     f_consistency: float
     membership: MembershipReport
+    mode: str                         # the solver that ran: monotone or nonmonotone
     note: str = ""
 
 
@@ -401,8 +403,8 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
         trace=res.trace, sandwich_ok=mem.sandwich_ok,
         lipschitz_ok=mem.lipschitz_ok, monotone_ok=mem.monotone_ok,
         beta=rates.beta, lambda1=lam1, lambda2=lam2, shift=total_shift,
-        clamp_excess=res.clamp_excess, f_consistency=f_cons,
-        membership=mem, note=note)
+        clamp_excess=res.clamp_excess, f_consistency=f_cons, membership=mem,
+        mode="monotone" if require_monotone else "nonmonotone", note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +518,6 @@ class _CallableBound:
 
     def __init__(self, fn):
         self.value = fn
-        self.lam1 = None
 
 
 def _normalized_front(aux: WaveSolution, lam1: float, k: float):
@@ -550,8 +551,8 @@ def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
 
     The leading-edge decay degenerates at the threshold, so the left half of
     the grid is doubled and the tolerance tightened.  Requested speeds below
-    the surrogate speed are rejected.  `speed` is the model's threshold
-    speed, if the caller already has it.
+    the surrogate speed are rejected.  The solver is chosen as in `solve`.
+    `speed` is the model's threshold speed, if the caller already has it.
     """
     config = config or SolverConfig()
     ctx = CharacteristicContext.from_model(model)
@@ -566,26 +567,33 @@ def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
     roots = decay_roots(c, ctx)
     rate = _approach_rate(model, c, equilibrium(model))
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
-    cfg = SolverConfig(c=c, tol=min(config.tol, 1e-8), max_iters=2 * config.max_iters,
-                       damping=config.damping, phase_level=config.phase_level,
-                       mode=config.mode, h=config.h, left_width=2.0 * left,
-                       right_width=right, beta=config.beta,
-                       initial_shift=config.initial_shift)
+    cfg = replace(config, c=c, tol=min(config.tol, 1e-8),
+                  max_iters=2 * config.max_iters, left_width=2.0 * left,
+                  right_width=right)
     note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
-    if config.mode == "nonmonotone":
-        return solve_nonmonotone(model, c, cfg, speed=sr)
-    return solve_monotone(model, c, cfg, note=note, speed=sr)
+    return _dispatch(model, c, cfg, sr, note=note)
+
+
+def _dispatch(model: ModelSpec, c: float, config: SolverConfig,
+              speed: Optional[SpeedResult], note: str = "") -> WaveSolution:
+    """Run the solver config.mode names; "auto" picks it by the hypotheses.
+
+    Auto picks monotone when the monotone hypothesis set holds, else
+    nonmonotone with damping 0.5 unless a damping was set.
+    """
+    auto = config.mode == "auto"
+    if (config.mode == "monotone"
+            or auto and validate_hypotheses(model, "monotone").all_hold):
+        return solve_monotone(model, c, config, note=note, speed=speed)
+    if auto and config.damping == 1.0:
+        config = replace(config, damping=0.5)
+    return solve_nonmonotone(model, c, config, speed=speed)
 
 
 def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
           speed: Optional[SpeedResult] = None) -> WaveSolution:
-    """Dispatch on the hypothesis set that holds for the model."""
-    config = config or SolverConfig()
-    if config.mode == "nonmonotone":
-        return solve_nonmonotone(model, c, config, speed=speed)
-    if validate_hypotheses(model, "monotone").all_hold:
-        return solve_monotone(model, c, config, speed=speed)
-    cfg = config
-    if cfg.damping == 1.0:
-        cfg = SolverConfig(**{**cfg.__dict__, "damping": 0.5, "mode": "nonmonotone"})
-    return solve_nonmonotone(model, c, cfg, speed=speed)
+    """Solve with the configured mode; "auto" picks it by the model's hypotheses.
+
+    `speed` is the model's threshold speed, if the caller already has it.
+    """
+    return _dispatch(model, c, config or SolverConfig(), speed)

@@ -195,6 +195,13 @@ class TestProfileVerifyCommands:
         assert sidecar["results"]["mode"] == "nonmonotone"
         assert run_cli(["--config", p, "verify", "--profile", out]) == 0
 
+    def test_unknown_mode_names_the_key(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nmode = bogus\n")
+        assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
+                        "profile"]) == 2
+        assert "[profile] mode" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sidecar_report_fields(self, profile_run):
         _, out, _ = profile_run
         rep = json.loads(out.with_suffix(".json").read_text())
@@ -337,11 +344,11 @@ class TestSweepCommand:
     def test_sweep_grid_and_determinism(self, tmp_path):
         p = write_cfg(tmp_path, SWEEP_TEXT + "\n[output]\ndir = " +
                       str(tmp_path / "out1") + "\n")
-        assert run_cli(["--config", p, "--threads", "2", "sweep"]) == 0
+        assert run_cli(["--config", p, "sweep"]) == 0
         csv1 = (tmp_path / "out1" / "sweep.csv").read_bytes()
         p2 = write_cfg(tmp_path, SWEEP_TEXT + "\n[output]\ndir = " +
                        str(tmp_path / "out2") + "\n", name="run2.cfg")
-        assert run_cli(["--config", p2, "--threads", "1", "sweep"]) == 0
+        assert run_cli(["--config", p2, "sweep"]) == 0
         csv2 = (tmp_path / "out2" / "sweep.csv").read_bytes()
         assert csv1 == csv2
         lines = csv1.decode().splitlines()
@@ -356,6 +363,19 @@ class TestSweepCommand:
             entries.sort()
             speeds = [s for _, s in entries]
             assert speeds == sorted(speeds, reverse=True)
+
+    def test_explicit_mode_applies_to_every_row(self, tmp_path):
+        text = (SWEEP_TEXT.replace("h = 0.02", "h = 0.02\nmode = monotone")
+                .replace("p = 2.0, 2.4", "p = 2.0, 3.0")
+                .replace("m = 0.1, 0.3", "m = 0.2"))
+        p = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
+        assert run_cli(["--config", p, "sweep"]) == 0
+        rows = json.loads((tmp_path / "out" / "sweep.json").read_text())[
+            "results"]["rows"]
+        assert [r["p"] for r in rows] == [2.0, 3.0]
+        assert rows[0]["error"] == ""
+        assert "monotone hypothesis set" in rows[1]["error"]
+        assert math.isnan(rows[1]["residual_sup"])
 
     def test_empty_grid_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[sweep]\np = 2.0\nm =\nM = 0.6\n")

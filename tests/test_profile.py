@@ -362,8 +362,29 @@ class TestNonmonotoneSolve:
         assert ricker3_solution.residual_sup / fine.residual_sup >= 3.0
 
 
-def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar):
+def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
+                       monkeypatch):
+    assert profile.SolverConfig().mode == "auto"
     s2 = profile.solve(ricker2, 1.3 * ricker2_cstar, profile.SolverConfig(h=0.02))
-    assert s2.monotone_ok
+    assert s2.mode == "monotone" and s2.monotone_ok
     s3 = profile.solve(ricker3, 1.3 * ricker3_cstar, profile.SolverConfig(h=0.02))
-    assert "envelope" in s3.note
+    assert s3.mode == "nonmonotone" and "envelope" in s3.note
+    # an explicit mode is honoured, not overridden by the hypotheses
+    with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
+        profile.solve(ricker3, 1.3 * ricker3_cstar,
+                      profile.SolverConfig(h=0.02, mode="monotone"))
+    # the near-critical solve dispatches the same way; record the call
+    # instead of running the (long) near-critical iteration
+    calls = []
+
+    def fake_nonmonotone(model_, c, config=None, speed=None):
+        calls.append((c, config))
+        return "nonmonotone ran"
+
+    monkeypatch.setattr(profile, "solve_nonmonotone", fake_nonmonotone)
+    assert profile.solve_critical(ricker3) == "nonmonotone ran"
+    (c, cfg), = calls
+    assert c == pytest.approx(ricker3_cstar * (1.0 + profile.NEAR_CRITICAL_OFFSET))
+    assert cfg.damping == 0.5
+    with pytest.raises(ModelInvalidError, match="mode"):
+        profile.SolverConfig(mode="bogus")
