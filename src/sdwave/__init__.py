@@ -5,7 +5,7 @@ function, solves for wave profiles by a sandwiched integral-operator
 fixed-point iteration, and cross-checks the speed threshold by direct
 simulation of the dynamics.
 """
-from ._kernels import BACKEND as kernel_backend
+kernel_backend = "numpy"  # perfbench/run.py prints it
 
 __version__ = "0.1.0"
 

@@ -1,15 +1,14 @@
-"""Pure numpy/scipy kernels: fallback backend for the compiled core.
+"""Hot numerical kernels: the resolvent's exponential convolution and the
+simulator's tridiagonal solve.
 
-Same contracts as `_core`; the recurrences run through scipy's C filter
-implementation so this path stays usable at production sizes.
+The recurrences run through scipy's C filter implementation and the banded
+solve through LAPACK, so these numpy/scipy kernels serve production sizes.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.signal import lfilter
-
-BACKEND = "numpy"
 
 
 def _cell_weights(a: float, h: float) -> tuple:

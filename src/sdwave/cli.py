@@ -324,6 +324,8 @@ def _sim_config_from(cfg: RunConfig, section: str, model=None,
     else:
         raise ConfigError(f"unknown history.kind {hkind!r}")
     n_snap = sec.get("snapshot_count", 41)
+    if n_snap < 2:
+        raise ConfigError(f"[{section}] snapshot_count must be >= 2, not {n_snap}")
     return pdesim.SimConfig(
         x_min=x_min, x_max=x_max, nx=nx, t_end=t_end, dt=sec.get("dt"),
         boundary=sec.get("boundary", "neumann"),

@@ -98,6 +98,8 @@ class SimConfig:
             raise ModelInvalidError(f"dt={dt:g} exceeds the shortest lag {m:g}")
         if self.store_every < 1:
             raise ModelInvalidError("store_every must be >= 1")
+        if self.track_every < 1:
+            raise ModelInvalidError("track_every must be >= 1")
         return dt
 
 

@@ -464,7 +464,7 @@ def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = 
 
 
 def solve_nonmonotone(model: ModelSpec, c: float,
-                      config: Optional[SolverConfig] = None,
+                      config: Optional[SolverConfig] = None, note: str = "",
                       speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Positive wave profile for nonmonotone birth via the envelope sandwich.
 
@@ -506,11 +506,10 @@ def solve_nonmonotone(model: ModelSpec, c: float,
     xi = _make_xi(h, left, right)
     res = _iterate(xi, model, rates, upper.value, lower_fn, anchor, K,
                    config, enforce_monotone=False, dynamic_right_limit=True)
-    sol = _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
-                    anchor, level, K, upper,
-                    _CallableBound(lower_fn), require_monotone=False,
-                    note="sandwiched between birth-envelope fronts")
-    return sol
+    note = (note + "; " if note else "") + "sandwiched between birth-envelope fronts"
+    return _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
+                     anchor, level, K, upper,
+                     _CallableBound(lower_fn), require_monotone=False, note=note)
 
 
 class _CallableBound:
@@ -587,7 +586,7 @@ def _dispatch(model: ModelSpec, c: float, config: SolverConfig,
         return solve_monotone(model, c, config, note=note, speed=speed)
     if auto and config.damping == 1.0:
         config = replace(config, damping=0.5)
-    return solve_nonmonotone(model, c, config, speed=speed)
+    return solve_nonmonotone(model, c, config, note=note, speed=speed)
 
 
 def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,

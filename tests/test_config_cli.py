@@ -261,6 +261,23 @@ history.kind = frozen
 snapshot_count = 25
 """
 
+COMPARISON_SECTION = """
+[comparison]
+D1 = 1.0
+D2 = 2.0
+D3 = 1.0
+m = 0.0
+x_min = -60
+x_max = 60
+nx = 401
+t_end = 20
+initial.kind = bump
+initial.center = 0
+initial.width = 5
+snapshot_count = 21
+probe_speed_fraction = 0.6
+"""
+
 
 class TestSimulateCommands:
     def test_simulate_then_frontspeed(self, tmp_path, capsys):
@@ -289,24 +306,27 @@ class TestSimulateCommands:
         rep = json.loads(capsys.readouterr().out)
         assert rep["results"]["samples"] >= 10
 
+    @pytest.mark.parametrize("command, key, value, code", [
+        ("simulate", "track_every", 0, 2),
+        ("simulate", "track_every", -1, 2),
+        ("simulate", "snapshot_count", 0, 1),
+        ("simulate", "snapshot_count", -3, 1),
+        ("simulate", "snapshot_count", 1, 1),
+        ("compare", "snapshot_count", 1, 1),
+    ])
+    def test_bad_sampling_integer_rejected(self, tmp_path, capsys, command,
+                                           key, value, code):
+        text = {"simulate": DELAYED_MODEL + SIM_SECTION,
+                "compare": BASE_MODEL + COMPARISON_SECTION}[command]
+        lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+        p = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}", ""]))
+        out_dir = tmp_path / "rundir"
+        assert run_cli(["--config", p, command, "--out-dir", out_dir]) == code
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_compare_command(self, tmp_path, capsys):
-        text = BASE_MODEL + """
-[comparison]
-D1 = 1.0
-D2 = 2.0
-D3 = 1.0
-m = 0.0
-x_min = -60
-x_max = 60
-nx = 401
-t_end = 20
-initial.kind = bump
-initial.center = 0
-initial.width = 5
-snapshot_count = 21
-probe_speed_fraction = 0.6
-"""
-        p = write_cfg(tmp_path, text)
+        p = write_cfg(tmp_path, BASE_MODEL + COMPARISON_SECTION)
         out_dir = tmp_path / "cmp"
         assert run_cli(["--config", p, "--json", "compare",
                         "--out-dir", out_dir]) == 0

@@ -377,7 +377,8 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
     # instead of running the (long) near-critical iteration
     calls = []
 
-    def fake_nonmonotone(model_, c, config=None, speed=None):
+    def fake_nonmonotone(model_, c, config=None, note="", speed=None):
+        assert "near-critical surrogate" in note
         calls.append((c, config))
         return "nonmonotone ran"
 
