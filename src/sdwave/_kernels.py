@@ -1,13 +1,14 @@
 """Hot numerical kernels: the resolvent's exponential convolution and the
 simulator's tridiagonal solve.
 
-The recurrences run through scipy's C filter implementation and the banded
-solve through LAPACK, so these numpy/scipy kernels serve production sizes.
+The recurrences run through scipy's C filter implementation.  The
+simulator's matrix is constant, so its tridiagonal system is factored once
+per run (LAPACK gttrf) and each step is one gttrs solve.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import lfilter
 
 
@@ -64,11 +65,19 @@ def exp_conv_pair(H, h: float, g1: float, g2: float,
     return (i_minus + i_plus) / (g2 - g1)
 
 
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve the tridiagonal system with the given bands (lower/upper offset 1)."""
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[: n - 1]
-    ab[1, :] = diag
-    ab[2, : n - 1] = lower[: n - 1]
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+def factor_tridiagonal(lower, diag, upper):
+    """LU factors (partial pivoting) of the matrix with the given bands.
+
+    Returns the tuple (dl, d, du, du2, ipiv) that `solve_tridiagonal` takes
+    before its right-hand side.
+    """
+    dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix (pivot {info})")
+    return dl, d, du, du2, ipiv
+
+
+def solve_tridiagonal(dl, d, du, du2, ipiv, rhs):
+    """Solve one right-hand side against the factors of `factor_tridiagonal`."""
+    x, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
+    return x

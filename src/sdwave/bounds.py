@@ -17,8 +17,8 @@ from scipy.optimize import brentq
 
 from .dispersion import CharacteristicContext, char_value, decay_roots
 from .errors import ModelInvalidError, NoRootsError
-from .model import (GRID_POINTS, ModelSpec, RickerBirth, birth_monotone_on,
-                    birth_peak, equilibrium, quadratic_gap)
+from .model import (GRID_POINTS, ModelSpec, RickerBirth, _scalar_or_array,
+                    birth_monotone_on, birth_peak, equilibrium, quadratic_gap)
 
 ETA_DEGENERACY_TOL = 1e-6
 
@@ -37,19 +37,19 @@ class UpperSolution:
     def value(self, xi):
         xi = np.asarray(xi, dtype=float)
         out = np.minimum(np.exp(np.minimum(self.lam1 * xi, 700.0)), self.level)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def d1(self, xi):
         xi = np.asarray(xi, dtype=float)
         exp_branch = self.lam1 * xi < math.log(self.level)
         out = np.where(exp_branch, self.lam1 * np.exp(self.lam1 * xi), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def d2(self, xi):
         xi = np.asarray(xi, dtype=float)
         exp_branch = self.lam1 * xi < math.log(self.level)
         out = np.where(exp_branch, self.lam1**2 * np.exp(self.lam1 * xi), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 class LowerSolution:
@@ -73,7 +73,7 @@ class LowerSolution:
         xi = np.asarray(xi, dtype=float)
         out = np.where(xi < self.xi0, self._branch(np.minimum(xi, self.xi0)), 0.0)
         out = np.maximum(out, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def d1(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -82,7 +82,7 @@ class LowerSolution:
                        lam * np.exp(lam * np.minimum(xi, self.xi0))
                        - q * eta * lam * np.exp(eta * lam * np.minimum(xi, self.xi0)),
                        0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def d2(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -91,7 +91,7 @@ class LowerSolution:
                        lam**2 * np.exp(lam * np.minimum(xi, self.xi0))
                        - q * (eta * lam)**2 * np.exp(eta * lam * np.minimum(xi, self.xi0)),
                        0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 def build_upper(c: float, model: ModelSpec, level: float | None = None) -> UpperSolution:
@@ -174,12 +174,12 @@ class RickerUpperEnvelope:
     def value(self, u):
         u = np.asarray(u, dtype=float)
         out = self.base.p * np.minimum(u, 1.0) * np.exp(-np.minimum(u, 1.0))
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
         out = np.where(u < 1.0, self.base.p * (1.0 - u) * np.exp(-np.minimum(u, 1.0)), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     @property
     def derivative_at_zero(self):
@@ -204,7 +204,7 @@ class RickerLowerEnvelope:
         u = np.asarray(u, dtype=float)
         capped = np.minimum(u, 1.0)
         out = np.minimum(self.base.p * capped * np.exp(-capped), self.floor)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
@@ -212,7 +212,7 @@ class RickerLowerEnvelope:
         raw = self.base.p * capped * np.exp(-capped)
         active = (u < 1.0) & (raw < self.floor)
         out = np.where(active, self.base.p * (1.0 - capped) * np.exp(-capped), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     @property
     def derivative_at_zero(self):
@@ -236,7 +236,7 @@ class TabularEnvelope:
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.u, self.vals,
                         left=self.vals[0], right=self.vals[-1])
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -244,7 +244,7 @@ class TabularEnvelope:
         slopes = np.diff(self.vals) / du
         idx = np.clip(((x - self.u[0]) / du).astype(int), 0, len(slopes) - 1)
         out = np.where((x <= self.u[0]) | (x >= self.u[-1]), 0.0, slopes[idx])
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     @property
     def derivative_at_zero(self):
@@ -268,9 +268,6 @@ class EnvelopePair:
 
     def lower_model(self, model: ModelSpec) -> ModelSpec:
         return ModelSpec(d=model.d, birth=self.lower, delay=model.delay)
-
-    def upper_model(self, model: ModelSpec) -> ModelSpec:
-        return ModelSpec(d=model.d, birth=self.upper, delay=model.delay)
 
 
 def build_envelopes(model: ModelSpec) -> EnvelopePair:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelInvalidError, NoRootsError
-from .model import ModelSpec, equilibrium, sup_delay_slope
+from .model import ModelSpec, _scalar_or_array, equilibrium, sup_delay_slope
 
 ROOT_RESIDUAL_TOL = 1e-12
 BISECTION_TOL = 1e-10
@@ -91,7 +91,7 @@ def char_value(lam, c: float, ctx: CharacteristicContext):
     lam = np.asarray(lam, dtype=float)
     lag = ctx.lag_at_zero * (c if ctx.exponent_mode == "lambda_c_m" else 1.0)
     out = lam**2 - c * lam - ctx.d + ctx.growth_at_zero * np.exp(-lam * lag)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def _char_slope(lam: float, c: float, ctx: CharacteristicContext) -> float:

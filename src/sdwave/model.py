@@ -29,6 +29,11 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _scalar_or_array(out: np.ndarray):
+    """A 0-d result as a Python float; an array result unchanged."""
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # birth functions
 
@@ -46,12 +51,12 @@ class RickerBirth:
     def value(self, u):
         u = np.asarray(u, dtype=float)
         out = self.p * u * np.exp(-u)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
         out = self.p * (1.0 - u) * np.exp(-u)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     @property
     def derivative_at_zero(self) -> float:
@@ -92,12 +97,12 @@ class TabulatedBirth:
     def value(self, u):
         u = np.clip(np.asarray(u, dtype=float), 0.0, self.u_max)
         out = self._interp(u)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def derivative(self, u):
         u = np.asarray(u, dtype=float)
         out = np.where(u >= self.u_max, 0.0, self._deriv(np.clip(u, 0.0, self.u_max)))
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     @property
     def derivative_at_zero(self) -> float:
@@ -137,12 +142,12 @@ class ConstantDelay:
     def tau(self, u):
         u = np.asarray(u, dtype=float)
         out = np.full_like(u, self.m)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def slope(self, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def slope_sup(self, range_end: float) -> float:
         return 0.0
@@ -163,12 +168,12 @@ class RationalDelay:
     def tau(self, u):
         u = np.asarray(u, dtype=float)
         out = self.m + (self.M - self.m) * u / (1.0 + u)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def slope(self, u):
         u = np.asarray(u, dtype=float)
         out = (self.M - self.m) / (1.0 + u) ** 2
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def slope_sup(self, range_end: float) -> float:
         # slope is decreasing in u, maximal at u = 0
@@ -190,12 +195,12 @@ class ExponentialDelay:
     def tau(self, u):
         u = np.asarray(u, dtype=float)
         out = self.m + (self.M - self.m) * (-np.expm1(-u))
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def slope(self, u):
         u = np.asarray(u, dtype=float)
         out = (self.M - self.m) * np.exp(-u)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def slope_sup(self, range_end: float) -> float:
         return self.M - self.m

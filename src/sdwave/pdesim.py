@@ -1,8 +1,9 @@
 """Method-of-lines simulator for the delayed reaction-diffusion dynamics.
 
 IMEX stepping: diffusion is advanced by an implicit backward-Euler
-tridiagonal solve, the (delayed) reaction explicitly.  A ring buffer of past
-snapshots serves the state-dependent delayed lookups, with the prescribed
+tridiagonal solve, factored once per run, the (delayed) reaction
+explicitly.  A ring buffer of past snapshots serves the state-dependent
+delayed lookups, one flat gather per step, with the prescribed
 history function answering pre-initial times.  The same machinery runs the
 fixed-delay comparison system with a quadratic reaction.  Front positions
 are tracked by level crossings and fitted to a speed.
@@ -140,6 +141,7 @@ class HistoryBuffer:
         self.cap = cap
         self._times = np.empty(cap)
         self._snaps = np.empty((cap, nx))
+        self._cols = np.arange(nx)
         self.start = 0
         self.count = 0
         self.clamp_warnings = 0
@@ -182,10 +184,16 @@ class HistoryBuffer:
         if np.any(over):
             self.clamp_warnings += int(np.count_nonzero(over))
         np.clip(w, 0.0, 1.0, out=w)
-        cols = np.arange(td.shape[0])
-        left = self._snaps[(self.start + j) % self.cap, cols]
-        right = self._snaps[(self.start + j + 1) % self.cap, cols]
-        return (1.0 - w) * left + w * right
+        # flat offsets of (ring row start + j, column) and of the next row,
+        # each wrapped by one compare-and-subtract (j + 1 < count <= cap)
+        nx = self._cols.shape[0]
+        row = j + self.start
+        row -= self.cap * (row >= self.cap)
+        flat = row * nx + self._cols
+        flat_next = flat + nx
+        flat_next -= (self.cap * nx) * (row == self.cap - 1)
+        snaps = self._snaps.reshape(-1)
+        return (1.0 - w) * snaps.take(flat) + w * snaps.take(flat_next)
 
     def lookup_uniform(self, td: float) -> np.ndarray:
         """Whole-snapshot interpolation at a single past time."""
@@ -246,17 +254,18 @@ class _BaseSim:
     def _setup_matrix(self):
         r = self.dt / self.dx**2
         n = self.config.nx
-        self.lower = np.full(n - 1, -r)
-        self.diag = np.full(n, 1.0 + 2.0 * r)
-        self.upper = np.full(n - 1, -r)
+        lower = np.full(n - 1, -r)
+        diag = np.full(n, 1.0 + 2.0 * r)
+        upper = np.full(n - 1, -r)
         if self.config.boundary == "neumann":
-            self.upper[0] = -2.0 * r
-            self.lower[-1] = -2.0 * r
+            upper[0] = -2.0 * r
+            lower[-1] = -2.0 * r
         else:
-            self.diag[0] = 1.0
-            self.upper[0] = 0.0
-            self.diag[-1] = 1.0
-            self.lower[-1] = 0.0
+            diag[0] = 1.0
+            upper[0] = 0.0
+            diag[-1] = 1.0
+            lower[-1] = 0.0
+        self._factors = kernels.factor_tridiagonal(lower, diag, upper)
 
     def _setup_history(self):
         hist = self.config.history
@@ -276,10 +285,11 @@ class _BaseSim:
 
     def history_values(self, td: np.ndarray) -> np.ndarray:
         """Delayed values per grid point, splitting buffer and pre-initial times."""
-        out = np.empty_like(td)
         pre = td < 0.0
-        if np.any(pre):
-            out[pre] = self._psi(self.x[pre], td[pre])
+        if not np.any(pre):
+            return self.buffer.lookup_pointwise(td)
+        out = np.empty_like(td)
+        out[pre] = self._psi(self.x[pre], td[pre])
         post = ~pre
         if np.any(post):
             vals = self.buffer.lookup_pointwise(np.where(post, td, 0.0))
@@ -296,25 +306,22 @@ class _BaseSim:
         rhs = self.u + self.dt * self.reaction()
         if self.config.boundary == "dirichlet":
             rhs[0], rhs[-1] = self.config.dirichlet
-        self.u = kernels.solve_tridiagonal(self.lower, self.diag, self.upper, rhs)
+        self.u = kernels.solve_tridiagonal(*self._factors, rhs)
         self.t += self.dt
         self._steps_done += 1
         self._post_step()
-        sup = float(np.max(np.abs(self.u)))
-        if sup > 10.0 * self.level:
+        # one max/min pair gives sup|u| and both band excesses exactly:
+        # rounding is monotone, so max(u - level) == max(u) - level
+        hi, lo = float(self.u.max()), float(self.u.min())
+        sup = max(hi, -lo)
+        if not sup <= 10.0 * self.level:
             raise SchemeError(
                 f"instability detected at t={self.t:.6g}: sup|u|={sup:.3g} "
                 f"exceeds 10x level {self.level:.3g}")
-        self.band_violation = max(
-            self.band_violation,
-            float(np.max(self.u - self.level)),
-            float(np.max(-self.u)))
+        self.band_violation = max(self.band_violation, hi - self.level, -lo)
         if self._steps_done % self.config.store_every == 0:
             self.buffer.evict(self.t + self.dt)
             self.buffer.append(self.t, self.u)
-
-    def field(self) -> Field:
-        return Field(x=self.x, u=self.u.copy(), t=self.t)
 
     def run(self, meta: Optional[dict] = None) -> RunRecord:
         cfg = self.config
@@ -333,7 +340,8 @@ class _BaseSim:
                 times.append(self.t)
                 snaps.append(self.u.copy())
             if step_no % cfg.track_every == 0:
-                pos = front_position(self.field(), front_level)
+                pos = front_position(Field(x=self.x, u=self.u, t=self.t),
+                                     front_level)
                 if pos is not None:
                     track_t.append(self.t)
                     track_x.append(pos)
@@ -407,8 +415,8 @@ class ComparisonSim(_BaseSim):
         return -p.D1 * self.u + p.D2 * delayed - p.D3 * self.u * self.u
 
     def _post_step(self):
-        over = float(np.max(self.u - self.params.plateau))
-        under = float(np.max(-self.u))
+        over = float(self.u.max()) - self.params.plateau
+        under = -float(self.u.min())
         if max(over, under) > COMPARISON_BAND_TOL:
             raise SchemeError(
                 f"comparison band violated by {max(over, under):.3e} at t={self.t:.6g}")

@@ -20,7 +20,8 @@ from .bounds import UpperSolution, build_envelopes, build_lower, build_upper
 from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
                          choose_beta, critical_speed, decay_roots, kernel_rates)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
-from .model import ModelSpec, equilibrium, sup_delay_slope, validate_hypotheses
+from .model import (HypothesisReport, ModelSpec, equilibrium, sup_delay_slope,
+                    validate_hypotheses)
 
 NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
@@ -423,13 +424,15 @@ def _require_supercritical(c: float, ctx: CharacteristicContext,
 
 
 def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
-                   note: str = "", speed: Optional[SpeedResult] = None) -> WaveSolution:
+                   note: str = "", speed: Optional[SpeedResult] = None,
+                   hypotheses: Optional[HypothesisReport] = None) -> WaveSolution:
     """Monotone wavefront for a supercritical speed; order-preserving iteration.
 
-    `speed` is the model's threshold speed, if the caller already has it.
+    `speed` is the model's threshold speed and `hypotheses` its monotone
+    hypothesis report, if the caller already has them.
     """
     config = config or SolverConfig()
-    rep = validate_hypotheses(model, "monotone")
+    rep = hypotheses or validate_hypotheses(model, "monotone")
     if not rep.all_hold:
         failed = [e.id for e in rep.entries if not e.holds]
         raise ModelInvalidError(
@@ -581,9 +584,10 @@ def _dispatch(model: ModelSpec, c: float, config: SolverConfig,
     nonmonotone with damping 0.5 unless a damping was set.
     """
     auto = config.mode == "auto"
-    if (config.mode == "monotone"
-            or auto and validate_hypotheses(model, "monotone").all_hold):
-        return solve_monotone(model, c, config, note=note, speed=speed)
+    rep = validate_hypotheses(model, "monotone") if auto else None
+    if config.mode == "monotone" or auto and rep.all_hold:
+        return solve_monotone(model, c, config, note=note, speed=speed,
+                              hypotheses=rep)
     if auto and config.damping == 1.0:
         config = replace(config, damping=0.5)
     return solve_nonmonotone(model, c, config, note=note, speed=speed)

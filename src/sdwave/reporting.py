@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+CSV_BLOCK_ROWS = 4096     # rows formatted per write in write_csv
+
 
 def canonical_float(x: float) -> float:
     return float(f"{float(x):.15g}")
@@ -46,11 +48,19 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: str, columns) -> None:
+    """One row per index of the equal-length columns, each value as %.15g.
+
+    Rows are formatted a block at a time from Python scalars (`tolist`),
+    so only one block of them is alive at once.
+    """
     cols = [np.asarray(c) for c in columns]
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(f"{float(v):.15g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    n = min((c.shape[0] for c in cols), default=0)
+    fmt = ",".join(["%.15g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, n, CSV_BLOCK_ROWS):
+            block = [c[i:i + CSV_BLOCK_ROWS].tolist() for c in cols]
+            fh.write("".join(fmt % row for row in zip(*block)))
 
 
 def read_csv(path) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sdwave
-from sdwave import _kernels
+from sdwave import _kernels, pdesim
 
 
 def kernel_inputs(n=400, seed=0):
@@ -90,9 +90,37 @@ def test_tridiagonal_against_dense():
     rhs = rng.uniform(-1.0, 1.0, n)
     A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     expect = np.linalg.solve(A, rhs)
-    got = _kernels.solve_tridiagonal(lower, diag, upper, rhs)
+    factors = _kernels.factor_tridiagonal(lower, diag, upper)
+    got = _kernels.solve_tridiagonal(*factors, rhs)
     assert np.max(np.abs(got - expect)) < 1e-11
 
+
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+def test_factored_simulator_matrix_against_dense(boundary):
+    # the simulator's backward-Euler matrices, factored once and reused
+    cfg = pdesim.SimConfig(x_min=-10.0, x_max=10.0, nx=80, t_end=1.0, dt=0.05,
+                           boundary=boundary, initial=np.zeros(80))
+    sim = pdesim.ComparisonSim(pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0), cfg)
+    r = sim.dt / sim.dx**2
+    n = cfg.nx
+    A = (np.diag(np.full(n, 1.0 + 2.0 * r)) + np.diag(np.full(n - 1, -r), -1)
+         + np.diag(np.full(n - 1, -r), 1))
+    if boundary == "neumann":
+        A[0, 1] = A[-1, -2] = -2.0 * r
+    else:
+        A[0, :] = A[-1, :] = 0.0
+        A[0, 0] = A[-1, -1] = 1.0
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        rhs = rng.uniform(-1.0, 1.0, n)
+        expect = np.linalg.solve(A, rhs)
+        got = _kernels.solve_tridiagonal(*sim._factors, rhs)
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+
+def test_factor_rejects_singular_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.factor_tridiagonal(np.ones(3), np.zeros(4), np.zeros(3))
 
 
 def test_kernel_backend_is_numpy():

@@ -220,6 +220,48 @@ class TestHistoryBuffer:
         assert sim.buffer.count <= sim.buffer.cap
 
 
+def naive_pointwise(history, spacing, td):
+    """Per-point linear interpolation in time over the live (t, u) pairs."""
+    t0 = history[0][0]
+    out, clamped = np.empty(td.shape[0]), 0
+    for i, when in enumerate(td):
+        rel = (when - t0) / spacing
+        j = min(max(int(rel), 0), len(history) - 2)
+        w = rel - j
+        if w > 1.0 + 1e-9:
+            clamped += 1
+        w = min(max(w, 0.0), 1.0)
+        out[i] = (1.0 - w) * history[j][1][i] + w * history[j + 1][1][i]
+    return out, clamped
+
+
+class TestHistoryLookup:
+    def test_pointwise_across_ring_wrap(self):
+        rng = np.random.default_rng(7)
+        nx, spacing = 9, 0.1
+        buf = pdesim.HistoryBuffer(nx, spacing, window=0.35)
+        history, clamped, wrapped = [], 0, 0
+        for k in range(40):
+            t = k * spacing
+            buf.evict(t)
+            u = rng.uniform(-1.0, 1.0, nx)
+            buf.append(t, u)
+            history.append((t, u))
+            live = history[-buf.count:]
+            if buf.count == 1:
+                np.testing.assert_array_equal(buf.lookup_pointwise(np.full(nx, t)), u)
+                continue
+            wrapped += buf.start + buf.count > buf.cap
+            # the live window, its two ends and points past the newest snapshot
+            td = rng.uniform(buf.oldest, buf.newest + 0.2 * spacing, nx)
+            td[:3] = buf.oldest, buf.newest, buf.newest + 0.5 * spacing
+            want, extra = naive_pointwise(live, spacing, td)
+            np.testing.assert_array_equal(buf.lookup_pointwise(td), want)
+            clamped += extra
+            assert buf.clamp_warnings == clamped
+        assert wrapped > 10 and clamped > 30
+
+
 class TestNonexistenceProbe:
     def test_rejects_supercritical_request(self, ricker2, ricker2_cstar):
         cfg = small_config()

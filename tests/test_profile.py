@@ -362,6 +362,23 @@ class TestNonmonotoneSolve:
         assert ricker3_solution.residual_sup / fine.residual_sup >= 3.0
 
 
+@pytest.mark.parametrize("mode", ["auto", "monotone"])
+def test_hypotheses_checked_once_per_solve(ricker2, ricker2_cstar, monkeypatch,
+                                           mode):
+    modes = []
+
+    def counting(model_, mode_="monotone"):
+        modes.append(mode_)
+        return validate(model_, mode_)
+
+    validate = profile.validate_hypotheses
+    monkeypatch.setattr(profile, "validate_hypotheses", counting)
+    sol = profile.solve(ricker2, 1.3 * ricker2_cstar,
+                        profile.SolverConfig(h=0.02, mode=mode))
+    assert sol.mode == "monotone"
+    assert modes == ["monotone"]
+
+
 def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
                        monkeypatch):
     assert profile.SolverConfig().mode == "auto"
