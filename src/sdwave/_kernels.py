@@ -1,15 +1,17 @@
 """Hot numerical kernels: the resolvent's exponential convolution and the
 simulator's tridiagonal solve.
 
-The recurrences run through scipy's C filter implementation.  The
-simulator's matrix is constant, so its tridiagonal system is factored once
-per run (LAPACK gttrf) and each step is one gttrs solve.
+The recurrences run through scipy's C filter implementation.  Importing
+`scipy.signal` costs more than the rest of the package together, so
+`exp_conv_pair` imports `lfilter` at its first call: only the commands that
+iterate profiles (`profile`, `sweep`) pay for it.  The simulator's matrix is
+constant, so its tridiagonal system is factored once per run (LAPACK gttrf)
+and each step is one gttrs solve.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.signal import lfilter
 
 
 def _cell_weights(a: float, h: float) -> tuple:
@@ -41,6 +43,8 @@ def exp_conv_pair(H, h: float, g1: float, g2: float,
     beyond it (exact tails).  Returns (I_minus + I_plus) / (g2 - g1).
     Requires g1 < 0 < g2.
     """
+    from scipy.signal import lfilter
+
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
     if n < 2:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import CharacteristicContext, char_value, decay_roots
 from .errors import ModelInvalidError, NoRootsError
@@ -70,9 +69,12 @@ class LowerSolution:
         return np.exp(self.lam1 * xi) - self.q * np.exp(self.eta * self.lam1 * xi)
 
     def value(self, xi):
+        # the branch is evaluated only left of the kink: near threshold xi0
+        # lies far left of the grid and the bound is zero almost everywhere
         xi = np.asarray(xi, dtype=float)
-        out = np.where(xi < self.xi0, self._branch(np.minimum(xi, self.xi0)), 0.0)
-        out = np.maximum(out, 0.0)
+        left = xi < self.xi0
+        out = np.zeros(xi.shape)
+        out[left] = np.maximum(self._branch(xi[left]), 0.0)
         return _scalar_or_array(out)
 
     def d1(self, xi):
@@ -315,6 +317,8 @@ def _largest_root(g, hi: float) -> float:
     i = sign_change[-1]
     if vals[i] == 0.0:
         return float(u[i])
+    from scipy.optimize import brentq
+
     return float(brentq(g, u[i], u[i + 1], xtol=1e-14, rtol=8.9e-16))
 
 
@@ -337,6 +341,8 @@ def _tabular_envelopes(model: ModelSpec, K: float, peak: float) -> EnvelopePair:
     if runmax[i] > b.value(u[i]) + 1e-12 * max(1.0, peak):
         level = runmax[i] / d      # flat stretch: analytic crossing
     else:
+        from scipy.optimize import brentq
+
         level = brentq(lambda x: b.value(x) - d * x, u[i], u[i + 1],
                        xtol=1e-14, rtol=8.9e-16)
     grid = np.linspace(0.0, level, GRID_POINTS)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import ModelInvalidError
 
@@ -90,6 +88,8 @@ class TabulatedBirth:
             raise ModelInvalidError("tabulated birth abscissae must increase")
         if u[0] != 0.0 or b[0] != 0.0:
             raise ModelInvalidError("tabulated birth must start at (0, 0)")
+        from scipy.interpolate import PchipInterpolator
+
         self.u_max = float(u[-1])
         self._interp = PchipInterpolator(u, b, extrapolate=False)
         self._deriv = self._interp.derivative()
@@ -115,13 +115,6 @@ class TabulatedBirth:
 
     def __repr__(self):
         return f"TabulatedBirth(u_max={self.u_max})"
-
-
-def birth_eval(birth, u):
-    """Evaluate a birth function at u >= 0; rejects negative arguments."""
-    if np.any(np.asarray(u) < 0):
-        raise ValueError(f"birth function argument must be nonnegative, got {u}")
-    return birth.value(u)
 
 
 def birth_monotone_on(birth, lo: float, hi: float, n: int = GRID_POINTS) -> bool:
@@ -248,6 +241,8 @@ def equilibrium(model: ModelSpec) -> float:
         raise ModelInvalidError("no positive equilibrium: b'(0) <= d")
     if isinstance(b, RickerBirth):
         return float(np.log(b.p / d))
+    from scipy.optimize import brentq
+
     g = lambda u: b.value(u) - d * u
     grid = np.geomspace(1e-9, 50.0, 4000)
     vals = g(grid)

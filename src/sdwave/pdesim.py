@@ -178,12 +178,18 @@ class HistoryBuffer:
             return self._snaps[self.start].copy()
         t0 = self.oldest
         rel = (td - t0) / self.spacing
-        j = np.clip(rel.astype(np.int64), 0, self.count - 2)
+        # in-place minimum/maximum instead of np.clip, whose Python-level
+        # wrapper costs more than the clamp; the bound goes first so that a
+        # tie keeps the input, -0.0 included, as np.clip does
+        j = rel.astype(np.int64)
+        np.minimum(self.count - 2, j, out=j)
+        np.maximum(0, j, out=j)
         w = rel - j
         over = w > 1.0 + 1e-9
         if np.any(over):
             self.clamp_warnings += int(np.count_nonzero(over))
-        np.clip(w, 0.0, 1.0, out=w)
+        np.minimum(1.0, w, out=w)
+        np.maximum(0.0, w, out=w)
         # flat offsets of (ring row start + j, column) and of the next row,
         # each wrapped by one compare-and-subtract (j + 1 < count <= cap)
         nx = self._cols.shape[0]
@@ -200,7 +206,7 @@ class HistoryBuffer:
         if self.count == 1:
             return self._snaps[self.start].copy()
         rel = (td - self.oldest) / self.spacing
-        j = int(np.clip(math.floor(rel), 0, self.count - 2))
+        j = min(max(math.floor(rel), 0), self.count - 2)
         w = rel - j
         if w > 1.0 + 1e-9:
             self.clamp_warnings += 1
@@ -375,7 +381,7 @@ class DelaySim(_BaseSim):
 
     def reaction(self) -> np.ndarray:
         td = self.t - self.model.delay.tau(self.u)
-        np.clip(td, self.t - self.model.delay.M - self.dt, None, out=td)
+        np.maximum(td, self.t - self.model.delay.M - self.dt, out=td)
         delayed = self.history_values(td)
         return -self.model.d * self.u + self.model.birth.value(np.maximum(delayed, 0.0))
 
@@ -420,7 +426,8 @@ class ComparisonSim(_BaseSim):
         if max(over, under) > COMPARISON_BAND_TOL:
             raise SchemeError(
                 f"comparison band violated by {max(over, under):.3e} at t={self.t:.6g}")
-        np.clip(self.u, 0.0, self.params.plateau, out=self.u)
+        np.minimum(self.params.plateau, self.u, out=self.u)
+        np.maximum(0.0, self.u, out=self.u)
 
 
 def run(config: SimConfig, model: ModelSpec, meta: Optional[dict] = None) -> RunRecord:

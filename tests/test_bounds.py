@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdwave import bounds, dispersion, model
+from sdwave import bounds, dispersion, model, profile
 from sdwave.errors import NoRootsError
 from conftest import bisect
 
@@ -42,6 +42,70 @@ def test_lower_positive_exactly_left_of_kink(ricker2, ricker2_cstar):
     vals = low.value(xi)
     assert np.all(vals[xi < low.xi0 - 1e-9] > 0.0)
     assert np.all(vals[xi >= low.xi0] == 0.0)
+
+
+def _lower_value_full(low, xi):
+    """The lower bound with the branch evaluated over the whole input."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.maximum(np.where(xi < low.xi0,
+                              low._branch(np.minimum(xi, low.xi0)), 0.0), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestLowerValueBitwise:
+    """`LowerSolution.value` evaluates only left of its kink, bit for bit."""
+
+    def test_sorted_grid_across_the_kink(self, ricker2, ricker2_cstar):
+        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        xi = np.linspace(-80.0, 40.0, 20_001)
+        assert xi[0] < low.xi0 < xi[-1]
+        got = low.value(xi)
+        _assert_bitwise(got, _lower_value_full(low, xi))
+        assert np.any(got > 0.0) and np.any(got == 0.0)
+
+    def test_near_critical_grid_is_all_zero(self, ricker2, ricker2_ctx,
+                                            ricker2_cstar):
+        c = ricker2_cstar * (1.0 + profile.NEAR_CRITICAL_OFFSET)
+        low = bounds.build_lower(c, ricker2)
+        roots = dispersion.decay_roots(c, ricker2_ctx)
+        rate = profile._approach_rate(ricker2, c, model.equilibrium(ricker2))
+        h, left, right = profile._grid_geometry(
+            profile.SolverConfig(h=0.02), roots.lambda1, roots.lambda2, rate)
+        xi = profile._make_xi(h, 2.0 * left, right)   # as solve_critical
+        assert low.xi0 < xi[0]
+        got = low.value(xi)
+        _assert_bitwise(got, _lower_value_full(low, xi))
+        assert not np.any(got)
+        assert not np.any(np.signbit(got))
+
+    def test_grid_left_of_the_kink(self, ricker2, ricker2_cstar):
+        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        xi = np.linspace(low.xi0 - 60.0, low.xi0 - 1e-3, 4_001)
+        got = low.value(xi)
+        _assert_bitwise(got, _lower_value_full(low, xi))
+        assert np.all(got > 0.0)
+
+    def test_unsorted_input(self, ricker2, ricker2_cstar):
+        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        rng = np.random.default_rng(7)
+        xi = rng.uniform(low.xi0 - 40.0, low.xi0 + 40.0, 5_001)
+        xi[:4] = [low.xi0, -np.inf, np.inf, np.nan]
+        got = low.value(xi)
+        _assert_bitwise(got, _lower_value_full(low, xi))
+        blocks = low.value(xi.reshape(3, 1_667))
+        _assert_bitwise(blocks, _lower_value_full(low, xi.reshape(3, 1_667)))
+
+    def test_scalar_input(self, ricker2, ricker2_cstar):
+        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        for x in (low.xi0 - 5.0, low.xi0, low.xi0 + 5.0, -np.inf):
+            got = low.value(x)
+            assert type(got) is float
+            _assert_bitwise(np.float64(got), np.float64(_lower_value_full(low, x)))
 
 
 def test_lower_rejects_near_threshold(ricker2):

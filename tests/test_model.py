@@ -10,8 +10,8 @@ from conftest import bisect, golden_max
 
 def test_ricker_at_zero_and_one():
     b = model.RickerBirth(2.0)
-    assert model.birth_eval(b, 0.0) == 0.0
-    assert model.birth_eval(b, 1.0) == pytest.approx(2.0 / math.e, abs=1e-12)
+    assert b.value(0.0) == 0.0
+    assert b.value(1.0) == pytest.approx(2.0 / math.e, abs=1e-12)
 
 
 def test_ricker_maximizer_matches_golden_section_oracle():
@@ -19,11 +19,6 @@ def test_ricker_maximizer_matches_golden_section_oracle():
     u_star = golden_max(b.value, 0.0, 5.0)
     assert u_star == pytest.approx(1.0, abs=1e-6)  # flat peak: sqrt(eps) limit
     assert b.value(u_star) == pytest.approx(3.0 / math.e, abs=1e-12)
-
-
-def test_birth_eval_rejects_negative():
-    with pytest.raises(ValueError):
-        model.birth_eval(model.RickerBirth(2.0), -0.1)
 
 
 def test_equilibrium_matches_bisection_oracle():

@@ -261,6 +261,19 @@ class TestHistoryLookup:
             assert buf.clamp_warnings == clamped
         assert wrapped > 10 and clamped > 30
 
+    def test_pointwise_keeps_signed_zero_weight(self):
+        # a -0.0 weight survives the clamp, as under np.clip, so a -0.0
+        # history value interpolates to -0.0 rather than +0.0
+        history = [(0.0, np.array([-0.0, -0.0])), (0.1, np.array([1.0, 1.0]))]
+        buf = pdesim.HistoryBuffer(2, 0.1, window=0.35)
+        for t, u in history:
+            buf.append(t, u)
+        td = np.array([-0.0, 0.0])
+        got = buf.lookup_pointwise(td)
+        want, _ = naive_pointwise(history, 0.1, td)
+        np.testing.assert_array_equal(got, want)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist() == [True, False]
+
 
 class TestNonexistenceProbe:
     def test_rejects_supercritical_request(self, ricker2, ricker2_cstar):
