@@ -51,22 +51,28 @@ def exp_conv_pair(H, h: float, g1: float, g2: float,
         raise ValueError("need at least two grid samples")
     c0, c1 = _cell_weights(g1, h)
     E1 = np.exp(g1 * h)
-    x = c1 * H[:-1] + (c0 - c1) * H[1:]
+    far = np.multiply(c0 - c1, H[1:])     # reused for the mirrored pass
+    x = np.multiply(c1, H[:-1])
+    x += far
     i0 = h_left / (-g1)
     body, _ = lfilter([1.0], [1.0, -E1], x, zi=np.array([E1 * i0]))
-    i_minus = np.empty(n)
-    i_minus[0] = i0
-    i_minus[1:] = body
 
     d0, d1 = _cell_weights(-g2, h)
     E2 = np.exp(-g2 * h)
-    y = (d1 * H[1:] + (d0 - d1) * H[:-1])[::-1]
+    # the right-sided sweep runs on reversed samples, built in x's buffer
+    y = np.multiply(d1, H[:0:-1], out=x)
+    y += np.multiply(d0 - d1, H[-2::-1], out=far)
     j0 = h_right / g2
     body2, _ = lfilter([1.0], [1.0, -E2], y, zi=np.array([E2 * j0]))
-    i_plus = np.empty(n)
-    i_plus[-1] = j0
-    i_plus[:-1] = body2[::-1]
-    return (i_minus + i_plus) / (g2 - g1)
+
+    # I_minus is (i0, body) and I_plus is (body2 reversed, j0)
+    out = np.empty(n)
+    out[0] = i0
+    out[1:] = body
+    out[:-1] += body2[::-1]
+    out[-1] += j0
+    out /= g2 - g1
+    return out
 
 
 def factor_tridiagonal(lower, diag, upper):

@@ -163,7 +163,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
         "lambda1": sol.lambda1, "lambda2": sol.lambda2,
         "residual_sup": sol.residual_sup, "iterations": sol.iterations,
         "mode": sol.mode, "phase_shift": sol.shift, "note": sol.note,
-        "csv": str(out),
+        "exact_anchor_from": sol.exact_anchor_from, "csv": str(out),
     }
     rep.invariants = {"sandwich_ok": sol.sandwich_ok,
                       "lipschitz_ok": sol.lipschitz_ok,

@@ -106,6 +106,7 @@ class WaveSolution:
     f_consistency: float
     membership: MembershipReport
     mode: str                         # the solver that ran: monotone or nonmonotone
+    exact_anchor_from: Optional[int] = None   # first exactly anchored iteration
     note: str = ""
 
 
@@ -267,7 +268,39 @@ class _IterationResult:
     iterations: int
     trace: list = field(default_factory=list)
     clamp_excess: float = 0.0
-    frac_anchor: bool = False
+    exact_anchor_from: Optional[int] = None   # first exactly anchored iteration
+
+
+def _project_monotone(v: np.ndarray) -> None:
+    """In place running maximum of v, bitwise equal to np.maximum.accumulate.
+
+    Only the part from the first descent on is rewritten: the prefix before
+    it is nondecreasing, so the running maximum leaves it (and its last
+    value, which starts the tail) unchanged.  A NaN fails the test and so
+    takes the accumulate path.
+    """
+    rising = v[1:] >= v[:-1]
+    i = int(rising.argmin())
+    if not rising[i]:
+        np.maximum.accumulate(v[i:], out=v[i:])
+
+
+def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """In place np.clip(v, lo, hi) for bound arrays, without its Python wrapper."""
+    np.maximum(v, lo, out=v)
+    np.minimum(v, hi, out=v)
+
+
+def _translate_subcell(v: np.ndarray, xa: float, h: float,
+                       work: np.ndarray) -> None:
+    """In place v + xa * np.gradient(v, h), with numpy's uniform first-order
+    formula; `work` is a scratch array of v's shape."""
+    np.subtract(v[2:], v[:-2], out=work[1:-1])
+    work[1:-1] /= 2.0 * h
+    work[0] = (v[1] - v[0]) / h
+    work[-1] = (v[-1] - v[-2]) / h
+    np.multiply(xa, work, out=work)
+    np.add(v, work, out=v)       # operand order kept: it decides NaN signs
 
 
 def _shift_cells(v: np.ndarray, cells: int, left_fill: float, right_fill: float):
@@ -303,28 +336,34 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
     lo = lower_fn(xi + shift)
     hi = upper_fn(xi + shift)
     v = upper_fn(xi + config.initial_shift)
+    scratch = np.empty_like(v)    # work array for reductions and the sub-cell shift
     trace = []
     clamp_excess = 0.0
     omega = config.damping
     anchored = True
-    frac_anchor = False   # engaged when the translation mode stalls the iteration
+    # set when the translation mode stalls the iteration: the first iteration
+    # that anchors the phase exactly instead of by whole cells
+    exact_from = None
     for it in range(1, config.max_iters + 1):
         right_limit = float(v[-1]) if dynamic_right_limit else right_state
         phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=right_limit)
-        Fv = apply_F(phi, model, rates)
-        new = Fv if omega == 1.0 else (1.0 - omega) * v + omega * Fv
-        excess = max(float(np.max(new - hi)), float(np.max(lo - new)), 0.0)
+        new = apply_F(phi, model, rates)
+        if omega != 1.0:          # (1 - omega) v + omega F(v), in F(v)'s buffer
+            kept = (1.0 - omega) * v
+            np.add(kept, np.multiply(omega, new, out=new), out=new)
+        excess = max(float(np.subtract(new, hi, out=scratch).max()),
+                     float(np.subtract(lo, new, out=scratch).max()), 0.0)
         clamp_excess = max(clamp_excess, excess)
-        np.clip(new, lo, hi, out=new)
+        _clamp(new, lo, hi)
         if enforce_monotone:
-            np.maximum.accumulate(new, out=new)
+            _project_monotone(new)
         xa = _anchor_crossing(xi, new, anchor_level)
         if xa is None:
             anchored = False
         else:
             anchored = True
             right_fill = float(new[-1]) if dynamic_right_limit else right_state
-            if frac_anchor:
+            if exact_from is not None:
                 cells = int(round(xa / h))
                 if cells != 0:
                     new = _shift_cells(new, cells, 0.0, right_fill)
@@ -334,13 +373,14 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                     # smooth sub-cell correction: first-order translation;
                     # resampling here would make the phase map nonsmooth and
                     # sustain a cell-boundary limit cycle
-                    new = new + xa * np.gradient(new, h)
+                    _translate_subcell(new, xa, h, scratch)
                     shift += xa
-                lo = lower_fn(xi + shift)
-                hi = upper_fn(xi + shift)
-                np.clip(new, lo, hi, out=new)
+                at = xi + shift
+                lo = lower_fn(at)
+                hi = upper_fn(at)
+                _clamp(new, lo, hi)
                 if enforce_monotone:
-                    np.maximum.accumulate(new, out=new)
+                    _project_monotone(new)
             else:
                 cells = int(round(xa / h)) if abs(xa) > ANCHOR_DEAD_ZONE * h else 0
                 if cells != 0:
@@ -348,33 +388,39 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                     shift += cells * h
                     lo = lower_fn(xi + shift)
                     hi = upper_fn(xi + shift)
-        diff = float(np.max(np.abs(new - v)))
+        np.subtract(new, v, out=scratch)
+        diff = float(np.abs(scratch, out=scratch).max())
         trace.append(diff)
+        if not math.isfinite(diff):
+            raise NonconvergenceError(
+                f"non-finite iterate at iteration {it} "
+                f"(sup-difference {diff:.3e})", trace=trace)
         prev = v
         v = new
         if diff <= config.tol and anchored:
             return _IterationResult(values=v, xi=xi, shift=shift, iterations=it,
                                     trace=trace, clamp_excess=clamp_excess,
-                                    frac_anchor=frac_anchor)
+                                    exact_anchor_from=exact_from)
         # near the threshold speed the phase mode is almost neutral and the
         # integer-cell anchor cannot damp it; plateau triggers exact anchoring
-        if (not frac_anchor and it >= 150 and diff < 1e-3
+        if (exact_from is None and it >= 150 and diff < 1e-3
                 and trace[-1] > 0.5 * trace[-51]):
-            frac_anchor = True
+            exact_from = it + 1
         # in the slow regime the error is dominated by one geometric mode:
         # extrapolate it away now and then.  Gate on a strictly decreasing
         # window so noise near the floor cannot be amplified; the clamp
         # keeps the step safe either way.
-        if frac_anchor and it % 25 == 0 and len(trace) >= 26 and diff > config.tol:
+        if (exact_from is not None and it % 25 == 0 and len(trace) >= 26
+                and diff > config.tol):
             window = np.asarray(trace[-26:])
             if np.all(np.diff(window) < 0.0) and window[0] > 0.0:
                 r = (window[-1] / window[0]) ** (1.0 / 25.0)
                 if 0.85 < r < 0.9999:
                     factor = min(r / (1.0 - r), 50.0)
                     v = v + factor * (v - prev)
-                    np.clip(v, lo, hi, out=v)
+                    _clamp(v, lo, hi)
                     if enforce_monotone:
-                        np.maximum.accumulate(v, out=v)
+                        _project_monotone(v)
     raise NonconvergenceError(
         f"no convergence after {config.max_iters} iterations "
         f"(last sup-difference {trace[-1]:.3e})", trace=trace)
@@ -390,7 +436,7 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
     if xa is not None:
         xi = xi - xa                      # relabel: anchor sits exactly at 0
         total_shift += xa
-    if res.frac_anchor:
+    if res.exact_anchor_from is not None:
         note = (note + "; " if note else "") + "exact phase anchoring engaged"
     right_limit = right_state
     phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=right_limit)
@@ -405,7 +451,8 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
         lipschitz_ok=mem.lipschitz_ok, monotone_ok=mem.monotone_ok,
         beta=rates.beta, lambda1=lam1, lambda2=lam2, shift=total_shift,
         clamp_excess=res.clamp_excess, f_consistency=f_cons, membership=mem,
-        mode="monotone" if require_monotone else "nonmonotone", note=note)
+        mode="monotone" if require_monotone else "nonmonotone",
+        exact_anchor_from=res.exact_anchor_from, note=note)
 
 
 # ---------------------------------------------------------------------------

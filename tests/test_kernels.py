@@ -54,6 +54,38 @@ def test_matches_brute_force():
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
+def two_pass_conv(H, h, g1, g2, h_left, h_right):
+    """The kernel written as two separate sweeps summed at the end."""
+    from scipy.signal import lfilter
+
+    c0, c1 = _kernels._cell_weights(g1, h)
+    E1 = np.exp(g1 * h)
+    x = c1 * H[:-1] + (c0 - c1) * H[1:]
+    i0 = h_left / (-g1)
+    body, _ = lfilter([1.0], [1.0, -E1], x, zi=np.array([E1 * i0]))
+    i_minus = np.concatenate(([i0], body))
+    d0, d1 = _kernels._cell_weights(-g2, h)
+    E2 = np.exp(-g2 * h)
+    y = (d1 * H[1:] + (d0 - d1) * H[:-1])[::-1]
+    j0 = h_right / g2
+    body2, _ = lfilter([1.0], [1.0, -E2], y, zi=np.array([E2 * j0]))
+    i_plus = np.concatenate((body2[::-1], [j0]))
+    return (i_minus + i_plus) / (g2 - g1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 400, 5000])
+def test_matches_two_pass_form_bitwise(n):
+    H, h, g1, g2, hl, hr = kernel_inputs(n=n, seed=n)
+    if n > 3:
+        H[n // 3] = np.nan           # NaN and infinities travel the same way
+        H[n // 2] = np.inf
+        H[-5:] = -0.0
+    with np.errstate(invalid="ignore"):
+        want = two_pass_conv(H, h, g1, g2, hl, hr)
+        got = _kernels.exp_conv_pair(H, h, g1, g2, hl, hr)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_exponential_profile_analytic():
     # H = exp(lam x) on a long grid: interior values match the analytic
     # transform 1 / ((lam - g1)(g2 - lam)) up to interpolation error O(h^2)

@@ -200,6 +200,97 @@ class TestMonotoneSolve:
                                    profile.SolverConfig(h=0.02, max_iters=3))
         assert len(err.value.trace) == 3
 
+    def test_nonfinite_iterate_stops_at_once(self, ricker2, ricker2_cstar,
+                                            monkeypatch):
+        calls = []
+        apply_F = profile.apply_F
+
+        def poisoned(phi, m, rates):
+            out = apply_F(phi, m, rates)
+            calls.append(None)
+            if len(calls) == 5:
+                out[len(out) // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(profile, "apply_F", poisoned)
+        with pytest.raises(NonconvergenceError, match="iteration 5 ") as err:
+            profile.solve_monotone(ricker2, 1.2 * ricker2_cstar,
+                                   profile.SolverConfig(h=0.02, max_iters=2000))
+        assert len(err.value.trace) == 5 and len(calls) == 5
+        assert np.isnan(err.value.trace[-1])
+        assert np.all(np.isfinite(err.value.trace[:-1]))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+ADVERSARIAL = [
+    [0.0, 1.0],                                   # length 2, nondecreasing
+    [1.0, 0.0],                                   # length 2, descent at 0
+    [0.0, 2.0, 1.0],                              # length 3, descent at the end
+    [2.0, 1.0, 3.0],                              # length 3, descent at 0
+    [1.0, 1.0, 1.0, 0.5],                         # ties, then the last step down
+    [0.0, 1.0, 1.0, 2.0, 2.0, 3.0],               # ties, nondecreasing
+    [0.0, -0.0, 0.0, -0.0, 1.0],                  # signed zeros compare equal
+    [-0.0, 0.0, -1.0, -0.0, 0.0],                 # signed zeros after a descent
+    [-np.inf, 0.0, np.inf, 1.0, np.inf],          # infinities
+    [np.inf, -np.inf, 0.0],
+    [0.0, 1.0, np.nan, 2.0, 0.5],                 # NaN inside
+    [np.nan, 0.0, 1.0],                           # NaN first
+    [0.0, 1.0, np.nan],                           # NaN last
+    [0.0, np.nan],
+]
+
+
+def adversarial_arrays():
+    rng = np.random.default_rng(7)
+    arrays = [np.array(a, dtype=float) for a in ADVERSARIAL]
+    ramp = np.linspace(0.0, 1.0, 5000)
+    arrays.append(ramp)                           # long and nondecreasing
+    dip = ramp.copy()
+    dip[-1] = 0.25                                # long, descent at the end
+    arrays.append(dip)
+    noisy = np.round(ramp + 0.01 * rng.standard_normal(5000), 2)
+    noisy[::97] = -0.0                            # ties and signed zeros
+    arrays.append(noisy)
+    arrays.append(rng.choice([-0.0, 0.0, 1.0, np.nan, np.inf, -np.inf], 4001))
+    return arrays
+
+
+class TestIterationHelpers:
+    """The engine's in-place helpers equal the numpy calls they replace, bit
+    for bit."""
+
+    @pytest.mark.parametrize("v", adversarial_arrays(), ids=lambda a: str(a.size))
+    def test_project_monotone_is_running_max(self, v):
+        want = np.maximum.accumulate(v)
+        got = v.copy()
+        profile._project_monotone(got)
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("v", adversarial_arrays(), ids=lambda a: str(a.size))
+    def test_clamp_is_clip(self, v):
+        rng = np.random.default_rng(v.size)
+        pool = [-0.0, 0.0, 0.5, 1.0, np.nan, np.inf, -np.inf]
+        lo = rng.choice(pool, v.size)
+        hi = rng.choice(pool, v.size)
+        for bounds in ((lo, hi), (np.minimum(lo, hi), np.maximum(lo, hi)),
+                       (v.copy(), v.copy()), (-np.abs(v), np.abs(v))):
+            want = np.clip(v, *bounds)
+            got = v.copy()
+            profile._clamp(got, *bounds)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("v", adversarial_arrays(), ids=lambda a: str(a.size))
+    @pytest.mark.parametrize("xa,h", [(0.3, 0.01), (-0.0049, 0.02), (0.0, 0.1)])
+    def test_translate_subcell_is_gradient_step(self, v, xa, h):
+        with np.errstate(invalid="ignore"):
+            want = v + xa * np.gradient(v, h)
+            got = v.copy()
+            profile._translate_subcell(got, xa, h, np.empty_like(v))
+        assert np.array_equal(bits(got), bits(want))
+
 
 def collocation_oracle(m, c, tau0, xi_lo, xi_hi, h):
     """Sparse-Newton collocation solve of the constant-lag wave equation.
