@@ -305,6 +305,8 @@ def _sim_config_from(cfg: RunConfig, section: str, model=None,
         cols = reporting.read_csv(path)
         xcol = "xi" if "xi" in cols else "x"
         ycol = "phi" if "phi" in cols else "u"
+        if xcol not in cols or ycol not in cols:
+            raise ConfigError(f"{path}: expected columns 'xi,phi' or 'x,u'")
         xs, ys = cols[xcol], cols[ycol]
 
         def interp_init(x, xs=xs, ys=ys):
@@ -340,9 +342,10 @@ def _sim_config_from(cfg: RunConfig, section: str, model=None,
 def _persist_run(record: pdesim.RunRecord, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
+    formats = reporting.block_formats(record.x, 2)
     for t, u in zip(record.times, record.snapshots):
         name = f"snapshot_t{reporting.canonical_float(t):g}.csv"
-        reporting.write_csv(out_dir / name, "x,u", [record.x, u])
+        reporting.write_csv(out_dir / name, "x,u", [record.x, u], formats=formats)
         files.append(name)
     run_meta = {
         "times": record.times, "files": files, "level": record.level,
@@ -387,6 +390,8 @@ def cmd_frontspeed(cfg: RunConfig, args) -> int:
         times, positions = [], []
         for t, name in zip(meta["times"], meta["files"]):
             cols = reporting.read_csv(run_dir / name)
+            if set(cols) != {"x", "u"}:
+                raise ConfigError(f"{run_dir / name}: expected header 'x,u'")
             fld = pdesim.Field(x=cols["x"], u=cols["u"], t=t)
             pos = pdesim.front_position(fld, float(args.level))
             if pos is not None:

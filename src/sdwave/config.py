@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import (ConstantDelay, ExponentialDelay, ModelSpec, RationalDelay,
                     RickerBirth, TabulatedBirth)
+from .reporting import read_csv
 
 # value kinds: f float, i int, b bool, s string, fl float list, p path
 SCHEMA = {
@@ -170,7 +171,7 @@ def build_model(cfg: RunConfig) -> ModelSpec:
 def _read_table(path: Path):
     if not Path(path).exists():
         raise ConfigError(f"birth table not found: {path}")
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    if rows.dtype.names is None or tuple(rows.dtype.names) != ("u", "b"):
+    cols = read_csv(path)
+    if list(cols) != ["u", "b"]:
         raise ConfigError(f"birth table {path} must have header 'u,b'")
-    return np.column_stack([rows["u"], rows["b"]])
+    return np.column_stack([cols["u"], cols["b"]])

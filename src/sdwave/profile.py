@@ -406,12 +406,16 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         if (exact_from is None and it >= 150 and diff < 1e-3
                 and trace[-1] > 0.5 * trace[-51]):
             exact_from = it + 1
-        # in the slow regime the error is dominated by one geometric mode:
-        # extrapolate it away now and then.  Gate on a strictly decreasing
-        # window so noise near the floor cannot be amplified; the clamp
-        # keeps the step safe either way.
-        if (exact_from is not None and it % 25 == 0 and len(trace) >= 26
-                and diff > config.tol):
+        # in the slow regime of the order-preserving iteration the error is
+        # dominated by one geometric mode: extrapolate it away now and then.
+        # Only there: its linearisation is a positive operator, so that mode
+        # is real (Krein-Rutman) and the ratio r below estimates it.  The
+        # damped nonmonotone iteration has no such guarantee, and there the
+        # jump costs iterations.  Gate on a strictly decreasing window so
+        # noise near the floor cannot be amplified; the clamp keeps the step
+        # safe either way.
+        if (enforce_monotone and exact_from is not None and it % 25 == 0
+                and len(trace) >= 26 and diff > config.tol):
             window = np.asarray(trace[-26:])
             if np.all(np.diff(window) < 0.0) and window[0] > 0.0:
                 r = (window[-1] / window[0]) ** (1.0 / 25.0)
@@ -419,8 +423,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                     factor = min(r / (1.0 - r), 50.0)
                     v = v + factor * (v - prev)
                     _clamp(v, lo, hi)
-                    if enforce_monotone:
-                        _project_monotone(v)
+                    _project_monotone(v)
     raise NonconvergenceError(
         f"no convergence after {config.max_iters} iterations "
         f"(last sup-difference {trace[-1]:.3e})", trace=trace)

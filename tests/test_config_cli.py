@@ -360,6 +360,59 @@ initial.high = equilibrium
 """
 
 
+MALFORMED_CSVS = {
+    "short_row": ("{x},{u}\n0,0.5\n1\n", "line 3: 1 values"),
+    "non_numeric": ("{x},{u}\n0,0.5\n1,half\n", "line 3: not a number"),
+    "header_only": ("{x},{u}\n", "no data rows"),
+    "wrong_header": ("a,b\n0,0.5\n", "expected"),
+}
+
+
+class TestMalformedCsv:
+    """Every CSV a command reads back ends in exit 1 with a one-line message."""
+
+    def setup_csv(self, tmp_path, command, kind):
+        """(argv, path of the malformed CSV) for one command."""
+        text = MALFORMED_CSVS[kind][0]
+        if command == "verify":
+            bad = tmp_path / "wave.csv"
+            bad.write_text(text.format(x="xi", u="phi"))
+            bad.with_suffix(".json").write_text(json.dumps({"results": {
+                "c": 2.0, "beta": 5.0, "phase_shift": 0.0,
+                "residual_sup": 1e-5}}))
+            cfg = write_cfg(tmp_path, DELAYED_MODEL)
+            return ["--config", cfg, "verify", "--profile", bad], bad
+        if command == "simulate":
+            bad = tmp_path / "initial.csv"
+            bad.write_text(text.format(x="xi", u="phi"))
+            sim = SIM_SECTION.replace("initial.kind = step",
+                                      "initial.kind = profile\n"
+                                      f"initial.path = {bad.name}")
+            cfg = write_cfg(tmp_path, DELAYED_MODEL + sim)
+            return ["--config", cfg, "simulate", "--out-dir",
+                    tmp_path / "run"], bad
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        bad = run_dir / "snapshot_t0.csv"
+        bad.write_text(text.format(x="x", u="u"))
+        (run_dir / "run.json").write_text(json.dumps({
+            "times": [0.0], "files": [bad.name],
+            "track": {"times": [], "positions": []}}))
+        cfg = write_cfg(tmp_path, DELAYED_MODEL)
+        return ["--config", cfg, "frontspeed", "--run", run_dir,
+                "--level", "0.3"], bad
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CSVS))
+    @pytest.mark.parametrize("command", ["verify", "simulate", "frontspeed"])
+    def test_exits_1_with_file_and_line(self, tmp_path, capsys, command, kind):
+        argv, bad = self.setup_csv(tmp_path, command, kind)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(bad) in err and MALFORMED_CSVS[kind][1] in err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_sweep_grid_and_determinism(self, tmp_path):
         p = write_cfg(tmp_path, SWEEP_TEXT + "\n[output]\ndir = " +

@@ -3,11 +3,12 @@
 Three small `profile` runs write their CSVs through `cli.main`; the sha256 of
 every CSV, and the exact text of the sidecar's solver figures, must match
 `data/profile_digest_golden.json`.  The runs cover the plain monotone path,
-the nonmonotone path once exact phase anchoring engages, and a near-critical
-solve at a coarse grid, where exact anchoring and the geometric
-extrapolation run under the monotone projection.  A change to the iteration
-engine or the convolution kernel that moves one bit fails here.  Set
-SDWAVE_REGENERATE_GOLDEN=1 to rewrite the golden file.
+the damped nonmonotone path once exact phase anchoring engages (it never
+takes the geometric extrapolation), and a near-critical solve at a coarse
+grid, where exact anchoring and the extrapolation run under the monotone
+projection.  A change to the iteration engine or the convolution kernel
+that moves one bit fails here.  Set SDWAVE_REGENERATE_GOLDEN=1 to rewrite
+the golden file.
 """
 import hashlib
 import json
@@ -37,10 +38,12 @@ delay.M = 0.7
 RUNS = {
     # monotone iteration with whole-cell anchoring only
     "monotone": (ricker(2.0) + "[profile]\nh = 0.05\nc_factor = 1.2\n", []),
-    # nonmonotone band with exact anchoring from iteration 418
+    # damped nonmonotone band with exact anchoring from iteration 418 and no
+    # extrapolation: 903 iterations
     "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n", []),
     # near-critical surrogate: exact anchoring from iteration 151 and the
-    # 25-iteration extrapolation under the monotone projection
+    # 25-iteration extrapolation under the monotone projection: 1,774
+    # iterations
     "critical": (ricker(2.0) + "[profile]\nh = 0.1\n", ["--critical"]),
 }
 
@@ -93,3 +96,10 @@ def test_report_names_exact_anchoring_iteration(outputs):
         assert results["exact_anchor_from"] == want[label], label
         engaged = "exact phase anchoring engaged" in results["note"]
         assert engaged == (want[label] is not None), label
+
+
+def test_nonmonotone_band_reaches_its_fixed_point(outputs):
+    # without the geometric jump the damped band solve ends at a true fixed
+    # point of F: |F(v) - v| is 3.7e-8 (2.5e-7 with the jump)
+    _, report = outputs["nonmonotone"]
+    assert report["invariants"]["f_consistency"] <= 1e-7
