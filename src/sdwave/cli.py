@@ -376,19 +376,60 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_frontspeed(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
-    run_dir = Path(args.run)
+def _series(run_json: Path, name: str, values) -> np.ndarray:
+    """A run.json list of finite numbers as a 1-D float array."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != 1 or not np.all(np.isfinite(out)):
+        raise ConfigError(f"{run_json}: {name} must be a list of finite numbers")
+    return out
+
+
+def _load_run(run_dir: Path) -> tuple:
+    """(front track, [(time, snapshot file)]) of a stored run, checked."""
     run_json = run_dir / "run.json"
     if not run_json.exists():
         raise ConfigError(f"run metadata not found: {run_json}")
-    meta = json.loads(run_json.read_text())
-    track = pdesim.FrontTrack(times=np.asarray(meta["track"]["times"]),
-                              positions=np.asarray(meta["track"]["positions"]))
+    try:
+        meta = json.loads(run_json.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{run_json}: not readable JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{run_json}: expected a JSON object")
+    missing = [key for key in ("track", "times", "files") if key not in meta]
+    if missing:
+        raise ConfigError(f"{run_json}: missing {', '.join(missing)}")
+    raw = meta["track"]
+    if not (isinstance(raw, dict) and "times" in raw and "positions" in raw):
+        raise ConfigError(f"{run_json}: track must hold times and positions")
+    times = _series(run_json, "track.times", raw["times"])
+    positions = _series(run_json, "track.positions", raw["positions"])
+    if times.shape != positions.shape:
+        raise ConfigError(f"{run_json}: track has {times.shape[0]} times but "
+                          f"{positions.shape[0]} positions")
+    snap_times = _series(run_json, "times", meta["times"])
+    files = meta["files"]
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise ConfigError(f"{run_json}: files must be a list of file names")
+    if snap_times.shape[0] != len(files):
+        raise ConfigError(f"{run_json}: {snap_times.shape[0]} times but "
+                          f"{len(files)} files")
+    return (pdesim.FrontTrack(times=times, positions=positions),
+            list(zip(snap_times.tolist(), files)))
+
+
+def cmd_frontspeed(cfg: RunConfig, args) -> int:
+    watch = reporting.Stopwatch()
+    if not 0.0 < args.window <= 1.0:          # also rejects nan
+        raise ConfigError(f"--window must lie in (0, 1], not {args.window!r}")
+    run_dir = Path(args.run)
+    track, snapshots = _load_run(run_dir)
     if args.level is not None:
         # re-derive positions from the stored snapshots at the requested level
         times, positions = [], []
-        for t, name in zip(meta["times"], meta["files"]):
+        for t, name in snapshots:
             cols = reporting.read_csv(run_dir / name)
             if set(cols) != {"x", "u"}:
                 raise ConfigError(f"{run_dir / name}: expected header 'x,u'")

@@ -410,8 +410,8 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         # dominated by one geometric mode: extrapolate it away now and then.
         # Only there: its linearisation is a positive operator, so that mode
         # is real (Krein-Rutman) and the ratio r below estimates it.  The
-        # damped nonmonotone iteration has no such guarantee, and there the
-        # jump costs iterations.  Gate on a strictly decreasing window so
+        # nonmonotone iteration has no such guarantee, and there the jump
+        # costs iterations.  Gate on a strictly decreasing window so
         # noise near the floor cannot be amplified; the clamp keeps the step
         # safe either way.
         if (enforce_monotone and exact_from is not None and it % 25 == 0
@@ -524,11 +524,12 @@ def solve_nonmonotone(model: ModelSpec, c: float,
     The lower bound is the computed wavefront of the lower-envelope equation,
     translated so its leading edge matches the unit-amplitude exponential;
     the upper bound caps the same exponential at the upper-envelope
-    equilibrium.  Damped iteration with clamping; convergence is certified by
-    the residual (the operator is not order preserving here).  `speed` is the
-    model's threshold speed, if the caller already has it.
+    equilibrium.  Clamped iteration, undamped unless `config.damping` is set;
+    convergence is certified by the residual (the operator is not order
+    preserving here).  `speed` is the model's threshold speed, if the caller
+    already has it.
     """
-    config = config or SolverConfig(damping=0.5, mode="nonmonotone")
+    config = config or SolverConfig(mode="nonmonotone")
     rep = validate_hypotheses(model, "nonmonotone")
     if not rep.all_hold:
         failed = [e.id for e in rep.entries if not e.holds]
@@ -631,15 +632,13 @@ def _dispatch(model: ModelSpec, c: float, config: SolverConfig,
     """Run the solver config.mode names; "auto" picks it by the hypotheses.
 
     Auto picks monotone when the monotone hypothesis set holds, else
-    nonmonotone with damping 0.5 unless a damping was set.
+    nonmonotone; either runs with config.damping as given.
     """
     auto = config.mode == "auto"
     rep = validate_hypotheses(model, "monotone") if auto else None
     if config.mode == "monotone" or auto and rep.all_hold:
         return solve_monotone(model, c, config, note=note, speed=speed,
                               hypotheses=rep)
-    if auto and config.damping == 1.0:
-        config = replace(config, damping=0.5)
     return solve_nonmonotone(model, c, config, note=note, speed=speed)
 
 

@@ -195,6 +195,21 @@ class TestProfileVerifyCommands:
         assert sidecar["results"]["mode"] == "nonmonotone"
         assert run_cli(["--config", p, "verify", "--profile", out]) == 0
 
+    def test_auto_damping_is_the_explicit_nonmonotone_solve(self, tmp_path):
+        # auto mode runs a nonmonotone model with the damping it is given,
+        # exactly as an explicit nonmonotone mode does
+        text = (DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
+                + "\n[profile]\nh = 0.05\nc_factor = 1.2\n")
+        runs = {}
+        for label, extra in (("auto", "damping = 1.0\n"),
+                             ("explicit", "mode = nonmonotone\n")):
+            p = write_cfg(tmp_path, text + extra, name=f"{label}.cfg")
+            out = tmp_path / f"{label}.csv"
+            assert run_cli(["--config", p, "--out", out, "profile"]) == 0
+            sidecar = json.loads(out.with_suffix(".json").read_text())
+            runs[label] = (sidecar["results"]["iterations"], out.read_bytes())
+        assert runs["auto"] == runs["explicit"]
+
     def test_unknown_mode_names_the_key(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nmode = bogus\n")
         assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
@@ -334,6 +349,59 @@ class TestSimulateCommands:
         assert rep["results"]["plateau"] == pytest.approx(1.0)
         assert rep["results"]["spreading_speed"] == pytest.approx(2.0, abs=1e-6)
         assert (out_dir / "run.json").exists()
+
+
+class TestFrontspeedInputs:
+    """A bad stored run or window ends in exit 1 with a one-line message."""
+
+    TRACK = {"times": [0.5 * i for i in range(20)],
+             "positions": [1.0 + i for i in range(20)]}
+
+    def run(self, tmp_path, capsys, meta, *extra):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir(exist_ok=True)
+        text = meta if isinstance(meta, str) else json.dumps(meta)
+        (run_dir / "run.json").write_text(text)
+        cfg = write_cfg(tmp_path, DELAYED_MODEL)
+        code = run_cli(["--config", cfg, "--json", "frontspeed", "--run", run_dir,
+                        *extra])
+        return code, capsys.readouterr()
+
+    def test_good_run_fits_the_track(self, tmp_path, capsys):
+        meta = {"times": [], "files": [], "track": self.TRACK}
+        code, out = self.run(tmp_path, capsys, meta, "--window", "1")
+        assert code == 0
+        assert json.loads(out.out)["results"]["speed"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"times": [], "files": []}, "missing track"),
+        ({"files": [], "track": TRACK}, "missing times"),
+        ({"times": [], "track": TRACK}, "missing files"),
+        ({"times": [], "files": [], "track": {"times": [0.0]}},
+         "track must hold times and positions"),
+        ({"times": [], "files": [],
+          "track": {"times": TRACK["times"], "positions": [1.0, 2.0]}},
+         "20 times but 2 positions"),
+        ({"times": [], "files": [],
+          "track": {"times": TRACK["times"], "positions": ["a"] * 20}},
+         "track.positions must be a list of finite numbers"),
+        ({"times": [0.0], "files": [], "track": TRACK}, "1 times but 0 files"),
+        ("{not json", "not readable JSON"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_bad_run_json_exits_1(self, tmp_path, capsys, meta, message):
+        code, out = self.run(tmp_path, capsys, meta)
+        assert code == 1
+        assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+        assert message in out.err and "run.json" in out.err
+
+    @pytest.mark.parametrize("window", ["nan", "5", "0", "-0.5", "inf"])
+    def test_window_outside_unit_interval_exits_1(self, tmp_path, capsys, window):
+        meta = {"times": [], "files": [], "track": self.TRACK}
+        code, out = self.run(tmp_path, capsys, meta, "--window", window)
+        assert code == 1
+        assert out.err.startswith("config error: --window must lie in (0, 1]")
+        assert out.err.count("\n") == 1
 
 
 SWEEP_TEXT = DELAYED_MODEL + """

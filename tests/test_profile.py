@@ -494,6 +494,6 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
     assert profile.solve_critical(ricker3) == "nonmonotone ran"
     (c, cfg), = calls
     assert c == pytest.approx(ricker3_cstar * (1.0 + profile.NEAR_CRITICAL_OFFSET))
-    assert cfg.damping == 0.5
+    assert cfg.damping == 1.0
     with pytest.raises(ModelInvalidError, match="mode"):
         profile.SolverConfig(mode="bogus")

@@ -1,14 +1,15 @@
 """Byte-identity guard for the profile solver's outputs.
 
-Three small `profile` runs write their CSVs through `cli.main`; the sha256 of
+Four small `profile` runs write their CSVs through `cli.main`; the sha256 of
 every CSV, and the exact text of the sidecar's solver figures, must match
 `data/profile_digest_golden.json`.  The runs cover the plain monotone path,
-the damped nonmonotone path once exact phase anchoring engages (it never
-takes the geometric extrapolation), and a near-critical solve at a coarse
-grid, where exact anchoring and the extrapolation run under the monotone
-projection.  A change to the iteration engine or the convolution kernel
-that moves one bit fails here.  Set SDWAVE_REGENERATE_GOLDEN=1 to rewrite
-the golden file.
+the nonmonotone path twice (damped by an explicit `damping = 0.5`, where
+exact phase anchoring engages, and at the default undamped step, where
+whole-cell anchoring suffices; neither takes the geometric extrapolation),
+and a near-critical solve at a coarse grid, where exact anchoring and the
+extrapolation run under the monotone projection.  A change to the iteration
+engine or the convolution kernel that moves one bit fails here.  Set
+SDWAVE_REGENERATE_GOLDEN=1 to rewrite the golden file.
 """
 import hashlib
 import json
@@ -38,9 +39,14 @@ delay.M = 0.7
 RUNS = {
     # monotone iteration with whole-cell anchoring only
     "monotone": (ricker(2.0) + "[profile]\nh = 0.05\nc_factor = 1.2\n", []),
-    # damped nonmonotone band with exact anchoring from iteration 418 and no
-    # extrapolation: 903 iterations
-    "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n", []),
+    # nonmonotone band damped by 0.5, with exact anchoring from iteration 418
+    # and no extrapolation: 903 iterations
+    "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n"
+                    "damping = 0.5\n", []),
+    # the same band at the default undamped step: whole-cell anchoring only,
+    # 522 iterations
+    "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
+                         []),
     # near-critical surrogate: exact anchoring from iteration 151 and the
     # 25-iteration extrapolation under the monotone projection: 1,774
     # iterations
@@ -90,7 +96,8 @@ def test_profile_outputs_byte_identical(outputs):
 
 def test_report_names_exact_anchoring_iteration(outputs):
     # the plateau trigger fires after iterations 417 and 150 respectively
-    want = {"monotone": None, "nonmonotone": 418, "critical": 151}
+    want = {"monotone": None, "nonmonotone": 418, "nonmonotone_auto": None,
+            "critical": 151}
     for label, (_, report) in outputs.items():
         results = report["results"]
         assert results["exact_anchor_from"] == want[label], label
@@ -103,3 +110,10 @@ def test_nonmonotone_band_reaches_its_fixed_point(outputs):
     # point of F: |F(v) - v| is 3.7e-8 (2.5e-7 with the jump)
     _, report = outputs["nonmonotone"]
     assert report["invariants"]["f_consistency"] <= 1e-7
+
+
+def test_undamped_band_reaches_a_closer_fixed_point(outputs):
+    # the default undamped step ends nearer a fixed point of F than damping
+    # by 0.5 does: |F(v) - v| is 9.7e-9 against 3.7e-8
+    _, report = outputs["nonmonotone_auto"]
+    assert report["invariants"]["f_consistency"] <= 2e-8
