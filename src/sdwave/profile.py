@@ -4,7 +4,9 @@ The second-order wave equation is recast through the two-sided exponential
 resolvent kernel; its fixed points are wave profiles.  Iteration starts from
 the closed-form upper profile, clamps each iterate into the (phase-shifted)
 sandwich, and re-anchors the phase by whole grid cells so the translation
-mode cannot drift.  Convergence is certified a posteriori by an independent
+mode cannot drift.  While the phase is anchored by whole cells, the undamped
+iteration is accelerated by Anderson mixing, whose iterates are clamped into
+the same sandwich.  Convergence is certified a posteriori by an independent
 finite-difference residual, never by the iteration metric alone.
 """
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import (HypothesisReport, ModelSpec, equilibrium, sup_delay_slope,
 NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
 ANCHOR_DEAD_ZONE = 0.75      # cells; hysteresis against one-cell flapping
+ANDERSON_DEPTH = 5           # mixed differences kept in the whole-cell phase
 MODES = ("auto", "monotone", "nonmonotone")
 
 
@@ -107,6 +110,7 @@ class WaveSolution:
     membership: MembershipReport
     mode: str                         # the solver that ran: monotone or nonmonotone
     exact_anchor_from: Optional[int] = None   # first exactly anchored iteration
+    anderson_steps: int = 0           # iterations that took a mixed step
     note: str = ""
 
 
@@ -269,6 +273,7 @@ class _IterationResult:
     trace: list = field(default_factory=list)
     clamp_excess: float = 0.0
     exact_anchor_from: Optional[int] = None   # first exactly anchored iteration
+    anderson_steps: int = 0
 
 
 def _project_monotone(v: np.ndarray) -> None:
@@ -328,6 +333,71 @@ def _anchor_crossing(xi: np.ndarray, v: np.ndarray, a: float) -> Optional[float]
     return float(xi[j - 1] + (xi[j] - xi[j - 1]) * (a - v0) / (v1 - v0))
 
 
+class _Anderson:
+    """Type-II Anderson mixing of a fixed-point map G (Anderson, J. ACM 12
+    (1965); Walker & Ni, SIAM J. Numer. Anal. 49 (2011)).
+
+    Given the plain step g = G(v) and its residual f = g - v, the mixed
+    iterate is g - dG gamma, where gamma minimises |f - dF gamma| over the
+    last ANDERSON_DEPTH differences dF, dG of successive residuals and
+    steps.  The differences live in two preallocated rings of ANDERSON_DEPTH
+    rows and their Gram matrix is kept up to date one row at a time.  Every
+    grid-length product is a ufunc into one work array: BLAS on grid-length
+    vectors wakes OpenBLAS's other threads, which then spin.
+    """
+
+    def __init__(self, n: int):
+        self.dF = np.empty((ANDERSON_DEPTH, n))
+        self.dG = np.empty((ANDERSON_DEPTH, n))
+        self.f_prev = np.empty(n)
+        self.g_prev = np.empty(n)
+        self.work = np.empty(n)
+        self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.size = 0                 # differences held
+        self.head = 0                 # ring slot the next difference takes
+        self.has_base = False         # f_prev, g_prev hold the last pair
+
+    def restart(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Forget the differences; (f, g) becomes the base of the next one."""
+        self.size = self.head = 0
+        np.copyto(self.f_prev, f)
+        np.copyto(self.g_prev, g)
+        self.has_base = True
+
+    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.multiply(a, b, out=self.work).sum())
+
+    def mix(self, f: np.ndarray, g: np.ndarray) -> bool:
+        """Record the plain step g and its residual f; overwrite g with the
+        mixed iterate and return True, or leave g as it is and return False
+        when there is no history yet or the least-squares solve is singular
+        or not finite."""
+        if self.has_base:
+            s = self.head
+            np.subtract(f, self.f_prev, out=self.dF[s])
+            np.subtract(g, self.g_prev, out=self.dG[s])
+            self.size = min(self.size + 1, ANDERSON_DEPTH)
+            self.head = (s + 1) % ANDERSON_DEPTH
+            for j in range(self.size):
+                self.gram[s, j] = self.gram[j, s] = self._dot(self.dF[s], self.dF[j])
+        np.copyto(self.f_prev, f)
+        np.copyto(self.g_prev, g)
+        self.has_base = True
+        k = self.size
+        if k == 0:
+            return False
+        rhs = np.array([self._dot(self.dF[j], f) for j in range(k)])
+        try:
+            gamma = np.linalg.solve(self.gram[:k, :k], rhs)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(gamma).all():
+            return False
+        for j in range(k):
+            np.subtract(g, np.multiply(gamma[j], self.dG[j], out=self.work), out=g)
+        return True
+
+
 def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
              config: SolverConfig, enforce_monotone: bool,
              dynamic_right_limit: bool) -> _IterationResult:
@@ -344,6 +414,13 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
     # set when the translation mode stalls the iteration: the first iteration
     # that anchors the phase exactly instead of by whole cells
     exact_from = None
+    # Anderson mixing accelerates the whole-cell phase of the undamped step
+    # only: a damped step would keep part of each mixed iterate's grid-scale
+    # roughness, and in the exact phase mixing reaches the clamp stall
+    # sooner but not a better point
+    anderson = _Anderson(v.size) if omega == 1.0 else None
+    residual_now = scratch if anderson is None else np.empty_like(v)
+    anderson_steps = 0
     for it in range(1, config.max_iters + 1):
         right_limit = float(v[-1]) if dynamic_right_limit else right_state
         phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=right_limit)
@@ -358,6 +435,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         if enforce_monotone:
             _project_monotone(new)
         xa = _anchor_crossing(xi, new, anchor_level)
+        cells = 0
         if xa is None:
             anchored = False
         else:
@@ -388,24 +466,42 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                     shift += cells * h
                     lo = lower_fn(xi + shift)
                     hi = upper_fn(xi + shift)
-        np.subtract(new, v, out=scratch)
-        diff = float(np.abs(scratch, out=scratch).max())
+        np.subtract(new, v, out=residual_now)
+        diff = float(np.abs(residual_now, out=scratch).max())
         trace.append(diff)
         if not math.isfinite(diff):
             raise NonconvergenceError(
                 f"non-finite iterate at iteration {it} "
                 f"(sup-difference {diff:.3e})", trace=trace)
-        prev = v
-        v = new
         if diff <= config.tol and anchored:
-            return _IterationResult(values=v, xi=xi, shift=shift, iterations=it,
+            return _IterationResult(values=new, xi=xi, shift=shift, iterations=it,
                                     trace=trace, clamp_excess=clamp_excess,
-                                    exact_anchor_from=exact_from)
+                                    exact_anchor_from=exact_from,
+                                    anderson_steps=anderson_steps)
         # near the threshold speed the phase mode is almost neutral and the
         # integer-cell anchor cannot damp it; plateau triggers exact anchoring
         if (exact_from is None and it >= 150 and diff < 1e-3
                 and trace[-1] > 0.5 * trace[-51]):
             exact_from = it + 1
+            anderson = None
+        prev = v
+        v = new
+        # the mixed iterate replaces the plain step only as the next point to
+        # apply F to, clamped into the sandwich (and projected when the
+        # iteration is monotone) so that it stays in the solution set; the
+        # stop test above and the returned profile are always a plain step's
+        if anderson is not None:
+            if cells != 0:
+                # the frame moved under the history: restart it from this
+                # step, its residual taken against the previous iterate
+                # carried into the new frame
+                moved = _shift_cells(prev, cells, 0.0, right_fill)
+                anderson.restart(np.subtract(v, moved, out=moved), v)
+            elif anderson.mix(residual_now, v):
+                anderson_steps += 1
+                _clamp(v, lo, hi)
+                if enforce_monotone:
+                    _project_monotone(v)
         # in the slow regime of the order-preserving iteration the error is
         # dominated by one geometric mode: extrapolate it away now and then.
         # Only there: its linearisation is a positive operator, so that mode
@@ -455,7 +551,8 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
         beta=rates.beta, lambda1=lam1, lambda2=lam2, shift=total_shift,
         clamp_excess=res.clamp_excess, f_consistency=f_cons, membership=mem,
         mode="monotone" if require_monotone else "nonmonotone",
-        exact_anchor_from=res.exact_anchor_from, note=note)
+        exact_anchor_from=res.exact_anchor_from,
+        anderson_steps=res.anderson_steps, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +674,29 @@ def _normalized_front(aux: WaveSolution, lam1: float, k: float):
     """Translate a computed front back to its unit-amplitude canonical frame.
 
     In the frame recorded by the auxiliary solve's anchor shift the clamp
-    already guarantees the front sits below exp(lam1 * xi) capped at its own
-    plateau, so the translated front is an admissible lower bound without any
-    amplitude fitting.  A corrective shift absorbs tiny leading-edge rate
-    mismatch when the envelope is tabulated rather than closed form.
+    already guarantees that the front's nodes sit below exp(lam1 * xi) capped
+    at its own plateau, so the translated front is an admissible lower bound
+    without any amplitude fitting.  A corrective shift absorbs tiny
+    leading-edge rate mismatch when the envelope is tabulated rather than
+    closed form, and keeps the linear interpolant under the exponential
+    between nodes too, where a sub-cell phase shift evaluates it.
     """
     prof = aux.profile
     v, xi = prof.values, prof.xi
     base = aux.shift
     pos = (v > 0.0) & (v < 0.5 * k)
     if np.count_nonzero(pos) >= 3:
-        overshoot = float(np.max(np.log(v[pos]) - lam1 * (xi[pos] + base)))
+        excess = np.log(v[pos]) - lam1 * (xi[pos] + base)
+        # between two nodes the linear interpolant can rise above the convex
+        # exponential although both nodes lie below it; log L(x) - lam1 x is
+        # concave on a cell, with its maximum where L = slope / lam1
+        a, b = v[:-1], v[1:]
+        t = (b - a) / (prof.h * lam1)
+        inner = pos[:-1] & pos[1:] & (t > a) & (t < b)
+        if inner.any():
+            peak = xi[:-1][inner] + (t[inner] - a[inner]) / (lam1 * t[inner])
+            excess = np.concatenate([excess, np.log(t[inner]) - lam1 * (peak + base)])
+        overshoot = float(np.max(excess))
         if overshoot > 0.0:
             base += overshoot / lam1 * (1.0 + 1e-12)
 

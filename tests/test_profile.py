@@ -292,6 +292,75 @@ class TestIterationHelpers:
         assert np.array_equal(bits(got), bits(want))
 
 
+class TestAndersonMixing:
+    """The whole-cell phase's accelerator on maps with a known fixed point."""
+
+    @staticmethod
+    def linear_contraction(n=200):
+        # G(v) = x* + A (v - x*) with A symmetric: one mode at 0.99, which
+        # sets the plain iteration's pace, and the rest in [-0.5, 0.5]
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = np.concatenate([[0.99], rng.uniform(-0.5, 0.5, n - 1)])
+        a = (q * eig) @ q.T
+        x_star = rng.standard_normal(n)
+        return (lambda v: x_star + a @ (v - x_star)), x_star
+
+    @staticmethod
+    def steps_to_tol(G, n, mixer=None, tol=1e-10, cap=10_000):
+        """Plain steps taken until |G(v) - v| <= tol, mixing when given."""
+        v = np.zeros(n)
+        for k in range(1, cap + 1):
+            g = G(v)
+            f = g - v
+            if np.max(np.abs(f)) <= tol:
+                return k, g
+            if mixer is not None:
+                mixer.mix(f, g)
+            v = g
+        raise AssertionError(f"no convergence in {cap} steps")
+
+    def test_reaches_fixed_point_in_a_fraction_of_plain_steps(self):
+        G, x_star = self.linear_contraction()
+        plain, _ = self.steps_to_tol(G, x_star.size)
+        mixed, g = self.steps_to_tol(G, x_star.size,
+                                     profile._Anderson(x_star.size))
+        assert plain > 1000                    # 1,528 steps
+        assert mixed <= 0.05 * plain           # 39 steps
+        assert np.max(np.abs(g - x_star)) <= 1e-8
+
+    def test_singular_history_takes_the_plain_step(self):
+        rng = np.random.default_rng(12)
+        f, g = rng.standard_normal(50), rng.standard_normal(50)
+        mixer = profile._Anderson(50)
+        step = g.copy()
+        assert not mixer.mix(f, step)          # no history yet
+        assert not mixer.mix(f, step)          # zero difference: singular
+        assert np.array_equal(step, g)
+        mixer.restart(f, g)
+        assert not mixer.mix(f * np.inf, step)  # not finite
+        assert np.array_equal(step, g)
+
+    def test_mixed_step_solves_the_least_squares_problem(self):
+        # gamma minimises |f - dF gamma|; the mixed step is g - dG gamma
+        rng = np.random.default_rng(13)
+        pairs = profile.ANDERSON_DEPTH + 2      # one difference leaves the ring
+        fs, gs = rng.standard_normal((pairs, 30)), rng.standard_normal((pairs, 30))
+        mixer = profile._Anderson(30)
+        for f, g in zip(fs[:-1], gs[:-1]):
+            mixer.mix(f, g.copy())
+        step = gs[-1].copy()
+        assert mixer.mix(fs[-1], step)
+        dF, dG = np.diff(fs[1:], axis=0), np.diff(gs[1:], axis=0)
+        gamma = np.linalg.lstsq(dF.T, fs[-1], rcond=None)[0]
+        assert np.allclose(step, gs[-1] - dG.T @ gamma, rtol=0.0, atol=1e-12)
+
+    def test_counts_mixed_steps_only_when_undamped(self, ricker2_solution,
+                                                   ricker3_solution):
+        assert ricker2_solution.anderson_steps > 0          # default, damping 1
+        assert ricker3_solution.anderson_steps == 0         # damping 0.5
+
+
 def collocation_oracle(m, c, tau0, xi_lo, xi_hi, h):
     """Sparse-Newton collocation solve of the constant-lag wave equation.
 
@@ -415,6 +484,21 @@ class TestCriticalSolve:
         cfg = profile.SolverConfig(c=0.999 * ricker2_cstar, h=0.02)
         with pytest.raises(NoRootsError):
             profile.solve_critical(ricker2, cfg)
+
+
+def test_normalized_front_stays_under_the_exponential_between_nodes():
+    # nodes on exp(lam1 xi), capped: every node is admissible, but the
+    # linear interpolant between two of them lies above the convex
+    # exponential by up to (lam1 h)^2 / 8 of it, and a sub-cell phase shift
+    # evaluates the lower bound there
+    lam1, k, h = 1.3, 1.0, 0.1
+    xi = np.arange(-30.0, 10.0 + 0.5 * h, h)
+    grid = profile.ProfileGrid(xi=xi, values=np.minimum(np.exp(lam1 * xi), k),
+                               left_limit=0.0, right_limit=k)
+    aux = type("Aux", (), {"profile": grid, "shift": 0.0})
+    lower = profile._normalized_front(aux, lam1, k)
+    x = np.linspace(-29.0, -2.0, 100_001)
+    assert np.all(lower(x) <= np.exp(lam1 * x))
 
 
 class TestNonmonotoneSolve:

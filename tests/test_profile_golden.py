@@ -4,11 +4,13 @@ Four small `profile` runs write their CSVs through `cli.main`; the sha256 of
 every CSV, and the exact text of the sidecar's solver figures, must match
 `data/profile_digest_golden.json`.  The runs cover the plain monotone path,
 the nonmonotone path twice (damped by an explicit `damping = 0.5`, where
-exact phase anchoring engages, and at the default undamped step, where
-whole-cell anchoring suffices; neither takes the geometric extrapolation),
-and a near-critical solve at a coarse grid, where exact anchoring and the
-extrapolation run under the monotone projection.  A change to the iteration
-engine or the convolution kernel that moves one bit fails here.  Set
+exact phase anchoring engages and no step is mixed, and at the default
+undamped step, where whole-cell anchoring suffices; neither takes the
+geometric extrapolation), and a near-critical solve at a coarse grid, where
+exact anchoring and the extrapolation run under the monotone projection.
+Every undamped whole-cell phase, the lower-envelope solve of the damped band
+included, takes Anderson-mixed steps.  A change to the iteration engine or
+the convolution kernel that moves one bit fails here.  Set
 SDWAVE_REGENERATE_GOLDEN=1 to rewrite the golden file.
 """
 import hashlib
@@ -37,19 +39,20 @@ delay.M = 0.7
 
 
 RUNS = {
-    # monotone iteration with whole-cell anchoring only
+    # monotone iteration with whole-cell anchoring only, Anderson-mixed:
+    # 77 iterations (235 unmixed)
     "monotone": (ricker(2.0) + "[profile]\nh = 0.05\nc_factor = 1.2\n", []),
-    # nonmonotone band damped by 0.5, with exact anchoring from iteration 418
-    # and no extrapolation: 903 iterations
+    # nonmonotone band damped by 0.5, so never mixed, with exact anchoring
+    # from iteration 418 and no extrapolation: 913 iterations
     "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n"
                     "damping = 0.5\n", []),
     # the same band at the default undamped step: whole-cell anchoring only,
-    # 522 iterations
+    # Anderson-mixed: 125 iterations (522 unmixed)
     "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
                          []),
-    # near-critical surrogate: exact anchoring from iteration 151 and the
-    # 25-iteration extrapolation under the monotone projection: 1,774
-    # iterations
+    # near-critical surrogate: a mixed whole-cell phase, then exact anchoring
+    # from iteration 151 and the 25-iteration extrapolation under the
+    # monotone projection: 922 iterations (1,774 unmixed)
     "critical": (ricker(2.0) + "[profile]\nh = 0.1\n", ["--critical"]),
 }
 
@@ -114,6 +117,22 @@ def test_nonmonotone_band_reaches_its_fixed_point(outputs):
 
 def test_undamped_band_reaches_a_closer_fixed_point(outputs):
     # the default undamped step ends nearer a fixed point of F than damping
-    # by 0.5 does: |F(v) - v| is 9.7e-9 against 3.7e-8
+    # by 0.5 does: |F(v) - v| is 8.0e-9 against 3.7e-8
     _, report = outputs["nonmonotone_auto"]
     assert report["invariants"]["f_consistency"] <= 2e-8
+
+
+def test_mixing_cuts_whole_cell_iterations(outputs):
+    # without Anderson mixing these take 235 and 522 iterations
+    limits = {"monotone": 100, "nonmonotone_auto": 200}
+    for label, limit in limits.items():
+        assert outputs[label][1]["results"]["iterations"] <= limit, label
+
+
+def test_report_counts_mixed_steps(outputs):
+    for label, (_, report) in outputs.items():
+        steps = report["results"]["anderson_steps"]
+        if label == "nonmonotone":                # damped: never mixed
+            assert steps == 0
+        else:
+            assert 0 < steps < report["results"]["iterations"], label
