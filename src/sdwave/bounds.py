@@ -16,8 +16,9 @@ import numpy as np
 
 from .dispersion import CharacteristicContext, char_value, decay_roots
 from .errors import ModelInvalidError, NoRootsError
-from .model import (GRID_POINTS, ModelSpec, RickerBirth, _scalar_or_array,
-                    birth_monotone_on, birth_peak, equilibrium, quadratic_gap)
+from .model import (GRID_POINTS, ModelSpec, RickerBirth, _bisect_root,
+                    _scalar_or_array, birth_monotone_on, birth_peak,
+                    equilibrium, quadratic_gap)
 
 ETA_DEGENERACY_TOL = 1e-6
 
@@ -317,9 +318,7 @@ def _largest_root(g, hi: float) -> float:
     i = sign_change[-1]
     if vals[i] == 0.0:
         return float(u[i])
-    from scipy.optimize import brentq
-
-    return float(brentq(g, u[i], u[i + 1], xtol=1e-14, rtol=8.9e-16))
+    return float(_bisect_root(g, u[i], u[i + 1]))
 
 
 def _tabular_envelopes(model: ModelSpec, K: float, peak: float) -> EnvelopePair:
@@ -341,10 +340,7 @@ def _tabular_envelopes(model: ModelSpec, K: float, peak: float) -> EnvelopePair:
     if runmax[i] > b.value(u[i]) + 1e-12 * max(1.0, peak):
         level = runmax[i] / d      # flat stretch: analytic crossing
     else:
-        from scipy.optimize import brentq
-
-        level = brentq(lambda x: b.value(x) - d * x, u[i], u[i + 1],
-                       xtol=1e-14, rtol=8.9e-16)
+        level = _bisect_root(lambda x: b.value(x) - d * x, u[i], u[i + 1])
     grid = np.linspace(0.0, level, GRID_POINTS)
     upper_vals = np.maximum.accumulate(b.value(grid))
     lower_vals = np.minimum.accumulate(b.value(grid)[::-1])[::-1]

@@ -31,30 +31,11 @@ EXIT_VERIFY = 3
 EXIT_NONCONV = 4
 
 
-def _ctx(cfg: RunConfig, model):
-    mode = cfg.get("dispersion", "exponent", "lambda_c_m")
-    return dispersion.CharacteristicContext.from_model(model, exponent_mode=mode)
-
-
-def _dispersion_tol(cfg: RunConfig) -> float:
-    return cfg.get("dispersion", "tol", 1e-10)
-
-
-def _solver_speed(cfg: RunConfig, model, sr, tol: float):
-    """sr if the solvers would compute the same threshold themselves, else None.
-
-    The solvers use the default exponent mode and bisection tolerance.
-    """
-    same = (_ctx(cfg, model) == dispersion.CharacteristicContext.from_model(model)
-            and tol == dispersion.BISECTION_TOL)
-    return sr if same else None
-
-
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
     kwargs = {key: sec[key] for key in ("c", "tol", "max_iters", "damping",
                                         "phase_level", "h", "left_width",
-                                        "right_width", "beta", "mode")
+                                        "right_width", "mode")
               if key in sec}
     try:
         return profile.SolverConfig(**kwargs)
@@ -63,8 +44,8 @@ def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
 
 
 def _resolve_speed(cfg: RunConfig, model, explicit_c=None, critical=False):
-    ctx = _ctx(cfg, model)
-    sr = dispersion.critical_speed(ctx, tol=_dispersion_tol(cfg))
+    ctx = dispersion.CharacteristicContext.from_model(model)
+    sr = dispersion.critical_speed(ctx)
     if critical or cfg.get("profile", "critical", False):
         return None, sr
     c = explicit_c if explicit_c is not None else cfg.get("profile", "c")
@@ -107,8 +88,8 @@ def cmd_speed(cfg: RunConfig, args) -> int:
     watch = reporting.Stopwatch()
     model = build_model(cfg)
     model.validate()
-    ctx = _ctx(cfg, model)
-    sr = dispersion.critical_speed(ctx, tol=_dispersion_tol(cfg))
+    ctx = dispersion.CharacteristicContext.from_model(model)
+    sr = dispersion.critical_speed(ctx)
     speeds = [float(c) for c in (args.c or [])]
     if not speeds:
         speeds = cfg.get("dispersion", "speeds") or [1.1 * sr.c_star,
@@ -151,9 +132,8 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     sc = _solver_config(cfg)
     critical = bool(args.critical) or cfg.get("profile", "critical", False)
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c, critical=critical)
-    speed = _solver_speed(cfg, model, sr, _dispersion_tol(cfg))
-    sol = (profile.solve_critical(model, sc, speed=speed) if critical
-           else profile.solve(model, c, sc, speed=speed))
+    sol = (profile.solve_critical(model, sc, speed=sr) if critical
+           else profile.solve(model, c, sc, speed=sr))
     out = Path(args.out) if args.out else _out_dir(cfg, args) / "profile.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     reporting.write_csv(out, "xi,phi", [sol.profile.xi, sol.profile.values])
@@ -499,13 +479,12 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
             delay = type(base.delay)(m, M)
         model = ModelSpec(d=base.d, birth=birth, delay=delay)
         model.validate()
-        ctx = _ctx(cfg, model)
+        ctx = dispersion.CharacteristicContext.from_model(model)
         sr = dispersion.critical_speed(ctx)
         row["c_star"] = sr.c_star
         factor = cfg.get("sweep", "c_factor", 1.2)
-        speed = _solver_speed(cfg, model, sr, dispersion.BISECTION_TOL)
         sol = profile.solve(model, factor * sr.c_star, _solver_config(cfg),
-                            speed=speed)
+                            speed=sr)
         row["residual_sup"] = sol.residual_sup
         sweep = cfg.section("sweep")
         pde = dict(cfg.section("pde"))

@@ -26,12 +26,12 @@ SCHEMA = {
         "delay.kind": "s", "delay.m": "f", "delay.M": "f",
     },
     "dispersion": {
-        "tol": "f", "exponent": "s", "speeds": "fl",
+        "speeds": "fl",
     },
     "profile": {
         "c": "f", "critical": "b", "c_factor": "f", "h": "f", "tol": "f",
         "max_iters": "i", "damping": "f", "mode": "s", "phase_level": "f",
-        "left_width": "f", "right_width": "f", "beta": "f",
+        "left_width": "f", "right_width": "f",
     },
     "pde": {
         "x_min": "f", "x_max": "f", "nx": "i", "t_end": "f", "dt": "f",

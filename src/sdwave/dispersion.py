@@ -4,8 +4,7 @@ The front-edge linearization of the wave equation yields
 char(lam, c) = lam^2 - c*lam - d + b'(0) * exp(-lam*c*m), whose threshold
 speed (where the minimum over lam first touches zero) separates speeds with
 a pair of positive decay roots from speeds with none.  The exponent uses the
-moving-frame lag c*m; the plain-lag variant exp(-lam*m) is kept behind a
-switch for comparison only.
+moving-frame lag c*m.
 """
 from __future__ import annotations
 
@@ -15,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelInvalidError, NoRootsError
-from .model import ModelSpec, _scalar_or_array, equilibrium, sup_delay_slope
+from .model import (ModelSpec, _bisect_root, _scalar_or_array, equilibrium,
+                    sup_delay_slope)
 
 ROOT_RESIDUAL_TOL = 1e-12
 BISECTION_TOL = 1e-10
@@ -34,7 +34,6 @@ class CharacteristicContext:
     d: float
     growth_at_zero: float      # b'(0)
     lag_at_zero: float         # tau(0)
-    exponent_mode: str = "lambda_c_m"
 
     def __post_init__(self):
         for name in ("d", "growth_at_zero", "lag_at_zero"):
@@ -50,15 +49,12 @@ class CharacteristicContext:
             raise ModelInvalidError(
                 f"characteristic context needs b'(0) > d, got "
                 f"{self.growth_at_zero} <= {self.d}")
-        if self.exponent_mode not in ("lambda_c_m", "lambda_m"):
-            raise ModelInvalidError(f"unknown exponent mode {self.exponent_mode!r}")
 
     @classmethod
-    def from_model(cls, model: ModelSpec, exponent_mode: str = "lambda_c_m"):
+    def from_model(cls, model: ModelSpec):
         return cls(d=model.d,
                    growth_at_zero=model.birth.derivative_at_zero,
-                   lag_at_zero=model.delay.tau(0.0),
-                   exponent_mode=exponent_mode)
+                   lag_at_zero=model.delay.tau(0.0))
 
 
 @dataclass(frozen=True)
@@ -89,13 +85,13 @@ class KernelRates:
 def char_value(lam, c: float, ctx: CharacteristicContext):
     """Evaluate the characteristic function at decay exponent lam, speed c."""
     lam = np.asarray(lam, dtype=float)
-    lag = ctx.lag_at_zero * (c if ctx.exponent_mode == "lambda_c_m" else 1.0)
+    lag = ctx.lag_at_zero * c
     out = lam**2 - c * lam - ctx.d + ctx.growth_at_zero * np.exp(-lam * lag)
     return _scalar_or_array(out)
 
 
 def _char_slope(lam: float, c: float, ctx: CharacteristicContext) -> float:
-    lag = ctx.lag_at_zero * (c if ctx.exponent_mode == "lambda_c_m" else 1.0)
+    lag = ctx.lag_at_zero * c
     return 2.0 * lam - c - ctx.growth_at_zero * lag * math.exp(-lam * lag)
 
 
@@ -136,7 +132,7 @@ def char_min(c: float, ctx: CharacteristicContext) -> tuple:
     lam = 0.5 * (lo + hi)
     for _ in range(60):
         slope = _char_slope(lam, c, ctx)
-        lag = ctx.lag_at_zero * (c if ctx.exponent_mode == "lambda_c_m" else 1.0)
+        lag = ctx.lag_at_zero * c
         curve = 2.0 + ctx.growth_at_zero * lag * lag * math.exp(-lam * lag)
         step = slope / curve
         if not math.isfinite(step):
@@ -216,27 +212,6 @@ def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
     return RootPair(lambda1=lam1, lambda2=lam2, c=c)
 
 
-def _bisect_root(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoRootsError("root bracket does not change sign")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < 1e-16 * max(1.0, abs(mid)):
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _newton_polish(lam: float, c: float, ctx: CharacteristicContext) -> float:
     for _ in range(100):
         val = char_value(lam, c, ctx)
@@ -253,9 +228,8 @@ def speed_root_bounds(ctx: CharacteristicContext, c_lo: float, c_hi: float,
                       n: int = 200) -> tuple:
     """Inflated suprema of c*lambda1(c) and lambda1(c) over [c_lo, c_hi].
 
-    The speeds are sampled on linspace(c_lo, c_hi, n).  In the default
-    "lambda_c_m" mode both suprema sit at the first supercritical sample,
-    so the walk stops there:
+    The speeds are sampled on linspace(c_lo, c_hi, n).  Both suprema sit at
+    the first supercritical sample, so the walk solves the roots there only:
 
     * lambda1 decreases in c.  At fixed lam > 0 the characteristic function
       decreases in c, and it falls through zero at lambda1, so the implicit
@@ -263,24 +237,15 @@ def speed_root_bounds(ctx: CharacteristicContext, c_lo: float, c_hi: float,
     * With mu = c*lambda1 the root equation reads
       lambda1^2 = mu + d - b'(0) exp(-mu m), whose right side increases in
       mu.  So mu rises and falls with lambda1 and decreases in c as well.
-
-    The "lambda_m" comparison mode has no such identity; it scans every
-    sample.
     """
-    sup_cl = 0.0
-    sup_l = 0.0
     for c in np.linspace(c_lo, c_hi, n):
         try:
             roots = decay_roots(float(c), ctx)
         except NoRootsError:
             continue
-        sup_cl = max(sup_cl, c * roots.lambda1)
-        sup_l = max(sup_l, roots.lambda1)
-        if ctx.exponent_mode == "lambda_c_m":
-            break
-    if sup_cl == 0.0:
-        raise NoRootsError("no supercritical speeds in the requested range")
-    return L_BOUND_INFLATION * sup_cl, L_BOUND_INFLATION * sup_l
+        return (L_BOUND_INFLATION * (c * roots.lambda1),
+                L_BOUND_INFLATION * roots.lambda1)
+    raise NoRootsError("no supercritical speeds in the requested range")
 
 
 def kernel_rates(c: float, beta: float) -> KernelRates:
@@ -292,12 +257,14 @@ def kernel_rates(c: float, beta: float) -> KernelRates:
 def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
                 ctx: CharacteristicContext | None = None,
                 speed: SpeedResult | None = None) -> KernelRates:
-    """Kernel parameter satisfying every constraint the solver relies on.
+    """Kernel rates at speed c with a beta meeting every solver constraint.
 
     With A = 1 + b'(0) * range_end * sup-slope(tau) over [0, range_end]:
     beta exceeds (by 1%) the largest of the smoothing bound, the
     monotonicity bound, three times the root bound times A, and d + 1.
-    `speed` is the threshold speed of `ctx`; it is computed when absent.
+    The iteration's sandwich and the membership certificate assume these
+    bounds, so the solvers take their rates from here only.  `speed` is the
+    threshold speed of `ctx`; it is computed when absent.
     """
     if ctx is None:
         ctx = CharacteristicContext.from_model(model)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelInvalidError
+from .errors import ModelInvalidError, NoRootsError
 
 GRID_POINTS = 10_001          # density for hypothesis certification grids
 GAP_SAFETY = 0.01             # inflation on the quadratic gap supremum
@@ -30,6 +30,32 @@ def _finite(name: str, value) -> float:
 def _scalar_or_array(out: np.ndarray):
     """A 0-d result as a Python float; an array result unchanged."""
     return float(out) if out.ndim == 0 else out
+
+
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Root of the scalar f on [lo, hi], where f changes sign, by bisection.
+
+    Halves the bracket at most 200 times, stopping early once it is
+    narrower than 1e-16 relative to its midpoint.
+    """
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise NoRootsError("root bracket does not change sign")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0 or hi - lo < 1e-16 * max(1.0, abs(mid)):
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +260,13 @@ def equilibrium(model: ModelSpec) -> float:
     """Unique positive root of b(u) = d*u with b > d*u to its left.
 
     Analytic for the Ricker family; otherwise a sign-change scan over
-    (0, 50] followed by a bracketed root solve.
+    (0, 50] followed by bisection on the first bracket.
     """
     b, d = model.birth, model.d
     if b.derivative_at_zero <= d:
         raise ModelInvalidError("no positive equilibrium: b'(0) <= d")
     if isinstance(b, RickerBirth):
         return float(np.log(b.p / d))
-    from scipy.optimize import brentq
-
     g = lambda u: b.value(u) - d * u
     grid = np.geomspace(1e-9, 50.0, 4000)
     vals = g(grid)
@@ -250,7 +274,7 @@ def equilibrium(model: ModelSpec) -> float:
     if idx.size == 0:
         raise ModelInvalidError("no sign change of b(u) - d*u found on (0, 50]")
     i = idx[0]
-    root = brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+    root = _bisect_root(g, grid[i], grid[i + 1])
     if abs(g(root)) > EQUILIBRIUM_TOL:
         raise ModelInvalidError("equilibrium root polish failed")
     return float(root)

@@ -11,7 +11,7 @@ are tracked by level crossings and fitted to a speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -526,7 +526,7 @@ def nonexistence_probe(model: ModelSpec, c_test: float, config: SimConfig,
             f"nonexistence probe needs c_test < threshold {c_star:.9g}, "
             f"got {c_test:.9g}")
     if config.initial is None:
-        config.initial = ("step", 0.0, 0.0, equilibrium(model))
+        config = replace(config, initial=("step", 0.0, 0.0, equilibrium(model)))
     record = run(config, model, meta={"probe": "nonexistence", "c_test": c_test})
     speed, stderr = front_speed(record.track, window_fraction)
     return ProbeReport(c_test=c_test, c_star=c_star, speed=speed, stderr=stderr,

@@ -20,10 +20,10 @@ import numpy as np
 from . import _kernels as kernels
 from .bounds import UpperSolution, build_envelopes, build_lower, build_upper
 from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
-                         choose_beta, critical_speed, decay_roots, kernel_rates)
+                         choose_beta, critical_speed, decay_roots)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
-from .model import (HypothesisReport, ModelSpec, equilibrium, sup_delay_slope,
-                    validate_hypotheses)
+from .model import (HypothesisReport, ModelSpec, _bisect_root, equilibrium,
+                    sup_delay_slope, validate_hypotheses)
 
 NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
@@ -65,7 +65,6 @@ class SolverConfig:
     h: Optional[float] = None
     left_width: Optional[float] = None
     right_width: Optional[float] = None
-    beta: Optional[float] = None
     initial_shift: float = 0.0
 
     def __post_init__(self):
@@ -221,23 +220,13 @@ def _approach_rate(model: ModelSpec, c: float, state: float) -> float:
         return mu * mu - c * mu - model.d + slope * math.exp(-mu * lag)
 
     hi = 0.0
-    lo = None
     step = 0.25
     for k in range(1, 81):
         mu = -step * k
         if g(mu) > 0.0:
-            lo = mu
-            break
+            return abs(_bisect_root(g, mu, hi))
         hi = mu
-    if lo is None:
-        return fallback
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return abs(0.5 * (lo + hi))
+    return fallback
 
 
 def _grid_geometry(config: SolverConfig, lam1: float, lam2: float,
@@ -399,8 +388,13 @@ class _Anderson:
 
 
 def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
-             config: SolverConfig, enforce_monotone: bool,
-             dynamic_right_limit: bool) -> _IterationResult:
+             config: SolverConfig, monotone: bool) -> _IterationResult:
+    """The clamped, phase-anchored fixed-point iteration of F in the sandwich.
+
+    A monotone iteration projects every iterate onto nondecreasing profiles
+    and holds the right limit at right_state; a nonmonotone one takes the
+    right limit from the iterate's last value.
+    """
     h = float(xi[1] - xi[0])
     shift = 0.0
     lo = lower_fn(xi + shift)
@@ -422,7 +416,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
     residual_now = scratch if anderson is None else np.empty_like(v)
     anderson_steps = 0
     for it in range(1, config.max_iters + 1):
-        right_limit = float(v[-1]) if dynamic_right_limit else right_state
+        right_limit = right_state if monotone else float(v[-1])
         phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=right_limit)
         new = apply_F(phi, model, rates)
         if omega != 1.0:          # (1 - omega) v + omega F(v), in F(v)'s buffer
@@ -432,7 +426,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                      float(np.subtract(lo, new, out=scratch).max()), 0.0)
         clamp_excess = max(clamp_excess, excess)
         _clamp(new, lo, hi)
-        if enforce_monotone:
+        if monotone:
             _project_monotone(new)
         xa = _anchor_crossing(xi, new, anchor_level)
         cells = 0
@@ -440,7 +434,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
             anchored = False
         else:
             anchored = True
-            right_fill = float(new[-1]) if dynamic_right_limit else right_state
+            right_fill = right_state if monotone else float(new[-1])
             if exact_from is not None:
                 cells = int(round(xa / h))
                 if cells != 0:
@@ -457,7 +451,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                 lo = lower_fn(at)
                 hi = upper_fn(at)
                 _clamp(new, lo, hi)
-                if enforce_monotone:
+                if monotone:
                     _project_monotone(new)
             else:
                 cells = int(round(xa / h)) if abs(xa) > ANCHOR_DEAD_ZONE * h else 0
@@ -500,7 +494,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
             elif anderson.mix(residual_now, v):
                 anderson_steps += 1
                 _clamp(v, lo, hi)
-                if enforce_monotone:
+                if monotone:
                     _project_monotone(v)
         # in the slow regime of the order-preserving iteration the error is
         # dominated by one geometric mode: extrapolate it away now and then.
@@ -510,7 +504,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         # costs iterations.  Gate on a strictly decreasing window so
         # noise near the floor cannot be amplified; the clamp keeps the step
         # safe either way.
-        if (enforce_monotone and exact_from is not None and it % 25 == 0
+        if (monotone and exact_from is not None and it % 25 == 0
                 and len(trace) >= 26 and diff > config.tol):
             window = np.asarray(trace[-26:])
             if np.all(np.diff(window) < 0.0) and window[0] > 0.0:
@@ -588,8 +582,7 @@ def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = 
     speed = _require_supercritical(c, ctx, speed)
     roots = decay_roots(c, ctx)
     K = equilibrium(model)
-    rates = (choose_beta(c, model, range_end=K, ctx=ctx, speed=speed)
-             if config.beta is None else kernel_rates(c, config.beta))
+    rates = choose_beta(c, model, range_end=K, ctx=ctx, speed=speed)
     upper = build_upper(c, model, level=K)
     lower = build_lower(c, model)
     anchor = config.phase_level if config.phase_level is not None else K / 2.0
@@ -598,7 +591,7 @@ def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = 
     for attempt in range(3):
         xi = _make_xi(h, left, right)
         res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
-                       config, enforce_monotone=True, dynamic_right_limit=False)
+                       config, monotone=True)
         v = res.values
         left_ok = abs(v[0]) <= BOUNDARY_FRACTION * K
         right_ok = abs(v[-1] - K) <= BOUNDARY_FRACTION * K
@@ -649,14 +642,13 @@ def solve_nonmonotone(model: ModelSpec, c: float,
     lower_fn = _normalized_front(aux, roots.lambda1, k)
 
     upper = UpperSolution(lam1=roots.lambda1, level=level)
-    rates = (choose_beta(c, model, range_end=level, ctx=ctx, speed=speed)
-             if config.beta is None else kernel_rates(c, config.beta))
+    rates = choose_beta(c, model, range_end=level, ctx=ctx, speed=speed)
     anchor = config.phase_level if config.phase_level is not None else k / 4.0
     rate = _approach_rate(aux_model, c, k)
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
     xi = _make_xi(h, left, right)
     res = _iterate(xi, model, rates, upper.value, lower_fn, anchor, K,
-                   config, enforce_monotone=False, dynamic_right_limit=True)
+                   config, monotone=False)
     note = (note + "; " if note else "") + "sandwiched between birth-envelope fronts"
     return _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
                      anchor, level, K, upper,

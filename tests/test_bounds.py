@@ -214,6 +214,15 @@ class TestEnvelopes:
         K = model.equilibrium(ricker3)
         assert 0.0 < pair.k <= K <= pair.level
 
+    @pytest.mark.parametrize("d,p", [(1.0, 3.0), (0.8, 10.0)])
+    def test_k_is_the_lower_model_equilibrium_bitwise(self, d, p):
+        # both roots come from the same bisection, which narrows either
+        # bracket to the same pair of adjacent floats around the root
+        m = model.ModelSpec(d=d, birth=model.RickerBirth(p),
+                            delay=model.RationalDelay(0.2, 0.7))
+        pair = bounds.build_envelopes(m)
+        assert pair.k == model.equilibrium(pair.lower_model(m))
+
     def test_tabulated_envelopes_match_closed_form(self, ricker3):
         # generic running-extrema path against the closed Ricker forms
         u = np.linspace(0.0, 8.0, 4000)

@@ -42,10 +42,19 @@ def run_cli(args):
 
 
 class TestConfigParsing:
-    def test_unknown_key_rejected(self, tmp_path):
-        p = write_cfg(tmp_path, BASE_MODEL + "typo_key = 3\n")
-        with pytest.raises(ConfigError, match="typo_key"):
+    # the last three were options of the dispersion and profile layers;
+    # a config that still sets one fails like any other unknown key
+    @pytest.mark.parametrize("extra,key", [
+        ("typo_key = 3\n", "typo_key"),
+        ("[dispersion]\nexponent = lambda_m\n", "exponent"),
+        ("[dispersion]\ntol = 1e-12\n", "tol"),
+        ("[profile]\nbeta = 5\n", "beta"),
+    ], ids=["typo_key", "dispersion.exponent", "dispersion.tol", "profile.beta"])
+    def test_unknown_key_rejected(self, tmp_path, extra, key):
+        p = write_cfg(tmp_path, BASE_MODEL + extra)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             config.load_config(p)
+        assert run_cli(["--config", p, "speed"]) == 1
 
     def test_unknown_section_rejected(self, tmp_path):
         p = write_cfg(tmp_path, BASE_MODEL + "[mystery]\nx = 1\n")

@@ -8,9 +8,8 @@ from sdwave.errors import ModelInvalidError, NoRootsError
 from conftest import bisect
 
 
-def ctx_of(d, bp0, m, mode="lambda_c_m"):
-    return dispersion.CharacteristicContext(d=d, growth_at_zero=bp0,
-                                            lag_at_zero=m, exponent_mode=mode)
+def ctx_of(d, bp0, m):
+    return dispersion.CharacteristicContext(d=d, growth_at_zero=bp0, lag_at_zero=m)
 
 
 def test_char_value_at_zero():
@@ -165,16 +164,6 @@ class TestChooseBeta:
         assert kr.beta >= 1.01 * (((A * c) ** 2 + 4.0 * ricker2.d) / 4.0) - 1e-12
 
 
-def test_exponent_switch_changes_values():
-    base = ctx_of(1.0, 2.0, 0.5)
-    alt = ctx_of(1.0, 2.0, 0.5, mode="lambda_m")
-    assert dispersion.char_value(1.0, 2.0, base) != \
-        dispersion.char_value(1.0, 2.0, alt)
-    # plain-lag variant at c=1 coincides with moving-frame variant by scaling
-    assert dispersion.char_value(1.3, 1.0, base) == \
-        pytest.approx(dispersion.char_value(1.3, 1.0, alt), abs=1e-14)
-
-
 def dense_root_bounds(ctx, c_lo, c_hi, n=200):
     """The full 200-speed scan, kept as the reference for speed_root_bounds."""
     sup_cl = sup_l = 0.0
@@ -212,14 +201,6 @@ def test_root_bounds_equal_dense_scan(m, monkeypatch):
             patch.setattr(dispersion, "speed_root_bounds", dense_root_bounds)
             slow = dispersion.choose_beta(c, m, range_end=K, ctx=ctx)
         assert fast.beta == slow.beta
-
-
-def test_root_bounds_lambda_m_mode_scans_every_speed():
-    ctx = ctx_of(1.0, 2.0, 0.5, mode="lambda_m")
-    c_star = dispersion.critical_speed(ctx).c_star
-    lo, hi = 1.001 * c_star, 3.0 * c_star
-    assert dispersion.speed_root_bounds(ctx, lo, hi, n=40) == \
-        dense_root_bounds(ctx, lo, hi, n=40)
 
 
 def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_cstar, monkeypatch):

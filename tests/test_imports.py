@@ -1,7 +1,8 @@
 """Start-up pays only for the scipy submodules a command uses.
 
-`scipy.signal`, `scipy.optimize` and `scipy.interpolate` cost more to import
-than the rest of the package; each is imported at its first use.  Every
+`scipy.signal` and `scipy.interpolate` cost more to import than the rest of
+the package, and each loads `scipy.optimize` with it; each is imported at
+its first use, and sdwave itself never imports `scipy.optimize`.  Every
 check runs in a fresh interpreter, since this test process may already hold
 the modules.
 """
@@ -67,6 +68,20 @@ heavy = {HEAVY!r}
 loaded = lambda: [m for m in heavy if m in sys.modules]
 out = {{"start": loaded()}}
 
+ricker3 = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0),
+                          delay=model.RationalDelay(0.2, 0.7))
+out["k"] = bounds.build_envelopes(ricker3).k
+out["envelopes"] = loaded()
+
+u = np.linspace(0.0, 8.0, 81)
+birth = model.TabulatedBirth(np.column_stack([u, 2.0 * u / (1.0 + u)]))
+out["tabulated"] = loaded()
+out["value"] = birth.value(1.0)
+tab = model.ModelSpec(d=1.0, birth=birth, delay=model.ConstantDelay(0.0))
+before = set(sys.modules)
+out["equilibrium"] = model.equilibrium(tab)
+out["equilibrium_imports"] = sorted(set(sys.modules) - before)
+
 ricker2 = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
                           delay=model.RationalDelay(0.2, 0.7))
 ctx = dispersion.CharacteristicContext.from_model(ricker2)
@@ -74,26 +89,15 @@ c = 1.2 * dispersion.critical_speed(ctx).c_star
 sol = profile.solve(ricker2, c, profile.SolverConfig(h=0.05))
 out["solve"] = loaded()
 out["residual"] = float(sol.residual_sup)
-
-u = np.linspace(0.0, 8.0, 81)
-birth = model.TabulatedBirth(np.column_stack([u, 2.0 * u / (1.0 + u)]))
-out["tabulated"] = loaded()
-out["value"] = birth.value(1.0)
-tab = model.ModelSpec(d=1.0, birth=birth, delay=model.ConstantDelay(0.0))
-out["equilibrium"] = model.equilibrium(tab)
-
-ricker3 = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0),
-                          delay=model.RationalDelay(0.2, 0.7))
-out["k"] = bounds.build_envelopes(ricker3).k
-out["end"] = loaded()
 print(json.dumps(out))
 """
     got = run_fresh(code, tmp_path)
     assert got["start"] == []
-    assert "scipy.signal" in got["solve"]
-    assert got["residual"] < 1e-2
+    assert 0.0 < got["k"] <= math.log(3.0) + 1e-9   # k <= K for Ricker p=3
+    assert got["envelopes"] == []                  # bisection, no scipy root finder
     assert "scipy.interpolate" in got["tabulated"]
     assert abs(got["value"] - 1.0) < 1e-3
     assert abs(got["equilibrium"] - 1.0) < 1e-10       # 2u/(1+u) = u at u=1
-    assert 0.0 < got["k"] <= math.log(3.0) + 1e-9   # k <= K for Ricker p=3
-    assert got["end"] == list(HEAVY)
+    assert got["equilibrium_imports"] == []
+    assert "scipy.signal" in got["solve"]
+    assert got["residual"] < 1e-2

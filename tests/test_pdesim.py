@@ -285,6 +285,7 @@ class TestNonexistenceProbe:
         cfg = pdesim.SimConfig(x_min=-30.0, x_max=120.0, nx=751, t_end=40.0,
                                initial=None, history="frozen")
         report = pdesim.nonexistence_probe(ricker2, 0.5 * ricker2_cstar, cfg)
+        assert cfg.initial is None       # the caller's config is left as it was
         assert report.excess > 0.3 * ricker2_cstar
         assert abs(report.speed - ricker2_cstar) / ricker2_cstar < 0.1
 
