@@ -6,12 +6,12 @@ The recurrences run through scipy's C filter implementation.  Importing
 `exp_conv_pair` imports `lfilter` at its first call: only the commands that
 iterate profiles (`profile`, `sweep`) pay for it.  The simulator's matrix is
 constant, so its tridiagonal system is factored once per run (LAPACK gttrf)
-and each step is one gttrs solve.
+and each step is one gttrs solve; `scipy.linalg` too is imported at first
+use, so start-up loads numpy only.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 def _cell_weights(a: float, h: float) -> tuple:
@@ -81,6 +81,8 @@ def factor_tridiagonal(lower, diag, upper):
     Returns the tuple (dl, d, du, du2, ipiv) that `solve_tridiagonal` takes
     before its right-hand side.
     """
+    from scipy.linalg.lapack import dgttrf
+
     dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix (pivot {info})")
@@ -89,5 +91,7 @@ def factor_tridiagonal(lower, diag, upper):
 
 def solve_tridiagonal(dl, d, du, du2, ipiv, rhs):
     """Solve one right-hand side against the factors of `factor_tridiagonal`."""
+    from scipy.linalg.lapack import dgttrs
+
     x, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
     return x

@@ -36,7 +36,8 @@ def _bisect_root(f, lo: float, hi: float) -> float:
     """Root of the scalar f on [lo, hi], where f changes sign, by bisection.
 
     Halves the bracket at most 200 times, stopping early once it is
-    narrower than 1e-16 relative to its midpoint.
+    narrower than 1e-16 relative to its midpoint, or once the midpoint
+    rounds onto an end: every later midpoint would be that same float.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -48,6 +49,8 @@ def _bisect_root(f, lo: float, hi: float) -> float:
         raise NoRootsError("root bracket does not change sign")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         fm = f(mid)
         if fm == 0.0 or hi - lo < 1e-16 * max(1.0, abs(mid)):
             return mid

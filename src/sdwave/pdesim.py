@@ -176,30 +176,39 @@ class HistoryBuffer:
         """Per-point temporal interpolation; td must be >= oldest snapshot."""
         if self.count == 1:
             return self._snaps[self.start].copy()
-        t0 = self.oldest
-        rel = (td - t0) / self.spacing
-        # in-place minimum/maximum instead of np.clip, whose Python-level
-        # wrapper costs more than the clamp; the bound goes first so that a
-        # tie keeps the input, -0.0 included, as np.clip does
+        rel = (td - self.oldest) / self.spacing
         j = rel.astype(np.int64)
-        np.minimum(self.count - 2, j, out=j)
-        np.maximum(0, j, out=j)
-        w = rel - j
-        over = w > 1.0 + 1e-9
-        if np.any(over):
-            self.clamp_warnings += int(np.count_nonzero(over))
-        np.minimum(1.0, w, out=w)
-        np.maximum(0.0, w, out=w)
-        # flat offsets of (ring row start + j, column) and of the next row,
-        # each wrapped by one compare-and-subtract (j + 1 < count <= cap)
+        if rel.min() >= 0.0 and rel.max() < self.count - 1:
+            # every j lies in [0, count - 2] and every weight in [0, 1), so
+            # no clamp below could fire; NaN takes the clamped path
+            w = np.subtract(rel, j, out=rel)
+        else:
+            # in-place minimum/maximum instead of np.clip, whose Python-level
+            # wrapper costs more than the clamp; the bound goes first so that
+            # a tie keeps the input, -0.0 included, as np.clip does
+            np.minimum(self.count - 2, j, out=j)
+            np.maximum(0, j, out=j)
+            w = np.subtract(rel, j, out=rel)
+            over = w > 1.0 + 1e-9
+            if np.any(over):
+                self.clamp_warnings += int(np.count_nonzero(over))
+            np.minimum(1.0, w, out=w)
+            np.maximum(0.0, w, out=w)
+        # flat offsets of (ring row start + j, column) and of the next row;
+        # take's wrap mode folds rows past the end back onto the ring
         nx = self._cols.shape[0]
-        row = j + self.start
-        row -= self.cap * (row >= self.cap)
-        flat = row * nx + self._cols
-        flat_next = flat + nx
-        flat_next -= (self.cap * nx) * (row == self.cap - 1)
+        j += self.start
+        j *= nx
+        j += self._cols
         snaps = self._snaps.reshape(-1)
-        return (1.0 - w) * snaps.take(flat) + w * snaps.take(flat_next)
+        out = snaps.take(j, mode="wrap")
+        j += nx
+        later = snaps.take(j, mode="wrap")
+        # (1 - w) * earlier + w * later, built in the two gathered buffers
+        later *= w
+        out *= np.subtract(1.0, w, out=w)
+        out += later
+        return out
 
     def lookup_uniform(self, td: float) -> np.ndarray:
         """Whole-snapshot interpolation at a single past time."""
@@ -248,13 +257,16 @@ class _BaseSim:
         self.t = 0.0
         self.level = level
         self.band_violation = 0.0
+        self.max_lag = max_lag
+        # factored (and scipy.linalg imported) before the ring is allocated:
+        # the other order peaks about 1% higher in resident memory
+        self._setup_matrix()
         window = max_lag + 2.0 * self.dt + 2.0 * self.dt * config.store_every
         self.buffer = HistoryBuffer(config.nx, self.dt * config.store_every,
                                     window)
         self.buffer.append(0.0, self.u)
         self._steps_done = 0
         self._init_interp = self.u.copy()
-        self._setup_matrix()
         self._setup_history()
 
     def _setup_matrix(self):
@@ -290,7 +302,13 @@ class _BaseSim:
             raise ModelInvalidError(f"unsupported history spec {hist!r}")
 
     def history_values(self, td: np.ndarray) -> np.ndarray:
-        """Delayed values per grid point, splitting buffer and pre-initial times."""
+        """Delayed values per grid point, splitting buffer and pre-initial times.
+
+        td must be >= t - max_lag - dt; once that bound is >= 0 no point
+        reaches back before the initial time.
+        """
+        if self.t - self.max_lag - self.dt >= 0.0:
+            return self.buffer.lookup_pointwise(td)
         pre = td < 0.0
         if not np.any(pre):
             return self.buffer.lookup_pointwise(td)
@@ -303,13 +321,16 @@ class _BaseSim:
         return out
 
     def reaction(self) -> np.ndarray:
+        """Reaction term at the current state, as a fresh array."""
         raise NotImplementedError
 
     def _post_step(self):
         pass
 
     def step(self):
-        rhs = self.u + self.dt * self.reaction()
+        rhs = self.reaction()
+        rhs *= self.dt
+        rhs += self.u
         if self.config.boundary == "dirichlet":
             rhs[0], rhs[-1] = self.config.dirichlet
         self.u = kernels.solve_tridiagonal(*self._factors, rhs)
@@ -381,7 +402,7 @@ class DelaySim(_BaseSim):
 
     def reaction(self) -> np.ndarray:
         td = self.t - self.model.delay.tau(self.u)
-        np.maximum(td, self.t - self.model.delay.M - self.dt, out=td)
+        np.maximum(td, self.t - self.max_lag - self.dt, out=td)
         delayed = self.history_values(td)
         return -self.model.d * self.u + self.model.birth.value(np.maximum(delayed, 0.0))
 
@@ -447,12 +468,30 @@ def simulate_comparison(params: ComparisonParams, psi, config: SimConfig,
 
 def front_position(field: Field, level: float) -> Optional[float]:
     """Rightmost crossing of the level, linearly interpolated; None if absent."""
-    s = field.u - level
+    u = field.u
+    n = u.shape[0]
+    if n >= 2 and 1e-100 <= abs(level) < math.inf:
+        # the last point k at or above the level: when a point below the
+        # level follows it, no later pair of points can straddle the level
+        # (both sit below it, and at this |level| their product of
+        # differences cannot underflow to 0), so the crossing is at k; k
+        # the last point, or a NaN after it, falls through to the scan
+        reach = u >= level
+        k = n - 1 - int(np.argmax(reach[::-1]))
+        if not reach[k]:
+            return None
+        if k < n - 1 and u[k + 1] < level:
+            return _crossing(field, level, k)
+    s = u - level
     sign_change = np.nonzero(s[:-1] * s[1:] <= 0)[0]
     sign_change = sign_change[(s[sign_change] != 0) | (s[sign_change + 1] != 0)]
     if sign_change.size == 0:
         return None
-    i = int(sign_change[-1])
+    return _crossing(field, level, int(sign_change[-1]))
+
+
+def _crossing(field: Field, level: float, i: int) -> float:
+    """Linear interpolation of the level crossing between points i and i+1."""
     x0, x1 = field.x[i], field.x[i + 1]
     u0, u1 = field.u[i], field.u[i + 1]
     if u1 == u0:

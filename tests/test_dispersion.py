@@ -262,3 +262,51 @@ def test_context_rejects_nonfinite(field):
 def test_context_rejects_overflowing_rates():
     with pytest.raises(ModelInvalidError, match="b'\\(0\\)"):
         ctx_of(1.0, 1e308, 0.0)
+
+
+def full_loop_bisect(f, lo, hi):
+    """The bisection as it was before its stuck-bracket exit: the same
+    midpoints, stopping only on a zero, the 1e-16 width or 200 steps."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0 or hi - lo < 1e-16 * max(1.0, abs(mid)):
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def test_bisection_stops_on_a_stuck_bracket(ricker2_ctx, ricker2_cstar, monkeypatch):
+    # lambda2 at 2c* (about 3.19) lies where one ulp exceeds the 1e-16 stop,
+    # so the bracket reaches two adjacent floats before it is narrow enough;
+    # the full loop then evaluated f up to its 200-step cap (202 calls)
+    brackets = []
+    original = dispersion._bisect_root
+
+    def recording(f, lo, hi):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        root = original(counted, lo, hi)
+        brackets.append((f, lo, hi, root, len(calls)))
+        return root
+
+    monkeypatch.setattr(dispersion, "_bisect_root", recording)
+    dispersion.decay_roots(2.0 * ricker2_cstar, ricker2_ctx)
+    f, lo, hi, root, evaluations = brackets[1]          # lambda2
+    assert 3.0 < root < 3.5
+    assert evaluations <= 70
+    assert root == full_loop_bisect(f, lo, hi)
+    for f, lo, hi, root, _ in brackets:
+        assert root == full_loop_bisect(f, lo, hi)

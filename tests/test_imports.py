@@ -1,10 +1,11 @@
 """Start-up pays only for the scipy submodules a command uses.
 
-`scipy.signal` and `scipy.interpolate` cost more to import than the rest of
-the package, and each loads `scipy.optimize` with it; each is imported at
-its first use, and sdwave itself never imports `scipy.optimize`.  Every
-check runs in a fresh interpreter, since this test process may already hold
-the modules.
+Start-up loads numpy only.  `scipy.signal` and `scipy.interpolate` cost more
+to import than the rest of the package, and each loads `scipy.optimize`
+with it; each is imported at its first use, as is `scipy.linalg` for the
+simulator's tridiagonal solve, and sdwave itself never imports
+`scipy.optimize`.  Every check runs in a fresh interpreter, since this test
+process may already hold the modules.
 """
 import json
 import math
@@ -29,6 +30,20 @@ delay.M = 0.7
 dir = out
 """
 
+SIM_SECTION = """
+[pde]
+x_min = -10
+x_max = 20
+nx = 61
+t_end = 1
+initial.kind = step
+initial.location = 0
+initial.low = 0
+initial.high = equilibrium
+history.kind = frozen
+snapshot_count = 3
+"""
+
 
 def run_fresh(code, cwd):
     """Run code in a fresh interpreter with sdwave on its path; its JSON line."""
@@ -42,21 +57,29 @@ def run_fresh(code, cwd):
 
 
 def test_cli_set_up_and_speed_skip_heavy_scipy(tmp_path):
-    (tmp_path / "r2.cfg").write_text(RICKER_CONFIG)
+    (tmp_path / "r2.cfg").write_text(RICKER_CONFIG + SIM_SECTION)
     code = f"""
 import contextlib, io, json, sys
 import sdwave.cli
 from sdwave.config import build_model, load_config
 heavy = {HEAVY!r}
+scipy = lambda: sorted(m for m in sys.modules
+                       if m == "scipy" or m.startswith("scipy."))
 model = build_model(load_config("r2.cfg"))
-after_setup = [m for m in heavy if m in sys.modules]
+out = {{"setup": scipy()}}
 with contextlib.redirect_stdout(io.StringIO()):
-    code = sdwave.cli.main(["--config", "r2.cfg", "speed"])
-print(json.dumps({{"setup": after_setup, "code": code,
-                   "speed": [m for m in heavy if m in sys.modules]}}))
+    out["speed_code"] = sdwave.cli.main(["--config", "r2.cfg", "speed"])
+out["speed"] = scipy()
+with contextlib.redirect_stdout(io.StringIO()):
+    out["simulate_code"] = sdwave.cli.main(
+        ["--config", "r2.cfg", "simulate", "--out-dir", "sim"])
+out["linalg"] = "scipy.linalg" in sys.modules
+out["simulate"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(out))
 """
     got = run_fresh(code, tmp_path)
-    assert got == {"setup": [], "code": 0, "speed": []}
+    assert got == {"setup": [], "speed_code": 0, "speed": [],
+                   "simulate_code": 0, "linalg": True, "simulate": []}
 
 
 def test_lazy_imports_load_at_first_use(tmp_path):

@@ -93,7 +93,79 @@ class TestRun:
         assert worst <= 0.02 * K
 
 
+def scan_front_position(field, level):
+    """Front position by a scan of every sign change: the reference for the
+    shortcut in `pdesim.front_position`."""
+    s = field.u - level
+    sign_change = np.nonzero(s[:-1] * s[1:] <= 0)[0]
+    sign_change = sign_change[(s[sign_change] != 0) | (s[sign_change + 1] != 0)]
+    if sign_change.size == 0:
+        return None
+    i = int(sign_change[-1])
+    x0, x1 = field.x[i], field.x[i + 1]
+    u0, u1 = field.u[i], field.u[i + 1]
+    if u1 == u0:
+        return float(x0)
+    return float(x0 + (x1 - x0) * (level - u0) / (u1 - u0))
+
+
+def fuzz_profile(rng, level):
+    """A short profile: random, monotone or stepwise, then salted with
+    values exactly at the level, NaNs and tiny values."""
+    n = int(rng.integers(0, 13))
+    kind = rng.integers(3)
+    spread = 10.0 ** rng.integers(-210, 1)
+    if kind == 0:
+        u = rng.uniform(-1.0, 1.0, n) * spread + level
+    elif kind == 1:
+        u = np.sort(rng.uniform(-1.0, 1.0, n) * spread + level)[::-1].copy()
+    else:
+        u = np.where(np.arange(n) < rng.integers(0, n + 1),
+                     level + spread, level - spread)
+    for value in (level, np.nan, 1e-200, -1e-200, 1e-170, -1e-170, 0.0):
+        if n and rng.random() < 0.2:
+            u[rng.integers(n)] = value
+    if n and rng.random() < 0.2:
+        u[-1] = level + abs(rng.uniform(0.0, 1.0)) * spread
+    return u
+
+
+def same_result(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(np.float64(a), np.float64(b), equal_nan=True)
+
+
 class TestFrontMeasurements:
+    def test_front_position_matches_the_full_scan(self):
+        rng = np.random.default_rng(2024)
+        levels = (0.0, 1e-200, -1e-200, 1e-100, 0.5, -0.3, 1.0)
+        seen = {"none": 0, "last": 0, "nan": 0, "exact": 0}
+        for case in range(6000):
+            level = float(levels[case % len(levels)])
+            if case % 11 == 0:
+                level = float(rng.uniform(-1.0, 1.0))
+            u = fuzz_profile(rng, level)
+            x = np.sort(rng.uniform(-5.0, 5.0, u.shape[0]))
+            fld = pdesim.Field(x=x, u=u, t=0.0)
+            want = scan_front_position(fld, level)
+            got = pdesim.front_position(fld, level)
+            assert same_result(got, want), (case, level, u.tolist())
+            seen["none"] += want is None
+            seen["last"] += bool(u.shape[0]) and u[-1] >= level
+            seen["nan"] += bool(np.isnan(u).any())
+            seen["exact"] += bool((u == level).any())
+        assert min(seen.values()) > 300
+
+    def test_front_position_tiny_level_keeps_underflowing_pairs(self):
+        # below 1e-100 two small negative differences can multiply to 0,
+        # which the scan counts as a crossing; the shortcut must not run
+        x = np.arange(4.0)
+        u = np.array([1.0, -1e-200, -1e-200, -1e-200])
+        fld = pdesim.Field(x=x, u=u, t=0.0)
+        assert pdesim.front_position(fld, 0.0) == scan_front_position(fld, 0.0) == 2.0
+
+
     def test_front_position_symmetric_step(self):
         x = np.linspace(-10.0, 10.0, 201)
         x = x + 0.05  # grid cell straddles 0 symmetrically
@@ -261,6 +333,45 @@ class TestHistoryLookup:
             assert buf.clamp_warnings == clamped
         assert wrapped > 10 and clamped > 30
 
+    def test_both_lookup_paths_across_ring_wrap(self):
+        # at every ring position: one td array strictly inside the window
+        # (no clamp can fire), then arrays reaching below the oldest, onto
+        # the newest and past it (the clamped path).  The ring rows outside
+        # the live window hold NaN, so reading one shows; a binary spacing
+        # puts the newest snapshot at rel == count - 1 exactly
+        rng = np.random.default_rng(11)
+        nx, spacing = 7, 0.125
+        buf = pdesim.HistoryBuffer(nx, spacing, window=0.55)
+        history, clamped, wrapped, inside_runs = [], 0, 0, 0
+        for k in range(50):
+            t = k * spacing
+            buf.evict(t)
+            u = rng.uniform(-1.0, 1.0, nx)
+            buf.append(t, u)
+            history.append((t, u))
+            if buf.count < 2:
+                continue
+            live = history[-buf.count:]
+            wrapped += buf.start + buf.count > buf.cap
+            dead = (np.arange(buf.cap) - buf.start) % buf.cap >= buf.count
+            buf._snaps[dead] = np.nan
+            inside = rng.uniform(buf.oldest, buf.newest - 1e-6, nx)
+            inside[0] = buf.oldest
+            below, onto, past = inside.copy(), inside.copy(), inside.copy()
+            below[1] = buf.oldest - 0.3 * spacing
+            onto[1] = buf.newest
+            past[1] = buf.newest + 0.25 * spacing
+            for td, fast in ((inside, True), (below, False), (onto, False),
+                             (past, False)):
+                rel = (td - buf.oldest) / buf.spacing
+                assert (rel.min() >= 0.0 and rel.max() < buf.count - 1) == fast
+                want, extra = naive_pointwise(live, spacing, td)
+                np.testing.assert_array_equal(buf.lookup_pointwise(td), want)
+                clamped += extra
+                assert buf.clamp_warnings == clamped
+            inside_runs += 1
+        assert wrapped > 10 and inside_runs > 40 and clamped == inside_runs
+
     def test_pointwise_keeps_signed_zero_weight(self):
         # a -0.0 weight survives the clamp, as under np.clip, so a -0.0
         # history value interpolates to -0.0 rather than +0.0
@@ -273,6 +384,41 @@ class TestHistoryLookup:
         want, _ = naive_pointwise(history, 0.1, td)
         np.testing.assert_array_equal(got, want)
         assert np.signbit(got).tolist() == np.signbit(want).tolist() == [True, False]
+
+
+def split_history_values(sim, td):
+    """History values by the per-point pre-initial split at every time."""
+    pre = td < 0.0
+    out = np.empty_like(td)
+    out[pre] = sim._psi(sim.x[pre], td[pre])
+    post = ~pre
+    if np.any(post):
+        vals = sim.buffer.lookup_pointwise(np.where(post, td, 0.0))
+        out[post] = vals[post]
+    return out
+
+
+def test_history_values_before_and_after_the_initial_window(ricker2):
+    # td spans the reaction's range [t - M - dt, t]: before t = M + dt some
+    # points reach back past 0 and come from the history function
+    cfg = small_config(t_end=2.0, dt=0.05, history=("translate", 1.3),
+                       initial=lambda x: 0.5 + 0.4 * np.tanh(x))
+    sim = pdesim.DelaySim(ricker2, cfg)
+    rng = np.random.default_rng(3)
+    before = after = 0
+    for _ in range(40):
+        floor = sim.t - ricker2.delay.M - sim.dt
+        td = rng.uniform(floor, sim.t, cfg.nx)
+        td[0] = floor
+        want = split_history_values(sim, td)
+        np.testing.assert_array_equal(sim.history_values(td), want)
+        if floor < 0.0:
+            before += bool(np.any(td < 0.0))
+        else:
+            after += 1
+        sim.step()
+    assert before >= 10 and after >= 20
+    assert sim.buffer.clamp_warnings == 0
 
 
 class TestNonexistenceProbe:
