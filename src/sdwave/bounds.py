@@ -227,13 +227,19 @@ class RickerLowerEnvelope:
 
 
 class TabularEnvelope:
-    """Envelope stored as a dense table, linearly interpolated (shape safe)."""
+    """Envelope stored as a dense table, linearly interpolated (shape safe).
+
+    Near 0 both envelopes coincide with the base birth, so its derivative
+    and curvature there are the envelope's; the table's first secant would
+    fall short of b'(0) and fail the strict gap hypothesis on the first cell.
+    """
 
     kind = "envelope_table"
 
-    def __init__(self, u, vals):
+    def __init__(self, u, vals, base):
         self.u = np.asarray(u, dtype=float)
         self.vals = np.asarray(vals, dtype=float)
+        self.base = base
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -251,12 +257,11 @@ class TabularEnvelope:
 
     @property
     def derivative_at_zero(self):
-        return float((self.vals[1] - self.vals[0]) / (self.u[1] - self.u[0]))
+        return self.base.derivative_at_zero
 
     @property
     def curvature_at_zero(self):
-        du = self.u[1] - self.u[0]
-        return float((self.vals[2] - 2 * self.vals[1] + self.vals[0]) / du**2)
+        return self.base.curvature_at_zero
 
 
 @dataclass
@@ -267,7 +272,6 @@ class EnvelopePair:
     lower: object
     k: float
     level: float        # largest root of upper-envelope(u) = d*u
-    domain_end: float
 
     def lower_model(self, model: ModelSpec) -> ModelSpec:
         return ModelSpec(d=model.d, birth=self.lower, delay=model.delay)
@@ -287,7 +291,7 @@ def build_envelopes(model: ModelSpec) -> EnvelopePair:
 
     if birth_monotone_on(b, 0.0, K) and peak <= b.value(K) + 1e-12:
         # envelopes of a monotone birth coincide with it
-        return EnvelopePair(upper=b, lower=b, k=K, level=K, domain_end=max(K, peak / d))
+        return EnvelopePair(upper=b, lower=b, k=K, level=K)
 
     if isinstance(b, RickerBirth) and K > 1.0:
         level = b.p / (d * math.e)
@@ -298,8 +302,7 @@ def build_envelopes(model: ModelSpec) -> EnvelopePair:
         upper = RickerUpperEnvelope(b)
         lower = RickerLowerEnvelope(b, level)
         k = _largest_root(lambda u: lower.value(u) - d * u, level)
-        pair = EnvelopePair(upper=upper, lower=lower, k=k, level=level,
-                            domain_end=level)
+        pair = EnvelopePair(upper=upper, lower=lower, k=k, level=level)
     else:
         pair = _tabular_envelopes(model, K, peak)
 
@@ -344,8 +347,7 @@ def _tabular_envelopes(model: ModelSpec, K: float, peak: float) -> EnvelopePair:
     grid = np.linspace(0.0, level, GRID_POINTS)
     upper_vals = np.maximum.accumulate(b.value(grid))
     lower_vals = np.minimum.accumulate(b.value(grid)[::-1])[::-1]
-    upper = TabularEnvelope(grid, upper_vals)
-    lower = TabularEnvelope(grid, lower_vals)
+    upper = TabularEnvelope(grid, upper_vals, b)
+    lower = TabularEnvelope(grid, lower_vals, b)
     k = _largest_root(lambda x: lower.value(x) - d * x, level)
-    return EnvelopePair(upper=upper, lower=lower, k=k, level=float(level),
-                        domain_end=float(level))
+    return EnvelopePair(upper=upper, lower=lower, k=k, level=float(level))

@@ -107,7 +107,7 @@ def cmd_speed(cfg: RunConfig, args) -> int:
     rep.results = {"c_star": sr.c_star, "lambda_star": sr.lambda_star,
                    "bracket": list(sr.bracket), "roots": roots_rows,
                    "beta": beta_rows}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     json_path = None
     if args.out:
         out = Path(args.out)
@@ -151,7 +151,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
                       "monotone_ok": sol.monotone_ok,
                       "f_consistency": sol.f_consistency,
                       "clamp_excess": sol.clamp_excess}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     reporting.write_json(out.with_suffix(".json"), rep.as_dict())
     _emit(rep, args, [
         f"profile at c = {sol.c:.9g} (c* = {sr.c_star:.9g}), mode {sol.mode}",
@@ -206,7 +206,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                       "sandwich_ok": mem.sandwich_ok,
                       "monotone_ok": mem.monotone_ok,
                       "lipschitz_ok": mem.lipschitz_ok}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     lines = [f"re-verified {csv_path}: residual {res_sup:.3e} "
              f"(recorded {recorded:.3e})"]
     if failures:
@@ -229,7 +229,7 @@ def cmd_envelope(cfg: RunConfig, args) -> int:
     rep = _base_report(cfg, "envelope")
     rep.results = {"kcal": pair.level, "k": pair.k, "c": c,
                    "eta": low.eta, "q": low.q, "c_star": sr.c_star}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     out_dir = _out_dir(cfg, args)
     u = np.linspace(0.0, pair.level, 2001)
     reporting.write_csv(out_dir / "envelopes.csv", "u,b,b_upper,b_lower",
@@ -349,7 +349,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     rep.results = {"snapshots": len(record.times), "t_end": record.times[-1],
                    "dt": record.dt, "out_dir": str(out_dir),
                    "warnings": record.warnings}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     _emit(rep, args, [
         f"simulated to t = {record.times[-1]:.6g} with dt = {record.dt:.6g}",
         f"wrote {len(record.times)} snapshots to {out_dir}",
@@ -426,7 +426,7 @@ def cmd_frontspeed(cfg: RunConfig, args) -> int:
     rep.results = {"speed": speed, "stderr": stderr,
                    "samples": int(track.times.shape[0]),
                    "window": args.window}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     _emit(rep, args, [f"front speed {speed:.9g} +/- {stderr:.3g} "
                       f"({track.times.shape[0]} samples)"],
           run_dir / "frontspeed.json")
@@ -456,7 +456,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                    "cone_inf": cone[0], "cone_sup": cone[1],
                    "probe_speed": frac * c_comp,
                    "out_dir": str(out_dir), "warnings": record.warnings}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     _emit(rep, args, [
         f"comparison run: plateau {params.plateau:.9g}, spreading speed "
         f"{c_comp:.9g}",
@@ -513,16 +513,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     rows = [_sweep_row(cfg, p, m, M) for p in ps for m in ms for M in Ms]
     out_dir = _out_dir(cfg, args)
     path = out_dir / "sweep.csv"
-    lines = ["p,m,M,c_star,measured_speed,residual_sup"]
-    for r in rows:
-        lines.append(",".join(f"{float(r[k]):.15g}" for k in
-                              ("p", "m", "M", "c_star", "measured_speed",
-                               "residual_sup")))
-    path.write_text("\n".join(lines) + "\n")
+    keys = ("p", "m", "M", "c_star", "measured_speed", "residual_sup")
+    reporting.write_csv(path, ",".join(keys),
+                        [[float(r[k]) for r in rows] for k in keys])
     n_fail = sum(1 for r in rows if r["error"])
     rep = _base_report(cfg, "sweep")
     rep.results = {"rows": rows, "csv": str(path)}
-    rep.timings["total"] = watch.lap("total")
+    rep.timings["total"] = watch.lap()
     _emit(rep, args, [f"swept {len(rows)} rows ({n_fail} failed), wrote {path}"],
           out_dir / "sweep.json")
     if n_fail == len(rows):

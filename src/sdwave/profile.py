@@ -1,13 +1,16 @@
 """Wave profile solver: integral-operator fixed-point iteration in a sandwich.
 
 The second-order wave equation is recast through the two-sided exponential
-resolvent kernel; its fixed points are wave profiles.  Iteration starts from
-the closed-form upper profile, clamps each iterate into the (phase-shifted)
-sandwich, and re-anchors the phase by whole grid cells so the translation
-mode cannot drift.  While the phase is anchored by whole cells, the undamped
-iteration is accelerated by Anderson mixing, whose iterates are clamped into
-the same sandwich.  Convergence is certified a posteriori by an independent
-finite-difference residual, never by the iteration metric alone.
+resolvent kernel; its fixed points are wave profiles.  One solve serves
+monotone and nonmonotone birth functions alike: only the sandwich differs,
+closed-form bounds for a monotone birth and birth-envelope fronts for a
+nonmonotone one.  Iteration starts from the upper profile, clamps each
+iterate into the (phase-shifted) sandwich, and re-anchors the phase by whole
+grid cells so the translation mode cannot drift.  While the phase is
+anchored by whole cells, the undamped iteration is accelerated by Anderson
+mixing, whose iterates are clamped into the same sandwich.  Convergence is
+certified a posteriori by an independent finite-difference residual, never
+by the iteration metric alone.
 """
 from __future__ import annotations
 
@@ -158,15 +161,14 @@ def residual(phi: ProfileGrid, c: float, model: ModelSpec):
 
 
 def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
-                     shift: Optional[float] = None,
-                     level: Optional[float] = None,
+                     shift: float, level: Optional[float] = None,
                      require_monotone: bool = True,
                      lower=None, upper=None,
                      sandwich_tol: float = 1e-8) -> MembershipReport:
     """Check the solution-set conditions: sandwich, monotonicity, Lipschitz bound.
 
-    The closed-form bounds are compared at the phase-shifted abscissae; when
-    no shift is given it is estimated from the leading-edge amplitude.
+    The bounds are compared at the abscissae shifted by the solve's
+    recorded phase shift.
     """
     if level is None:
         level = equilibrium(model)
@@ -174,9 +176,6 @@ def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
         upper = build_upper(c, model, level=level)
     if lower is None:
         lower = build_lower(c, model)
-    lam1 = upper.lam1
-    if shift is None:
-        shift = _leading_edge_shift(phi, lam1, level)
     hi = upper.value(phi.xi + shift)
     lo = lower.value(phi.xi + shift)
     over = float(np.max(phi.values - hi))
@@ -195,14 +194,6 @@ def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
                  "monotone_min_step": mono_margin,
                  "lipschitz_ratio": steep / lip_bound},
         shift=float(shift))
-
-
-def _leading_edge_shift(phi: ProfileGrid, lam1: float, level: float) -> float:
-    v, xi = phi.values, phi.xi
-    mask = (v > 1e-6 * level) & (v < 1e-2 * level)
-    if np.count_nonzero(mask) < 3:
-        return 0.0
-    return float(np.mean(np.log(v[mask]) - lam1 * xi[mask]) / lam1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,37 +420,32 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         if monotone:
             _project_monotone(new)
         xa = _anchor_crossing(xi, new, anchor_level)
+        anchored = xa is not None
         cells = 0
-        if xa is None:
-            anchored = False
-        else:
-            anchored = True
+        if anchored:
+            # whole cells outside the dead zone; once exact, every whole cell
+            # and then the sub-cell rest
+            exact = exact_from is not None
             right_fill = right_state if monotone else float(new[-1])
-            if exact_from is not None:
+            if exact or abs(xa) > ANCHOR_DEAD_ZONE * h:
                 cells = int(round(xa / h))
-                if cells != 0:
-                    new = _shift_cells(new, cells, 0.0, right_fill)
-                    shift += cells * h
-                    xa -= cells * h
-                if abs(xa) > 1e-15:
-                    # smooth sub-cell correction: first-order translation;
-                    # resampling here would make the phase map nonsmooth and
-                    # sustain a cell-boundary limit cycle
-                    _translate_subcell(new, xa, h, scratch)
-                    shift += xa
-                at = xi + shift
-                lo = lower_fn(at)
-                hi = upper_fn(at)
+            if cells != 0:
+                new = _shift_cells(new, cells, 0.0, right_fill)
+                shift += cells * h
+                xa -= cells * h
+            if exact and abs(xa) > 1e-15:
+                # smooth sub-cell correction: first-order translation;
+                # resampling here would make the phase map nonsmooth and
+                # sustain a cell-boundary limit cycle
+                _translate_subcell(new, xa, h, scratch)
+                shift += xa
+            if exact or cells != 0:
+                lo = lower_fn(xi + shift)
+                hi = upper_fn(xi + shift)
+            if exact:
                 _clamp(new, lo, hi)
                 if monotone:
                     _project_monotone(new)
-            else:
-                cells = int(round(xa / h)) if abs(xa) > ANCHOR_DEAD_ZONE * h else 0
-                if cells != 0:
-                    new = _shift_cells(new, cells, 0.0, right_fill)
-                    shift += cells * h
-                    lo = lower_fn(xi + shift)
-                    hi = upper_fn(xi + shift)
         np.subtract(new, v, out=residual_now)
         diff = float(np.abs(residual_now, out=scratch).max())
         trace.append(diff)
@@ -552,118 +538,9 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
 # ---------------------------------------------------------------------------
 # public solvers
 
-def _require_supercritical(c: float, ctx: CharacteristicContext,
-                           speed: Optional[SpeedResult]) -> SpeedResult:
-    """The threshold speed of ctx (computed unless given); rejects c <= c*."""
-    if speed is None:
-        speed = critical_speed(ctx)
-    if c <= speed.c_star:
-        raise NoRootsError(
-            f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
-            "profile exists; use the simulator's nonexistence probe instead")
-    return speed
-
-
-def solve_monotone(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
-                   note: str = "", speed: Optional[SpeedResult] = None,
-                   hypotheses: Optional[HypothesisReport] = None) -> WaveSolution:
-    """Monotone wavefront for a supercritical speed; order-preserving iteration.
-
-    `speed` is the model's threshold speed and `hypotheses` its monotone
-    hypothesis report, if the caller already has them.
-    """
-    config = config or SolverConfig()
-    rep = hypotheses or validate_hypotheses(model, "monotone")
-    if not rep.all_hold:
-        failed = [e.id for e in rep.entries if not e.holds]
-        raise ModelInvalidError(
-            f"monotone solve requires the monotone hypothesis set; failed: {failed}")
-    ctx = CharacteristicContext.from_model(model)
-    speed = _require_supercritical(c, ctx, speed)
-    roots = decay_roots(c, ctx)
-    K = equilibrium(model)
-    rates = choose_beta(c, model, range_end=K, ctx=ctx, speed=speed)
-    upper = build_upper(c, model, level=K)
-    lower = build_lower(c, model)
-    anchor = config.phase_level if config.phase_level is not None else K / 2.0
-    rate = _approach_rate(model, c, K)
-    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
-    for attempt in range(3):
-        xi = _make_xi(h, left, right)
-        res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
-                       config, monotone=True)
-        v = res.values
-        left_ok = abs(v[0]) <= BOUNDARY_FRACTION * K
-        right_ok = abs(v[-1] - K) <= BOUNDARY_FRACTION * K
-        if left_ok and right_ok:
-            break
-        if not left_ok:
-            left *= 2.0
-        if not right_ok:
-            right *= 2.0
-        note = (note + " " if note else "") + "domain doubled after boundary check"
-    return _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
-                     anchor, K, K, upper, lower, require_monotone=True, note=note)
-
-
-def solve_nonmonotone(model: ModelSpec, c: float,
-                      config: Optional[SolverConfig] = None, note: str = "",
-                      speed: Optional[SpeedResult] = None) -> WaveSolution:
-    """Positive wave profile for nonmonotone birth via the envelope sandwich.
-
-    The lower bound is the computed wavefront of the lower-envelope equation,
-    translated so its leading edge matches the unit-amplitude exponential;
-    the upper bound caps the same exponential at the upper-envelope
-    equilibrium.  Clamped iteration, undamped unless `config.damping` is set;
-    convergence is certified by the residual (the operator is not order
-    preserving here).  `speed` is the model's threshold speed, if the caller
-    already has it.
-    """
-    config = config or SolverConfig(mode="nonmonotone")
-    rep = validate_hypotheses(model, "nonmonotone")
-    if not rep.all_hold:
-        failed = [e.id for e in rep.entries if not e.holds]
-        raise ModelInvalidError(
-            f"nonmonotone solve requires the relaxed hypothesis set; failed: {failed}")
-    ctx = CharacteristicContext.from_model(model)
-    speed = _require_supercritical(c, ctx, speed)
-    roots = decay_roots(c, ctx)
-    K = equilibrium(model)
-    pair = build_envelopes(model)
-    level, k = pair.level, pair.k
-
-    aux_model = pair.lower_model(model)
-    aux_cfg = SolverConfig(tol=config.tol, max_iters=config.max_iters,
-                           h=config.h, left_width=config.left_width,
-                           right_width=config.right_width)
-    same_ctx = CharacteristicContext.from_model(aux_model) == ctx
-    aux = solve_monotone(aux_model, c, aux_cfg, note="lower-envelope wavefront",
-                         speed=speed if same_ctx else None)
-    lower_fn = _normalized_front(aux, roots.lambda1, k)
-
-    upper = UpperSolution(lam1=roots.lambda1, level=level)
-    rates = choose_beta(c, model, range_end=level, ctx=ctx, speed=speed)
-    anchor = config.phase_level if config.phase_level is not None else k / 4.0
-    rate = _approach_rate(aux_model, c, k)
-    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
-    xi = _make_xi(h, left, right)
-    res = _iterate(xi, model, rates, upper.value, lower_fn, anchor, K,
-                   config, monotone=False)
-    note = (note + "; " if note else "") + "sandwiched between birth-envelope fronts"
-    return _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
-                     anchor, level, K, upper,
-                     _CallableBound(lower_fn), require_monotone=False, note=note)
-
-
-class _CallableBound:
-    """Adapter so a plain callable can stand in for a closed-form bound."""
-
-    def __init__(self, fn):
-        self.value = fn
-
-
-def _normalized_front(aux: WaveSolution, lam1: float, k: float):
-    """Translate a computed front back to its unit-amplitude canonical frame.
+class _EnvelopeFront:
+    """Lower bound of the nonmonotone sandwich: the lower-envelope wavefront
+    translated back to its unit-amplitude canonical frame.
 
     In the frame recorded by the auxiliary solve's anchor shift the clamp
     already guarantees that the front's nodes sit below exp(lam1 * xi) capped
@@ -673,30 +550,121 @@ def _normalized_front(aux: WaveSolution, lam1: float, k: float):
     closed form, and keeps the linear interpolant under the exponential
     between nodes too, where a sub-cell phase shift evaluates it.
     """
-    prof = aux.profile
-    v, xi = prof.values, prof.xi
-    base = aux.shift
-    pos = (v > 0.0) & (v < 0.5 * k)
-    if np.count_nonzero(pos) >= 3:
-        excess = np.log(v[pos]) - lam1 * (xi[pos] + base)
-        # between two nodes the linear interpolant can rise above the convex
-        # exponential although both nodes lie below it; log L(x) - lam1 x is
-        # concave on a cell, with its maximum where L = slope / lam1
-        a, b = v[:-1], v[1:]
-        t = (b - a) / (prof.h * lam1)
-        inner = pos[:-1] & pos[1:] & (t > a) & (t < b)
-        if inner.any():
-            peak = xi[:-1][inner] + (t[inner] - a[inner]) / (lam1 * t[inner])
-            excess = np.concatenate([excess, np.log(t[inner]) - lam1 * (peak + base)])
-        overshoot = float(np.max(excess))
-        if overshoot > 0.0:
-            base += overshoot / lam1 * (1.0 + 1e-12)
 
-    def fn(x):
-        return np.interp(np.asarray(x, dtype=float) - base, xi, v,
-                         left=0.0, right=float(v[-1]))
+    def __init__(self, aux: WaveSolution, lam1: float, k: float):
+        prof = aux.profile
+        v, xi = prof.values, prof.xi
+        base = aux.shift
+        pos = (v > 0.0) & (v < 0.5 * k)
+        if np.count_nonzero(pos) >= 3:
+            excess = np.log(v[pos]) - lam1 * (xi[pos] + base)
+            # between two nodes the linear interpolant can rise above the
+            # convex exponential although both nodes lie below it;
+            # log L(x) - lam1 x is concave on a cell, with its maximum where
+            # L = slope / lam1
+            a, b = v[:-1], v[1:]
+            t = (b - a) / (prof.h * lam1)
+            inner = pos[:-1] & pos[1:] & (t > a) & (t < b)
+            if inner.any():
+                peak = xi[:-1][inner] + (t[inner] - a[inner]) / (lam1 * t[inner])
+                excess = np.concatenate([excess,
+                                         np.log(t[inner]) - lam1 * (peak + base)])
+            overshoot = float(np.max(excess))
+            if overshoot > 0.0:
+                base += overshoot / lam1 * (1.0 + 1e-12)
+        self.base, self.xi, self.values = base, xi, v
+        self.right = float(v[-1])
 
-    return fn
+    def value(self, x):
+        return np.interp(np.asarray(x, dtype=float) - self.base, self.xi,
+                         self.values, left=0.0, right=self.right)
+
+
+def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
+           note: str = "", speed: Optional[SpeedResult] = None,
+           hypotheses: Optional[HypothesisReport] = None) -> WaveSolution:
+    """Wave profile for a supercritical speed, iterated in a sandwich.
+
+    Only the sandwich depends on the mode.  A monotone birth gets the
+    closed-form bounds at its equilibrium K and the order-preserving
+    iteration.  A nonmonotone one is sandwiched between the computed
+    wavefront of its lower-envelope equation, translated so its leading edge
+    matches the unit-amplitude exponential, and the same exponential capped
+    at the upper-envelope equilibrium; its iteration is not order preserving,
+    so convergence rests on the residual alone.  `speed` is the model's
+    threshold speed and `hypotheses` its monotone hypothesis report, if the
+    caller already has them.
+    """
+    mode = "monotone" if monotone else "nonmonotone"
+    rep = hypotheses or validate_hypotheses(model, mode)
+    if not rep.all_hold:
+        failed = [e.id for e in rep.entries if not e.holds]
+        wanted = "monotone" if monotone else "relaxed"
+        raise ModelInvalidError(
+            f"{mode} solve requires the {wanted} hypothesis set; failed: {failed}")
+    ctx = CharacteristicContext.from_model(model)
+    if speed is None:
+        speed = critical_speed(ctx)
+    if c <= speed.c_star:
+        raise NoRootsError(
+            f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
+            "profile exists; use the simulator's nonexistence probe instead")
+    roots = decay_roots(c, ctx)
+    K = equilibrium(model)
+    if monotone:
+        level, anchor = K, K / 2.0
+        lower = build_lower(c, model)
+        rate = _approach_rate(model, c, K)
+    else:
+        pair = build_envelopes(model)
+        aux_model = pair.lower_model(model)
+        aux_cfg = SolverConfig(tol=config.tol, max_iters=config.max_iters,
+                               h=config.h, left_width=config.left_width,
+                               right_width=config.right_width)
+        same_ctx = CharacteristicContext.from_model(aux_model) == ctx
+        aux = _solve(aux_model, c, aux_cfg, True, note="lower-envelope wavefront",
+                     speed=speed if same_ctx else None)
+        level, anchor = pair.level, pair.k / 4.0
+        lower = _EnvelopeFront(aux, roots.lambda1, pair.k)
+        rate = _approach_rate(aux_model, c, pair.k)
+        note = (note + "; " if note else "") + "sandwiched between birth-envelope fronts"
+    upper = UpperSolution(lam1=roots.lambda1, level=level)
+    rates = choose_beta(c, model, range_end=level, ctx=ctx, speed=speed)
+    if config.phase_level is not None:
+        anchor = config.phase_level
+    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
+    for _ in range(3):
+        xi = _make_xi(h, left, right)
+        res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
+                       config, monotone)
+        # only a monotone front has known limits to check the domain against
+        left_ok = abs(res.values[0]) <= BOUNDARY_FRACTION * K
+        right_ok = abs(res.values[-1] - K) <= BOUNDARY_FRACTION * K
+        if not monotone or left_ok and right_ok:
+            break
+        if not left_ok:
+            left *= 2.0
+        if not right_ok:
+            right *= 2.0
+        note = (note + " " if note else "") + "domain doubled after boundary check"
+    return _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
+                     anchor, level, K, upper, lower, require_monotone=monotone,
+                     note=note)
+
+
+def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
+          speed: Optional[SpeedResult] = None, note: str = "") -> WaveSolution:
+    """Solve with the configured mode; "auto" picks it by the model's hypotheses.
+
+    Auto picks monotone when the monotone hypothesis set holds, else
+    nonmonotone; either runs with config.damping as given.  `speed` is the
+    model's threshold speed, if the caller already has it.
+    """
+    config = config or SolverConfig()
+    rep = validate_hypotheses(model, "monotone") if config.mode == "auto" else None
+    monotone = config.mode == "monotone" or rep is not None and rep.all_hold
+    return _solve(model, c, config, monotone, note=note, speed=speed,
+                  hypotheses=rep if monotone else None)
 
 
 def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
@@ -725,28 +693,4 @@ def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
                   max_iters=2 * config.max_iters, left_width=2.0 * left,
                   right_width=right)
     note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
-    return _dispatch(model, c, cfg, sr, note=note)
-
-
-def _dispatch(model: ModelSpec, c: float, config: SolverConfig,
-              speed: Optional[SpeedResult], note: str = "") -> WaveSolution:
-    """Run the solver config.mode names; "auto" picks it by the hypotheses.
-
-    Auto picks monotone when the monotone hypothesis set holds, else
-    nonmonotone; either runs with config.damping as given.
-    """
-    auto = config.mode == "auto"
-    rep = validate_hypotheses(model, "monotone") if auto else None
-    if config.mode == "monotone" or auto and rep.all_hold:
-        return solve_monotone(model, c, config, note=note, speed=speed,
-                              hypotheses=rep)
-    return solve_nonmonotone(model, c, config, note=note, speed=speed)
-
-
-def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
-          speed: Optional[SpeedResult] = None) -> WaveSolution:
-    """Solve with the configured mode; "auto" picks it by the model's hypotheses.
-
-    `speed` is the model's threshold speed, if the caller already has it.
-    """
-    return _dispatch(model, c, config or SolverConfig(), speed)
+    return solve(model, c, cfg, sr, note=note)

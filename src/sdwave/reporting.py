@@ -162,10 +162,10 @@ def config_digest(text: str) -> str:
 class Stopwatch:
     def __init__(self):
         self._t0 = time.perf_counter()
-        self.laps = {}
 
-    def lap(self, name: str):
+    def lap(self) -> float:
+        """Seconds since construction or the previous lap."""
         now = time.perf_counter()
-        self.laps[name] = canonical_float(now - self._t0)
+        secs = canonical_float(now - self._t0)
         self._t0 = now
-        return self.laps[name]
+        return secs

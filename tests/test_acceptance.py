@@ -87,8 +87,8 @@ def test_criterion_03_constant_fixed_points(p2_setup):
 def test_criterion_04_monotone_existence(ricker2, ricker2_cstar):
     t0 = time.perf_counter()
     c = 1.2 * ricker2_cstar
-    sol = profile.solve_monotone(ricker2, c, profile.SolverConfig(h=0.01))
-    fine = profile.solve_monotone(ricker2, c, profile.SolverConfig(h=0.005))
+    sol = profile.solve(ricker2, c, profile.SolverConfig(h=0.01, mode="monotone"))
+    fine = profile.solve(ricker2, c, profile.SolverConfig(h=0.005, mode="monotone"))
     elapsed = time.perf_counter() - t0
     K = model.equilibrium(ricker2)
     assert sol.iterations <= 500
@@ -268,7 +268,7 @@ def test_criterion_11_delay_sensitivity_regression():
         m = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0), delay=delay)
         ctx = dispersion.CharacteristicContext.from_model(m)
         c = 1.2 * dispersion.critical_speed(ctx).c_star
-        sol = profile.solve_nonmonotone(
+        sol = profile.solve(
             m, c, profile.SolverConfig(h=0.01, damping=0.5, mode="nonmonotone"))
         pair = bounds.build_envelopes(m)
         tails[f"{T:g}"] = {"tail": float(sol.profile.values[0]),

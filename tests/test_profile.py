@@ -145,14 +145,14 @@ class TestMonotoneSolve:
 
     def test_residual_refines_second_order(self, ricker2, ricker2_cstar,
                                            ricker2_solution):
-        fine = profile.solve_monotone(ricker2, 1.2 * ricker2_cstar,
-                                      profile.SolverConfig(h=0.005))
+        fine = profile.solve(ricker2, 1.2 * ricker2_cstar,
+                             profile.SolverConfig(h=0.005, mode="monotone"))
         assert ricker2_solution.residual_sup / fine.residual_sup >= 3.0
         # order study needs the iteration floor well below the h^2 error
         res = {}
         for h in (0.01, 0.0025):
-            sol = profile.solve_monotone(ricker2, 1.2 * ricker2_cstar,
-                                         profile.SolverConfig(h=h, tol=1e-10))
+            sol = profile.solve(ricker2, 1.2 * ricker2_cstar,
+                                profile.SolverConfig(h=h, tol=1e-10, mode="monotone"))
             res[h] = sol.residual_sup
         order = 0.5 * np.log2(res[0.01] / res[0.0025])
         assert order >= 1.8
@@ -177,27 +177,27 @@ class TestMonotoneSolve:
 
     def test_translation_covariance(self, ricker2, ricker2_cstar,
                                     ricker2_solution):
-        shifted = profile.solve_monotone(
+        shifted = profile.solve(
             ricker2, 1.2 * ricker2_cstar,
-            profile.SolverConfig(h=0.01, initial_shift=0.13))
+            profile.SolverConfig(h=0.01, initial_shift=0.13, mode="monotone"))
         a, b = ricker2_solution.profile, shifted.profile
         xi = np.linspace(-30.0, 30.0, 2001)
         assert np.max(np.abs(a.interp(xi) - b.interp(xi))) <= 1e-7
 
     def test_rejects_subthreshold_speed(self, ricker2, ricker2_cstar):
         with pytest.raises(NoRootsError, match="probe"):
-            profile.solve_monotone(ricker2, 0.5 * ricker2_cstar,
-                                   profile.SolverConfig(h=0.02))
+            profile.solve(ricker2, 0.5 * ricker2_cstar,
+                          profile.SolverConfig(h=0.02, mode="monotone"))
 
     def test_rejects_nonmonotone_model(self, ricker3, ricker3_cstar):
         with pytest.raises(ModelInvalidError):
-            profile.solve_monotone(ricker3, 1.2 * ricker3_cstar,
-                                   profile.SolverConfig(h=0.02))
+            profile.solve(ricker3, 1.2 * ricker3_cstar,
+                          profile.SolverConfig(h=0.02, mode="monotone"))
 
     def test_nonconvergence_carries_trace(self, ricker2, ricker2_cstar):
         with pytest.raises(NonconvergenceError) as err:
-            profile.solve_monotone(ricker2, 1.2 * ricker2_cstar,
-                                   profile.SolverConfig(h=0.02, max_iters=3))
+            profile.solve(ricker2, 1.2 * ricker2_cstar,
+                          profile.SolverConfig(h=0.02, max_iters=3, mode="monotone"))
         assert len(err.value.trace) == 3
 
     def test_nonfinite_iterate_stops_at_once(self, ricker2, ricker2_cstar,
@@ -214,11 +214,26 @@ class TestMonotoneSolve:
 
         monkeypatch.setattr(profile, "apply_F", poisoned)
         with pytest.raises(NonconvergenceError, match="iteration 5 ") as err:
-            profile.solve_monotone(ricker2, 1.2 * ricker2_cstar,
-                                   profile.SolverConfig(h=0.02, max_iters=2000))
+            profile.solve(ricker2, 1.2 * ricker2_cstar,
+                          profile.SolverConfig(h=0.02, max_iters=2000,
+                                               mode="monotone"))
         assert len(err.value.trace) == 5 and len(calls) == 5
         assert np.isnan(err.value.trace[-1])
         assert np.all(np.isfinite(err.value.trace[:-1]))
+
+    def test_narrow_domain_doubles_once(self, ricker2, ricker2_cstar):
+        # a right width too narrow for the plateau fails the boundary check
+        # once; the rerun is the solve that had the doubled width from the start
+        c = 1.3 * ricker2_cstar
+        sol = profile.solve(ricker2, c, profile.SolverConfig(
+            h=0.02, right_width=12.0, mode="monotone"))
+        wide = profile.solve(ricker2, c, profile.SolverConfig(
+            h=0.02, right_width=24.0, mode="monotone"))
+        assert sol.note.count("domain doubled") == 1
+        assert "domain doubled" not in wide.note
+        assert np.array_equal(bits(sol.profile.xi), bits(wide.profile.xi))
+        assert np.array_equal(bits(sol.profile.values), bits(wide.profile.values))
+        assert sol.iterations == wide.iterations
 
 
 def bits(a):
@@ -437,7 +452,7 @@ def test_constant_delay_cross_validation():
                         delay=model.ConstantDelay(0.3))
     ctx = dispersion.CharacteristicContext.from_model(m)
     c = 1.2 * dispersion.critical_speed(ctx).c_star
-    sol = profile.solve_monotone(m, c, profile.SolverConfig(h=0.01))
+    sol = profile.solve(m, c, profile.SolverConfig(h=0.01, mode="monotone"))
     assert sol.residual_sup <= 5e-4
     oxi, ov = collocation_oracle(m, c, 0.3, -40.0, 80.0, 0.01)
     K = model.equilibrium(m)
@@ -496,9 +511,9 @@ def test_normalized_front_stays_under_the_exponential_between_nodes():
     grid = profile.ProfileGrid(xi=xi, values=np.minimum(np.exp(lam1 * xi), k),
                                left_limit=0.0, right_limit=k)
     aux = type("Aux", (), {"profile": grid, "shift": 0.0})
-    lower = profile._normalized_front(aux, lam1, k)
+    lower = profile._EnvelopeFront(aux, lam1, k)
     x = np.linspace(-29.0, -2.0, 100_001)
-    assert np.all(lower(x) <= np.exp(lam1 * x))
+    assert np.all(lower.value(x) <= np.exp(lam1 * x))
 
 
 class TestNonmonotoneSolve:
@@ -520,18 +535,35 @@ class TestNonmonotoneSolve:
         # default tolerance
         c = 1.2 * ricker2_cstar
         K = model.equilibrium(ricker2)
-        alt = profile.solve_nonmonotone(
+        alt = profile.solve(
             ricker2, c, profile.SolverConfig(h=0.01, damping=0.5,
                                              mode="nonmonotone", tol=2e-10,
                                              phase_level=K / 2.0))
-        ref = profile.solve_monotone(
-            ricker2, c, profile.SolverConfig(h=0.01, tol=2e-10))
+        ref = profile.solve(
+            ricker2, c, profile.SolverConfig(h=0.01, tol=2e-10, mode="monotone"))
         xi = np.linspace(-25.0, 25.0, 1001)
         diff = np.max(np.abs(alt.profile.interp(xi) - ref.profile.interp(xi)))
         assert diff <= 1e-7
 
+    def test_tabulated_birth_solves_like_closed_form(self, ricker3, ricker3_cstar):
+        # the same Ricker p=3 birth sampled on a table: its tabulated
+        # envelopes take b'(0) from the birth, so the hypotheses hold and
+        # the band solve runs as the closed-form one does
+        u = np.linspace(0.0, 12.0, 2401)
+        table = model.TabulatedBirth(np.column_stack([u, 3.0 * u * np.exp(-u)]))
+        tab = model.ModelSpec(d=1.0, birth=table, delay=ricker3.delay)
+        tab_cstar = dispersion.critical_speed(
+            dispersion.CharacteristicContext.from_model(tab)).c_star
+        sol = profile.solve(tab, 1.2 * tab_cstar, profile.SolverConfig(h=0.02))
+        ref = profile.solve(ricker3, 1.2 * ricker3_cstar,
+                            profile.SolverConfig(h=0.02))
+        assert sol.mode == "nonmonotone"
+        assert sol.residual_sup <= 1e-3
+        assert sol.membership.member
+        assert sol.iterations == ref.iterations
+
     def test_residual_refines(self, ricker3, ricker3_cstar, ricker3_solution):
-        fine = profile.solve_nonmonotone(
+        fine = profile.solve(
             ricker3, 1.2 * ricker3_cstar,
             profile.SolverConfig(h=0.005, damping=0.5, mode="nonmonotone"))
         assert ricker3_solution.residual_sup / fine.residual_sup >= 3.0
@@ -569,12 +601,13 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
     # instead of running the (long) near-critical iteration
     calls = []
 
-    def fake_nonmonotone(model_, c, config=None, note="", speed=None):
-        assert "near-critical surrogate" in note
+    def fake_solve(model_, c, config, monotone, note="", speed=None,
+                   hypotheses=None):
+        assert not monotone and "near-critical surrogate" in note
         calls.append((c, config))
         return "nonmonotone ran"
 
-    monkeypatch.setattr(profile, "solve_nonmonotone", fake_nonmonotone)
+    monkeypatch.setattr(profile, "_solve", fake_solve)
     assert profile.solve_critical(ricker3) == "nonmonotone ran"
     (c, cfg), = calls
     assert c == pytest.approx(ricker3_cstar * (1.0 + profile.NEAR_CRITICAL_OFFSET))

@@ -1,4 +1,6 @@
 """Checks on the checkout itself, not on the library."""
+import importlib.util
+import inspect
 import shutil
 import subprocess
 from pathlib import Path
@@ -26,3 +28,36 @@ def test_no_tracked_file_is_ignored():
 def test_no_generated_sources_tracked():
     # the kernels are plain Python: no C, extension source or binary in git
     assert git_ls_files("src/*.c", "src/*.pyx", "src/*.so") == ""
+
+
+# the public functions the benchmark's per-layer metrics are named after
+PER_LAYER_FUNCTIONS = (
+    ("sdwave.profile", ("apply_F", "residual", "gamma_membership")),
+    ("sdwave.dispersion", ("critical_speed", "decay_roots", "choose_beta",
+                           "char_min")),
+    ("sdwave.model", ("validate_hypotheses",)),
+    ("sdwave._kernels", ("exp_conv_pair", "solve_tridiagonal")),
+    ("sdwave.pdesim", ("front_position",)),
+    ("sdwave.reporting", ("write_csv",)),
+)
+
+
+def test_traced_targets_exist():
+    # the tracer skips a target that is gone, and its metrics then read 0
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, cls, attr, name, _ in tracing.EXTRA_TARGETS:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        assert owner is not None and attr in vars(owner), name
+    for module, names in PER_LAYER_FUNCTIONS:
+        mod = importlib.import_module(module)
+        for attr in names:
+            obj = getattr(mod, attr, None)
+            assert callable(obj) and not inspect.isclass(obj), f"{module}.{attr}"
+            assert (obj.__module__, obj.__name__) not in tracing.UNWRAPPED
+            layer = tracing.MODULE_LAYER[obj.__module__]
+            assert f"{layer}.{obj.__name__}" == f"{tracing.MODULE_LAYER[module]}.{attr}"
