@@ -8,11 +8,15 @@ simulate    run the delayed dynamics, persist snapshots
 frontspeed  fit a front speed from a stored run
 compare     run the fixed-delay comparison system
 sweep       grid of (p, m, M): threshold / profile / measured speed
+
+`main` makes each command's report, starting its clock, and `_emit` stamps
+the total time.  `_resolve_speed` alone decides `profile`/`envelope` speeds.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +37,7 @@ EXIT_NONCONV = 4
 
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
-    kwargs = {key: sec[key] for key in ("c", "tol", "max_iters", "damping",
+    kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping",
                                         "phase_level", "h", "left_width",
                                         "right_width", "mode")
               if key in sec}
@@ -43,16 +47,32 @@ def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
         raise ModelInvalidError(f"[profile] {exc}") from None
 
 
+def _checked_speed(c, source: str) -> float:
+    c = float(c)
+    if not (math.isfinite(c) and c > 0.0):
+        raise ConfigError(f"{source} must be a finite positive speed, not {c!r}")
+    return c
+
+
 def _resolve_speed(cfg: RunConfig, model, explicit_c=None, critical=False):
+    """(speed, threshold result): the near-critical surrogate when critical
+    (the flag or [profile] critical), else --c, [profile] c or c_factor c*."""
+    source, c = (("--c", explicit_c) if explicit_c is not None
+                 else ("[profile] c", cfg.get("profile", "c")))
+    critical = critical or cfg.get("profile", "critical", False)
+    if critical and c is not None:
+        raise ConfigError(f"--critical / [profile] critical and {source} "
+                          "exclude each other")
+    if c is not None:
+        c = _checked_speed(c, source)
     ctx = dispersion.CharacteristicContext.from_model(model)
     sr = dispersion.critical_speed(ctx)
-    if critical or cfg.get("profile", "critical", False):
-        return None, sr
-    c = explicit_c if explicit_c is not None else cfg.get("profile", "c")
+    if critical:
+        return profile.near_critical_speed(sr), sr
     if c is None:
         factor = cfg.get("profile", "c_factor", 1.2)
-        c = factor * sr.c_star
-    return float(c), sr
+        c = _checked_speed(factor * sr.c_star, "[profile] c_factor times c*")
+    return c, sr
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -66,6 +86,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 
 
 def _emit(report: reporting.Report, args, human_lines, json_path=None) -> None:
+    report.timings["total"] = report.elapsed()
     if json_path is not None:
         reporting.write_json(json_path, report.as_dict())
     if args.json:
@@ -75,26 +96,18 @@ def _emit(report: reporting.Report, args, human_lines, json_path=None) -> None:
             print(line)
 
 
-def _base_report(cfg: RunConfig, command: str) -> reporting.Report:
-    return reporting.Report(command=command,
-                            config_digest=reporting.config_digest(cfg.text),
-                            version=__version__)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_speed(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
+    source = "--c" if args.c else "[dispersion] speeds"
+    speeds = [_checked_speed(c, source)
+              for c in args.c or cfg.get("dispersion", "speeds") or []]
     ctx = dispersion.CharacteristicContext.from_model(model)
     sr = dispersion.critical_speed(ctx)
-    speeds = [float(c) for c in (args.c or [])]
-    if not speeds:
-        speeds = cfg.get("dispersion", "speeds") or [1.1 * sr.c_star,
-                                                     1.5 * sr.c_star,
-                                                     2.0 * sr.c_star]
+    speeds = speeds or [1.1 * sr.c_star, 1.5 * sr.c_star, 2.0 * sr.c_star]
     K = equilibrium(model)
     roots_rows, beta_rows = [], []
     for c in speeds:
@@ -103,11 +116,9 @@ def cmd_speed(cfg: RunConfig, args) -> int:
         roots_rows.append({"c": c, "lambda1": rp.lambda1, "lambda2": rp.lambda2})
         beta_rows.append({"c": c, "beta": kr.beta,
                           "gamma1": kr.gamma1, "gamma2": kr.gamma2})
-    rep = _base_report(cfg, "speed")
     rep.results = {"c_star": sr.c_star, "lambda_star": sr.lambda_star,
                    "bracket": list(sr.bracket), "roots": roots_rows,
                    "beta": beta_rows}
-    rep.timings["total"] = watch.lap()
     json_path = None
     if args.out:
         out = Path(args.out)
@@ -122,22 +133,17 @@ def cmd_speed(cfg: RunConfig, args) -> int:
     lines += [f"c = {r['c']:.9g}: lambda1 = {r['lambda1']:.9g}, "
               f"lambda2 = {r['lambda2']:.9g}" for r in roots_rows]
     _emit(rep, args, lines, json_path)
-    return EXIT_OK
 
 
-def cmd_profile(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_profile(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
     sc = _solver_config(cfg)
-    critical = bool(args.critical) or cfg.get("profile", "critical", False)
-    c, sr = _resolve_speed(cfg, model, explicit_c=args.c, critical=critical)
-    sol = (profile.solve_critical(model, sc, speed=sr) if critical
-           else profile.solve(model, c, sc, speed=sr))
+    c, sr = _resolve_speed(cfg, model, explicit_c=args.c, critical=args.critical)
+    sol = profile.solve(model, c, sc, speed=sr)
     out = Path(args.out) if args.out else _out_dir(cfg, args) / "profile.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     reporting.write_csv(out, "xi,phi", [sol.profile.xi, sol.profile.values])
-    rep = _base_report(cfg, "profile")
     rep.results = {
         "c": sol.c, "c_star": sr.c_star, "beta": sol.beta,
         "lambda1": sol.lambda1, "lambda2": sol.lambda2,
@@ -151,18 +157,14 @@ def cmd_profile(cfg: RunConfig, args) -> int:
                       "monotone_ok": sol.monotone_ok,
                       "f_consistency": sol.f_consistency,
                       "clamp_excess": sol.clamp_excess}
-    rep.timings["total"] = watch.lap()
-    reporting.write_json(out.with_suffix(".json"), rep.as_dict())
     _emit(rep, args, [
         f"profile at c = {sol.c:.9g} (c* = {sr.c_star:.9g}), mode {sol.mode}",
         f"converged in {sol.iterations} iterations, residual {sol.residual_sup:.3e}",
         f"wrote {out} and {out.with_suffix('.json')}",
-    ])
-    return EXIT_OK
+    ], out.with_suffix(".json"))
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
     csv_path = Path(args.profile)
@@ -199,37 +201,29 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             "xi": float(grid.xi[2 + worst])}
     if not mem.member:
         failures["membership"] = mem.margins
-    rep = _base_report(cfg, "verify")
     rep.results = {"csv": str(csv_path), "residual_sup": res_sup,
                    "recorded_residual_sup": recorded}
     rep.invariants = {"residual_ok": res_sup <= tol,
                       "sandwich_ok": mem.sandwich_ok,
                       "monotone_ok": mem.monotone_ok,
                       "lipschitz_ok": mem.lipschitz_ok}
-    rep.timings["total"] = watch.lap()
     lines = [f"re-verified {csv_path}: residual {res_sup:.3e} "
              f"(recorded {recorded:.3e})"]
-    if failures:
-        lines.append(f"FAILED: {failures}")
-        _emit(rep, args, lines, csv_path.with_name(csv_path.stem + "_verify.json"))
-        raise VerificationError(f"profile verification failed: {failures}")
-    lines.append("all checks passed")
+    lines.append(f"FAILED: {failures}" if failures else "all checks passed")
     _emit(rep, args, lines, csv_path.with_name(csv_path.stem + "_verify.json"))
-    return EXIT_OK
+    if failures:
+        raise VerificationError(f"profile verification failed: {failures}")
 
 
-def cmd_envelope(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_envelope(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
     pair = bounds.build_envelopes(model)
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c)
     low = bounds.build_lower(c, model)
     up = bounds.build_upper(c, model, level=pair.level)
-    rep = _base_report(cfg, "envelope")
     rep.results = {"kcal": pair.level, "k": pair.k, "c": c,
                    "eta": low.eta, "q": low.q, "c_star": sr.c_star}
-    rep.timings["total"] = watch.lap()
     out_dir = _out_dir(cfg, args)
     u = np.linspace(0.0, pair.level, 2001)
     reporting.write_csv(out_dir / "envelopes.csv", "u,b,b_upper,b_lower",
@@ -239,14 +233,12 @@ def cmd_envelope(cfg: RunConfig, args) -> int:
     xi = np.linspace(low.xi0 - 20.0 / low.lam1, up.kinks[0] + 10.0, 2001)
     reporting.write_csv(out_dir / "profile_bounds.csv", "xi,phi_upper,phi_lower",
                         [xi, up.value(xi), low.value(xi)])
-    json_path = out_dir / "envelope.json"
     _emit(rep, args, [
         f"envelope equilibria: k = {pair.k:.9g}, level = {pair.level:.9g}",
         f"lower-profile parameters at c = {c:.9g}: eta = {low.eta:.9g}, "
         f"q = {low.q:.9g}",
         f"wrote {out_dir / 'envelopes.csv'} and {out_dir / 'profile_bounds.csv'}",
-    ], json_path)
-    return EXIT_OK
+    ], out_dir / "envelope.json")
 
 
 def _sim_config_from(cfg: RunConfig, section: str, model=None,
@@ -337,24 +329,20 @@ def _persist_run(record: pdesim.RunRecord, out_dir: Path) -> dict:
     return run_meta
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_simulate(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
     sim_cfg = _sim_config_from(cfg, "pde", model=model)
     record = pdesim.run(sim_cfg, model, meta={"kind": "delay"})
     out_dir = _out_dir(cfg, args)
     _persist_run(record, out_dir)
-    rep = _base_report(cfg, "simulate")
     rep.results = {"snapshots": len(record.times), "t_end": record.times[-1],
                    "dt": record.dt, "out_dir": str(out_dir),
                    "warnings": record.warnings}
-    rep.timings["total"] = watch.lap()
     _emit(rep, args, [
         f"simulated to t = {record.times[-1]:.6g} with dt = {record.dt:.6g}",
         f"wrote {len(record.times)} snapshots to {out_dir}",
     ], out_dir / "report.json")
-    return EXIT_OK
 
 
 def _series(run_json: Path, name: str, values) -> np.ndarray:
@@ -401,8 +389,7 @@ def _load_run(run_dir: Path) -> tuple:
             list(zip(snap_times.tolist(), files)))
 
 
-def cmd_frontspeed(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_frontspeed(cfg: RunConfig, args, rep: reporting.Report) -> None:
     if not 0.0 < args.window <= 1.0:          # also rejects nan
         raise ConfigError(f"--window must lie in (0, 1], not {args.window!r}")
     run_dir = Path(args.run)
@@ -422,19 +409,15 @@ def cmd_frontspeed(cfg: RunConfig, args) -> int:
         track = pdesim.FrontTrack(times=np.asarray(times),
                                   positions=np.asarray(positions))
     speed, stderr = pdesim.front_speed(track, window_fraction=args.window)
-    rep = _base_report(cfg, "frontspeed")
     rep.results = {"speed": speed, "stderr": stderr,
                    "samples": int(track.times.shape[0]),
                    "window": args.window}
-    rep.timings["total"] = watch.lap()
     _emit(rep, args, [f"front speed {speed:.9g} +/- {stderr:.3g} "
                       f"({track.times.shape[0]} samples)"],
           run_dir / "frontspeed.json")
-    return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_compare(cfg: RunConfig, args, rep: reporting.Report) -> None:
     sec = cfg.section("comparison")
     D1, D2, D3 = (cfg.require("comparison", key) for key in ("D1", "D2", "D3"))
     params = pdesim.ComparisonParams(D1=D1, D2=D2, D3=D3, m=sec.get("m", 0.0))
@@ -451,19 +434,16 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         cone = pdesim.spreading_probe(record, frac * c_comp)
     except SdwaveError:
         cone = (float("nan"), float("nan"))
-    rep = _base_report(cfg, "compare")
     rep.results = {"plateau": params.plateau, "spreading_speed": c_comp,
                    "cone_inf": cone[0], "cone_sup": cone[1],
                    "probe_speed": frac * c_comp,
                    "out_dir": str(out_dir), "warnings": record.warnings}
-    rep.timings["total"] = watch.lap()
     _emit(rep, args, [
         f"comparison run: plateau {params.plateau:.9g}, spreading speed "
         f"{c_comp:.9g}",
         f"cone extrema at {frac:.2g}x speed: [{cone[0]:.6g}, {cone[1]:.6g}]",
         f"wrote snapshots to {out_dir}",
     ], out_dir / "report.json")
-    return EXIT_OK
 
 
 def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
@@ -502,8 +482,7 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
     return row
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    watch = reporting.Stopwatch()
+def cmd_sweep(cfg: RunConfig, args, rep: reporting.Report) -> None:
     sec = cfg.section("sweep")
     ps = sec.get("p") or []
     ms = sec.get("m") or []
@@ -517,14 +496,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     reporting.write_csv(path, ",".join(keys),
                         [[float(r[k]) for r in rows] for k in keys])
     n_fail = sum(1 for r in rows if r["error"])
-    rep = _base_report(cfg, "sweep")
     rep.results = {"rows": rows, "csv": str(path)}
-    rep.timings["total"] = watch.lap()
     _emit(rep, args, [f"swept {len(rows)} rows ({n_fail} failed), wrote {path}"],
           out_dir / "sweep.json")
     if n_fail == len(rows):
         raise ConfigError("every sweep row failed")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +565,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, args)
+        rep = reporting.Report(command=args.command,
+                               config_digest=reporting.config_digest(cfg.text),
+                               version=__version__)
+        COMMANDS[args.command](cfg, args, rep)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,9 @@ grid cells so the translation mode cannot drift.  While the phase is
 anchored by whole cells, the undamped iteration is accelerated by Anderson
 mixing, whose iterates are clamped into the same sandwich.  Convergence is
 certified a posteriori by an independent finite-difference residual, never
-by the iteration metric alone.
+by the iteration metric alone.  The near-critical regime is a property of
+the speed: `solve` widens the grid and tightens the iteration for any speed
+in (c*, c*(1 + 1e-6)], and `solve_critical` is `solve` at that surrogate.
 """
 from __future__ import annotations
 
@@ -59,7 +61,6 @@ class ProfileGrid:
 
 @dataclass
 class SolverConfig:
-    c: Optional[float] = None
     tol: float = 1e-8
     max_iters: int = 10_000
     damping: float = 1.0
@@ -581,7 +582,7 @@ class _EnvelopeFront:
 
 
 def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
-           note: str = "", speed: Optional[SpeedResult] = None,
+           speed: SpeedResult, note: str = "",
            hypotheses: Optional[HypothesisReport] = None) -> WaveSolution:
     """Wave profile for a supercritical speed, iterated in a sandwich.
 
@@ -592,8 +593,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     matches the unit-amplitude exponential, and the same exponential capped
     at the upper-envelope equilibrium; its iteration is not order preserving,
     so convergence rests on the residual alone.  `speed` is the model's
-    threshold speed and `hypotheses` its monotone hypothesis report, if the
-    caller already has them.
+    threshold speed, and `hypotheses` its monotone hypothesis report if the
+    caller already has it.
     """
     mode = "monotone" if monotone else "nonmonotone"
     rep = hypotheses or validate_hypotheses(model, mode)
@@ -603,8 +604,6 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         raise ModelInvalidError(
             f"{mode} solve requires the {wanted} hypothesis set; failed: {failed}")
     ctx = CharacteristicContext.from_model(model)
-    if speed is None:
-        speed = critical_speed(ctx)
     if c <= speed.c_star:
         raise NoRootsError(
             f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
@@ -621,9 +620,9 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         aux_cfg = SolverConfig(tol=config.tol, max_iters=config.max_iters,
                                h=config.h, left_width=config.left_width,
                                right_width=config.right_width)
-        same_ctx = CharacteristicContext.from_model(aux_model) == ctx
+        aux_ctx = CharacteristicContext.from_model(aux_model)
         aux = _solve(aux_model, c, aux_cfg, True, note="lower-envelope wavefront",
-                     speed=speed if same_ctx else None)
+                     speed=speed if aux_ctx == ctx else critical_speed(aux_ctx))
         level, anchor = pair.level, pair.k / 4.0
         lower = _EnvelopeFront(aux, roots.lambda1, pair.k)
         rate = _approach_rate(aux_model, c, pair.k)
@@ -633,15 +632,24 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     if config.phase_level is not None:
         anchor = config.phase_level
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
-    for _ in range(3):
+    widths = []
+    while True:
         xi = _make_xi(h, left, right)
         res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
                        config, monotone)
+        widths.append(f"{left:g}/{right:g}")
         # only a monotone front has known limits to check the domain against
         left_ok = abs(res.values[0]) <= BOUNDARY_FRACTION * K
         right_ok = abs(res.values[-1] - K) <= BOUNDARY_FRACTION * K
         if not monotone or left_ok and right_ok:
             break
+        if len(widths) == 3:
+            ends = [end for end, ok in (("left", left_ok), ("right", right_ok))
+                    if not ok]
+            raise NonconvergenceError(
+                f"the {' and '.join(ends)} end of the profile misses its limit "
+                f"by more than {BOUNDARY_FRACTION:g} K at left/right widths "
+                f"{', '.join(widths)}", trace=res.trace)
         if not left_ok:
             left *= 2.0
         if not right_ok:
@@ -652,15 +660,34 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
                      note=note)
 
 
+def near_critical_speed(speed: SpeedResult) -> float:
+    """The near-critical surrogate for the limit front: c*(1 + 1e-6)."""
+    return speed.c_star * (1.0 + NEAR_CRITICAL_OFFSET)
+
+
 def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
-          speed: Optional[SpeedResult] = None, note: str = "") -> WaveSolution:
+          speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Solve with the configured mode; "auto" picks it by the model's hypotheses.
 
     Auto picks monotone when the monotone hypothesis set holds, else
     nonmonotone; either runs with config.damping as given.  `speed` is the
-    model's threshold speed, if the caller already has it.
+    model's threshold speed, if the caller already has it.  Near the
+    threshold, c <= near_critical_speed, the leading-edge decay degenerates:
+    the left grid is doubled, the tolerance tightened and the budget doubled.
     """
     config = config or SolverConfig()
+    ctx = CharacteristicContext.from_model(model)
+    if speed is None:
+        speed = critical_speed(ctx)
+    note = ""
+    if speed.c_star < c <= near_critical_speed(speed):
+        roots = decay_roots(c, ctx)
+        rate = _approach_rate(model, c, equilibrium(model))
+        _, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
+        config = replace(config, tol=min(config.tol, 1e-8),
+                         max_iters=2 * config.max_iters, left_width=2.0 * left,
+                         right_width=right)
+        note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
     rep = validate_hypotheses(model, "monotone") if config.mode == "auto" else None
     monotone = config.mode == "monotone" or rep is not None and rep.all_hold
     return _solve(model, c, config, monotone, note=note, speed=speed,
@@ -669,28 +696,7 @@ def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
 
 def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
                    speed: Optional[SpeedResult] = None) -> WaveSolution:
-    """Near-critical solve at c = c* (1 + 1e-6): surrogate for the limit front.
-
-    The leading-edge decay degenerates at the threshold, so the left half of
-    the grid is doubled and the tolerance tightened.  Requested speeds below
-    the surrogate speed are rejected.  The solver is chosen as in `solve`.
-    `speed` is the model's threshold speed, if the caller already has it.
-    """
-    config = config or SolverConfig()
-    ctx = CharacteristicContext.from_model(model)
-    sr = speed if speed is not None else critical_speed(ctx)
-    c = sr.c_star * (1.0 + NEAR_CRITICAL_OFFSET)
-    if config.c is not None:
-        if config.c < c:
-            raise NoRootsError(
-                f"requested speed {config.c:.9g} is below the near-critical "
-                f"surrogate {c:.9g}")
-        c = config.c
-    roots = decay_roots(c, ctx)
-    rate = _approach_rate(model, c, equilibrium(model))
-    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
-    cfg = replace(config, c=c, tol=min(config.tol, 1e-8),
-                  max_iters=2 * config.max_iters, left_width=2.0 * left,
-                  right_width=right)
-    note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
-    return solve(model, c, cfg, sr, note=note)
+    """`solve` at the near-critical surrogate speed.  `speed` is the model's
+    threshold speed, if the caller already has it."""
+    sr = speed or critical_speed(CharacteristicContext.from_model(model))
+    return solve(model, near_critical_speed(sr), config, sr)

@@ -143,6 +143,7 @@ class Report:
     invariants: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     version: str = ""
+    started: float = field(default_factory=time.perf_counter, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -154,18 +155,10 @@ class Report:
             "version": self.version,
         }
 
+    def elapsed(self) -> float:
+        """Seconds since the report was made."""
+        return canonical_float(time.perf_counter() - self.started)
+
 
 def config_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-class Stopwatch:
-    def __init__(self):
-        self._t0 = time.perf_counter()
-
-    def lap(self) -> float:
-        """Seconds since construction or the previous lap."""
-        now = time.perf_counter()
-        secs = canonical_float(now - self._t0)
-        self._t0 = now
-        return secs

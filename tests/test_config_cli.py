@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdwave import cli, config, model, reporting
+from sdwave import cli, config, dispersion, model, profile, reporting
 from sdwave.errors import ConfigError
 
 BASE_MODEL = """\
@@ -183,6 +183,10 @@ class TestProfileVerifyCommands:
         assert code == 3
         err = capsys.readouterr()
         assert "residual" in err.out + err.err
+        # the failing verification still writes its report
+        report = json.loads((tmp_path / "bad_verify.json").read_text())
+        assert report["invariants"]["residual_ok"] is False
+        assert isinstance(report["timings"]["total"], float)
 
     def test_verify_rejects_incomplete_sidecar(self, profile_run, capsys,
                                                tmp_path):
@@ -255,6 +259,73 @@ class TestProfileVerifyCommands:
         assert "near-critical" in rep["results"]["note"]
         assert rep["results"]["c"] > rep["results"]["c_star"]
         assert run_cli(["--config", p, "verify", "--profile", out]) == 0
+
+
+def surrogate_speed(cfg_path):
+    model_ = config.build_model(config.load_config(cfg_path))
+    ctx = dispersion.CharacteristicContext.from_model(model_)
+    return dispersion.critical_speed(ctx).c_star * (1.0 + profile.NEAR_CRITICAL_OFFSET)
+
+
+class TestSpeedDecision:
+    """The near-critical regime belongs to the speed, however it is named."""
+
+    def test_surrogate_speed_solves_as_critical(self, tmp_path):
+        # the golden's near-critical run: Ricker p=2 at h = 0.1
+        p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nh = 0.1\n")
+        runs = {}
+        for label, flags in (("critical", ["--critical"]),
+                             ("speed", ["--c", repr(surrogate_speed(p))])):
+            out = tmp_path / f"{label}.csv"
+            assert run_cli(["--config", p, "--out", out, "profile", *flags]) == 0
+            results = json.loads(out.with_suffix(".json").read_text())["results"]
+            runs[label] = (out.read_bytes(), [results[key] for key in (
+                "c", "iterations", "phase_shift", "residual_sup", "note")])
+        assert runs["speed"] == runs["critical"]
+        assert "near-critical surrogate" in runs["speed"][1][-1]
+
+    def test_envelope_at_the_critical_speed(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\ncritical = true\n"
+                      "\n[output]\ndir = envout\n")
+        assert run_cli(["--config", p, "--json", "envelope"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["results"]["c"] == reporting.canonical_float(surrogate_speed(p))
+
+    @pytest.mark.parametrize("extra, flags, named", [
+        ("", ["--critical", "--c", "2.0"], "--c"),
+        ("critical = true\nc = 2.0\n", [], "[profile] c"),
+        ("c = 2.0\n", ["--critical"], "[profile] c"),
+    ], ids=["flags", "keys", "flag_and_key"])
+    def test_critical_and_a_speed_exclude_each_other(self, tmp_path, capsys,
+                                                     extra, flags, named):
+        p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nh = 0.1\n" + extra)
+        out = tmp_path / "x.csv"
+        assert run_cli(["--config", p, "--out", out, "profile", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "exclude each other" in err
+        assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, flags, source", [
+        ("speed", "", ["--c=-1"], "--c"),
+        ("speed", "", ["--c=nan"], "--c"),
+        ("speed", "", ["--c", "2.0", "--c=inf"], "--c"),
+        ("speed", "[dispersion]\nspeeds = 2.0, -1\n", [], "[dispersion] speeds"),
+        ("envelope", "", ["--c=-1"], "--c"),
+        ("envelope", "", ["--c=0"], "--c"),
+        ("profile", "", ["--c=-inf"], "--c"),
+        ("profile", "[profile]\nc = -2.0\n", [], "[profile] c"),
+        ("profile", "[profile]\nc_factor = -1.2\n", [], "c_factor"),
+        ("envelope", "[profile]\nc_factor = 1.5e308\n", [], "c_factor"),
+    ])
+    def test_bad_speed_exits_1_naming_its_source(self, tmp_path, capsys, command,
+                                                 extra, flags, source):
+        p = write_cfg(tmp_path, DELAYED_MODEL + extra + "\n[output]\ndir = out\n")
+        assert run_cli(["--config", p, command, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert source in err and "finite positive speed" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnvelopeCommand:
@@ -488,6 +559,27 @@ class TestMalformedCsv:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(bad) in err and MALFORMED_CSVS[kind][1] in err
         assert "Traceback" not in err
+
+
+def test_every_command_reports_its_total_time(tmp_path, capsys):
+    text = (SWEEP_TEXT.replace("p = 2.0, 2.4", "p = 2.0")
+            .replace("m = 0.1, 0.3", "m = 0.2")
+            + COMPARISON_SECTION + "\n[output]\ndir = out\n")
+    p = write_cfg(tmp_path, text)
+    wave, run_dir = tmp_path / "wave.csv", tmp_path / "run"
+    runs = {"speed": ["speed"], "profile": ["--out", wave, "profile"],
+            "verify": ["verify", "--profile", wave], "envelope": ["envelope"],
+            "simulate": ["simulate", "--out-dir", run_dir],
+            "frontspeed": ["frontspeed", "--run", run_dir],
+            "compare": ["compare", "--out-dir", tmp_path / "cmp"],
+            "sweep": ["sweep"]}
+    assert sorted(runs) == sorted(cli.COMMANDS)
+    for command, argv in runs.items():
+        assert run_cli(["--config", p, "--json", *argv]) == 0, command
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["command"] == command
+        assert isinstance(rep["timings"]["total"], float), command
+        assert rep["timings"]["total"] >= 0.0
 
 
 class TestSweepCommand:

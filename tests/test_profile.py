@@ -235,6 +235,19 @@ class TestMonotoneSolve:
         assert np.array_equal(bits(sol.profile.values), bits(wide.profile.values))
         assert sol.iterations == wide.iterations
 
+    def test_domain_still_too_narrow_after_two_doublings(self, ricker2,
+                                                         ricker2_cstar):
+        # right widths 3, 6 and 12 all leave the right end short of K: the
+        # solve fails instead of claiming a third doubling it never ran
+        with pytest.raises(NonconvergenceError) as err:
+            profile.solve(ricker2, 1.3 * ricker2_cstar,
+                          profile.SolverConfig(h=0.02, right_width=3.0))
+        message = str(err.value)
+        assert "the right end" in message and "left end" not in message
+        widths = message.rsplit("widths ", 1)[1].split(", ")
+        assert [w.split("/")[1] for w in widths] == ["3", "6", "12"]
+        assert err.value.trace
+
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
@@ -495,10 +508,35 @@ class TestGammaMembership:
 
 
 class TestCriticalSolve:
-    def test_rejects_lower_requested_speed(self, ricker2, ricker2_cstar):
-        cfg = profile.SolverConfig(c=0.999 * ricker2_cstar, h=0.02)
-        with pytest.raises(NoRootsError):
-            profile.solve_critical(ricker2, cfg)
+    def test_near_critical_setup_is_decided_by_the_speed(self, ricker2,
+                                                         ricker2_ctx,
+                                                         monkeypatch):
+        # every speed in (c*, c*(1 + 1e-6)] gets the near-critical grid,
+        # tolerance and budget; the next speed up gets the config as given.
+        # Record the calls instead of running the long iterations.
+        calls = []
+
+        def fake_solve(model_, c, config, monotone, note="", speed=None,
+                       hypotheses=None):
+            calls.append((config, note))
+
+        monkeypatch.setattr(profile, "_solve", fake_solve)
+        sr = dispersion.critical_speed(ricker2_ctx)
+        surrogate = sr.c_star * (1.0 + profile.NEAR_CRITICAL_OFFSET)
+        given = profile.SolverConfig(h=0.1, tol=1e-6, max_iters=500)
+        for c in (0.5 * (sr.c_star + surrogate), surrogate,
+                  math.nextafter(surrogate, math.inf)):
+            profile.solve(ricker2, c, given, speed=sr)
+        (inside, note_in), (at, note_at), (above, note_above) = calls
+        assert inside.tol == at.tol == 1e-8
+        assert inside.max_iters == at.max_iters == 1000
+        assert at.left_width is not None and at.right_width is not None
+        assert "near-critical surrogate" in note_in and note_at == note_in
+        assert above == given and note_above == ""
+        # solve_critical is solve at the surrogate
+        assert profile.near_critical_speed(sr) == surrogate
+        profile.solve_critical(ricker2, given, speed=sr)
+        assert calls[-1] == calls[1]
 
 
 def test_normalized_front_stays_under_the_exponential_between_nodes():
