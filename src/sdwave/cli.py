@@ -47,10 +47,13 @@ def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
         raise ModelInvalidError(f"[profile] {exc}") from None
 
 
-def _checked_speed(c, source: str) -> float:
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ConfigError(f"{source} must be a finite positive speed, not {c!r}")
+def _checked_speed(c, source: str, ctx) -> float:
+    # the characteristic function must stay finite on its root bracket, out to
+    # twice lambda_hi ~ c: lam^2 and lam * c * tau(0) must not overflow
+    c, top = float(c), 0.25 * math.sqrt(sys.float_info.max / max(1.0, ctx.lag_at_zero))
+    if not 0.0 < c <= top:
+        raise ConfigError(f"{source} must be a finite positive speed of at most "
+                          f"{top:.4g}, not {c!r}")
     return c
 
 
@@ -63,15 +66,15 @@ def _resolve_speed(cfg: RunConfig, model, explicit_c=None, critical=False):
     if critical and c is not None:
         raise ConfigError(f"--critical / [profile] critical and {source} "
                           "exclude each other")
-    if c is not None:
-        c = _checked_speed(c, source)
     ctx = dispersion.CharacteristicContext.from_model(model)
+    if c is not None:
+        c = _checked_speed(c, source, ctx)
     sr = dispersion.critical_speed(ctx)
     if critical:
         return profile.near_critical_speed(sr), sr
     if c is None:
         factor = cfg.get("profile", "c_factor", 1.2)
-        c = _checked_speed(factor * sr.c_star, "[profile] c_factor times c*")
+        c = _checked_speed(factor * sr.c_star, "[profile] c_factor times c*", ctx)
     return c, sr
 
 
@@ -103,9 +106,9 @@ def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
     source = "--c" if args.c else "[dispersion] speeds"
-    speeds = [_checked_speed(c, source)
-              for c in args.c or cfg.get("dispersion", "speeds") or []]
     ctx = dispersion.CharacteristicContext.from_model(model)
+    speeds = [_checked_speed(c, source, ctx)
+              for c in args.c or cfg.get("dispersion", "speeds") or []]
     sr = dispersion.critical_speed(ctx)
     speeds = speeds or [1.1 * sr.c_star, 1.5 * sr.c_star, 2.0 * sr.c_star]
     K = equilibrium(model)

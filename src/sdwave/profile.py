@@ -11,7 +11,7 @@ anchored by whole cells, the undamped iteration is accelerated by Anderson
 mixing, whose iterates are clamped into the same sandwich.  Convergence is
 certified a posteriori by an independent finite-difference residual, never
 by the iteration metric alone.  The near-critical regime is a property of
-the speed: `solve` widens the grid and tightens the iteration for any speed
+the speed: `solve` tightens the iteration, on the usual grid, for any speed
 in (c*, c*(1 + 1e-6)], and `solve_critical` is `solve` at that surrogate.
 """
 from __future__ import annotations
@@ -673,7 +673,8 @@ def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
     nonmonotone; either runs with config.damping as given.  `speed` is the
     model's threshold speed, if the caller already has it.  Near the
     threshold, c <= near_critical_speed, the leading-edge decay degenerates:
-    the left grid is doubled, the tolerance tightened and the budget doubled.
+    the tolerance is tightened and the budget doubled.  The grid is the one
+    any speed gets: the capped default left width, or `left_width` as given.
     """
     config = config or SolverConfig()
     ctx = CharacteristicContext.from_model(model)
@@ -681,12 +682,8 @@ def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
         speed = critical_speed(ctx)
     note = ""
     if speed.c_star < c <= near_critical_speed(speed):
-        roots = decay_roots(c, ctx)
-        rate = _approach_rate(model, c, equilibrium(model))
-        _, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
         config = replace(config, tol=min(config.tol, 1e-8),
-                         max_iters=2 * config.max_iters, left_width=2.0 * left,
-                         right_width=right)
+                         max_iters=2 * config.max_iters)
         note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
     rep = validate_hypotheses(model, "monotone") if config.mode == "auto" else None
     monotone = config.mode == "monotone" or rep is not None and rep.all_hold

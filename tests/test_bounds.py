@@ -76,7 +76,7 @@ class TestLowerValueBitwise:
         rate = profile._approach_rate(ricker2, c, model.equilibrium(ricker2))
         h, left, right = profile._grid_geometry(
             profile.SolverConfig(h=0.02), roots.lambda1, roots.lambda2, rate)
-        xi = profile._make_xi(h, 2.0 * left, right)   # as solve_critical
+        xi = profile._make_xi(h, left, right)   # as solve_critical
         assert low.xi0 < xi[0]
         got = low.value(xi)
         _assert_bitwise(got, _lower_value_full(low, xi))

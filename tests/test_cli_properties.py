@@ -1,8 +1,10 @@
 """Property test: any speed given to `speed` or `envelope` ends in an exit
-code of 0-4, with a message on stderr when it is not 0, and never in a
-traceback.  Runs in process through `cli.main`, one case at a time."""
+code of 0-4, with a one-line message on stderr when it is not 0, and never in
+a traceback or a numpy warning.  Runs in process through `cli.main`, one case
+at a time."""
 import contextlib
 import io
+import warnings
 
 import pytest
 
@@ -52,8 +54,11 @@ def test_any_speed_ends_with_an_exit_code_and_a_message(configs, command,
     if c is not None:
         argv.append(f"--c={c!r}")     # '=' keeps '-inf' from reading as a flag
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         code = cli.main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert isinstance(code, int) and 0 <= code <= 4
     if code != 0:
-        assert err.getvalue().strip()
+        assert len(err.getvalue().strip().splitlines()) == 1

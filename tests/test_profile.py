@@ -530,13 +530,25 @@ class TestCriticalSolve:
         (inside, note_in), (at, note_at), (above, note_above) = calls
         assert inside.tol == at.tol == 1e-8
         assert inside.max_iters == at.max_iters == 1000
-        assert at.left_width is not None and at.right_width is not None
+        assert (at.left_width, at.right_width) == (given.left_width,
+                                                   given.right_width)
         assert "near-critical surrogate" in note_in and note_at == note_in
         assert above == given and note_above == ""
         # solve_critical is solve at the surrogate
         assert profile.near_critical_speed(sr) == surrogate
         profile.solve_critical(ricker2, given, speed=sr)
         assert calls[-1] == calls[1]
+
+    def test_near_critical_solve_keeps_the_given_left_width(self, ricker2,
+                                                            ricker2_ctx):
+        # the surrogate solves on the grid the config names, as every other
+        # speed does: its first node is -left_width up to the sub-cell phase
+        # shift, not -2 left_width
+        h, left = 0.1, 60.0
+        sr = dispersion.critical_speed(ricker2_ctx)
+        sol = profile.solve_critical(
+            ricker2, profile.SolverConfig(h=h, left_width=left), speed=sr)
+        assert abs(sol.profile.xi[0] + left) < h
 
 
 def test_normalized_front_stays_under_the_exponential_between_nodes():

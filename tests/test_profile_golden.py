@@ -51,8 +51,9 @@ RUNS = {
     "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
                          []),
     # near-critical surrogate: a mixed whole-cell phase, then exact anchoring
-    # from iteration 151 and the 25-iteration extrapolation under the
-    # monotone projection: 922 iterations (1,774 unmixed)
+    # from iteration 184 and the 25-iteration extrapolation under the
+    # monotone projection (it fires at 225, 350, 375 and 450): 452
+    # iterations (1,774 unmixed)
     "critical": (ricker(2.0) + "[profile]\nh = 0.1\n", ["--critical"]),
 }
 
@@ -98,9 +99,9 @@ def test_profile_outputs_byte_identical(outputs):
 
 
 def test_report_names_exact_anchoring_iteration(outputs):
-    # the plateau trigger fires after iterations 417 and 150 respectively
+    # the plateau trigger fires after iterations 417 and 183 respectively
     want = {"monotone": None, "nonmonotone": 418, "nonmonotone_auto": None,
-            "critical": 151}
+            "critical": 184}
     for label, (_, report) in outputs.items():
         results = report["results"]
         assert results["exact_anchor_from"] == want[label], label
