@@ -155,9 +155,10 @@ def cmd_profile(cfg: RunConfig, args, rep: reporting.Report) -> None:
         "exact_anchor_from": sol.exact_anchor_from,
         "anderson_steps": sol.anderson_steps, "csv": str(out),
     }
-    rep.invariants = {"sandwich_ok": sol.sandwich_ok,
-                      "lipschitz_ok": sol.lipschitz_ok,
-                      "monotone_ok": sol.monotone_ok,
+    mem = sol.membership
+    rep.invariants = {"sandwich_ok": mem.sandwich_ok,
+                      "lipschitz_ok": mem.lipschitz_ok,
+                      "monotone_ok": mem.monotone_ok,
                       "f_consistency": sol.f_consistency,
                       "clamp_excess": sol.clamp_excess}
     _emit(rep, args, [
@@ -244,20 +245,16 @@ def cmd_envelope(cfg: RunConfig, args, rep: reporting.Report) -> None:
     ], out_dir / "envelope.json")
 
 
-def _sim_config_from(cfg: RunConfig, section: str, model=None,
-                     default_high=None) -> pdesim.SimConfig:
+def _sim_config_from(cfg: RunConfig, section: str,
+                     high: float) -> pdesim.SimConfig:
+    """The section's simulation config; `high` is the datum's default height,
+    also spelled `equilibrium` or `plateau`."""
     sec = cfg.section(section)
     x_min, x_max, nx, t_end = (cfg.require(section, key)
                                for key in ("x_min", "x_max", "nx", "t_end"))
 
     def resolve_high(raw):
-        if raw is None or (isinstance(raw, str) and raw in ("equilibrium", "plateau")):
-            if model is not None:
-                return equilibrium(model)
-            if default_high is not None:
-                return float(default_high)
-            raise ConfigError(f"cannot resolve initial height in [{section}]")
-        return float(raw)
+        return high if raw in (None, "equilibrium", "plateau") else float(raw)
 
     kind = sec.get("initial.kind", "step")
     if kind == "step":
@@ -335,7 +332,7 @@ def _persist_run(record: pdesim.RunRecord, out_dir: Path) -> dict:
 def cmd_simulate(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
-    sim_cfg = _sim_config_from(cfg, "pde", model=model)
+    sim_cfg = _sim_config_from(cfg, "pde", equilibrium(model))
     record = pdesim.run(sim_cfg, model, meta={"kind": "delay"})
     out_dir = _out_dir(cfg, args)
     _persist_run(record, out_dir)
@@ -404,8 +401,7 @@ def cmd_frontspeed(cfg: RunConfig, args, rep: reporting.Report) -> None:
             cols = reporting.read_csv(run_dir / name)
             if set(cols) != {"x", "u"}:
                 raise ConfigError(f"{run_dir / name}: expected header 'x,u'")
-            fld = pdesim.Field(x=cols["x"], u=cols["u"], t=t)
-            pos = pdesim.front_position(fld, float(args.level))
+            pos = pdesim.front_position(cols["x"], cols["u"], float(args.level))
             if pos is not None:
                 times.append(t)
                 positions.append(pos)
@@ -424,9 +420,8 @@ def cmd_compare(cfg: RunConfig, args, rep: reporting.Report) -> None:
     sec = cfg.section("comparison")
     D1, D2, D3 = (cfg.require("comparison", key) for key in ("D1", "D2", "D3"))
     params = pdesim.ComparisonParams(D1=D1, D2=D2, D3=D3, m=sec.get("m", 0.0))
-    sim_cfg = _sim_config_from(cfg, "comparison", default_high=params.plateau)
-    record = pdesim.simulate_comparison(params, None, sim_cfg,
-                                        meta={"kind": "comparison"})
+    sim_cfg = _sim_config_from(cfg, "comparison", params.plateau)
+    record = pdesim.simulate_comparison(params, sim_cfg, meta={"kind": "comparison"})
     out_dir = _out_dir(cfg, args)
     _persist_run(record, out_dir)
     frac = sec.get("probe_speed_fraction", 0.9)
@@ -476,7 +471,7 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
                 pde[key] = sweep[key]
         tmp = RunConfig(sections={**cfg.sections, "pde": pde}, path=cfg.path,
                         text=cfg.text)
-        sim_cfg = _sim_config_from(tmp, "pde", model=model)
+        sim_cfg = _sim_config_from(tmp, "pde", equilibrium(model))
         record = pdesim.run(sim_cfg, model)
         speed, _ = pdesim.front_speed(record.track)
         row["measured_speed"] = speed

@@ -19,6 +19,14 @@ from .model import (ConstantDelay, ExponentialDelay, ModelSpec, RationalDelay,
 from .reporting import read_csv
 
 # value kinds: f float, i int, b bool, s string, fl float list, p path
+# INITIAL_DATUM: the keys of every initial datum kind, for the one reader
+# that [pde] and [comparison] share
+INITIAL_DATUM = {
+    "initial.kind": "s", "initial.location": "f", "initial.low": "f",
+    "initial.high": "s", "initial.center": "f", "initial.width": "f",
+    "initial.height": "f", "initial.path": "p",
+}
+
 SCHEMA = {
     "model": {
         "d": "f",
@@ -36,19 +44,14 @@ SCHEMA = {
     "pde": {
         "x_min": "f", "x_max": "f", "nx": "i", "t_end": "f", "dt": "f",
         "boundary": "s", "dirichlet_left": "f", "dirichlet_right": "f",
-        "initial.kind": "s", "initial.location": "f", "initial.low": "f",
-        "initial.high": "s", "initial.path": "p",
-        "history.kind": "s", "history.speed": "f",
+        **INITIAL_DATUM, "history.kind": "s", "history.speed": "f",
         "snapshot_count": "i", "store_every": "i", "track_every": "i",
         "front_level": "f", "level": "f",
     },
     "comparison": {
         "D1": "f", "D2": "f", "D3": "f", "m": "f",
         "x_min": "f", "x_max": "f", "nx": "i", "t_end": "f", "dt": "f",
-        "initial.kind": "s", "initial.center": "f", "initial.width": "f",
-        "initial.height": "f", "initial.location": "f", "initial.low": "f",
-        "initial.high": "s",
-        "snapshot_count": "i", "probe_speed_fraction": "f",
+        **INITIAL_DATUM, "snapshot_count": "i", "probe_speed_fraction": "f",
     },
     "sweep": {
         "p": "fl", "m": "fl", "M": "fl", "c_factor": "f",

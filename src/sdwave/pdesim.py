@@ -3,16 +3,17 @@
 IMEX stepping: diffusion is advanced by an implicit backward-Euler
 tridiagonal solve, factored once per run, the (delayed) reaction
 explicitly.  A ring buffer of past snapshots serves the state-dependent
-delayed lookups, one flat gather per step, with the prescribed
-history function answering pre-initial times.  The same machinery runs the
-fixed-delay comparison system with a quadratic reaction.  Front positions
-are tracked by level crossings and fitted to a speed.
+delayed lookups, one flat gather per step.  Pre-initial times read the
+initial datum translated at the history speed: a frozen history is the
+translation at speed 0.  The same machinery, with the same history, runs
+the fixed-delay comparison system with a quadratic reaction.  Front
+positions are tracked by level crossings and fitted to a speed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,19 +24,6 @@ from .model import ModelSpec, birth_peak, equilibrium
 
 BAND_SLACK = 1e-8
 COMPARISON_BAND_TOL = 1e-6
-
-
-@dataclass
-class Field:
-    """Spatial snapshot of the solution at one time."""
-
-    x: np.ndarray
-    u: np.ndarray
-    t: float
-
-    @property
-    def nx(self) -> int:
-        return int(self.x.shape[0])
 
 
 @dataclass
@@ -68,7 +56,7 @@ class SimConfig:
     boundary: str = "neumann"                  # or "dirichlet"
     dirichlet: tuple = (0.0, 0.0)
     initial: object = None                     # ndarray, callable, or ("step", loc, low, high)
-    history: object = "frozen"                 # or ("translate", speed)
+    history: object = "frozen"                 # or ("translate", speed); frozen is speed 0
     snapshot_times: Optional[Sequence[float]] = None
     store_every: int = 1
     track_every: int = 1
@@ -245,17 +233,17 @@ def _resolve_initial(config: SimConfig, x: np.ndarray) -> np.ndarray:
 
 
 class _BaseSim:
-    """Shared IMEX stepping machinery; subclasses provide the reaction."""
+    """Shared IMEX stepping machinery; subclasses provide the reaction and
+    set the band level."""
 
     def __init__(self, config: SimConfig, m_lag: float, max_lag: float,
-                 reaction_scale: float, level: float):
+                 reaction_scale: float):
         self.config = config
         self.dt = config.validate(m_lag, reaction_scale)
         self.x = np.linspace(config.x_min, config.x_max, config.nx)
         self.dx = float(self.x[1] - self.x[0])
         self.u = _resolve_initial(config, self.x)
         self.t = 0.0
-        self.level = level
         self.band_violation = 0.0
         self.max_lag = max_lag
         # factored (and scipy.linalg imported) before the ring is allocated:
@@ -266,7 +254,6 @@ class _BaseSim:
                                     window)
         self.buffer.append(0.0, self.u)
         self._steps_done = 0
-        self._init_interp = self.u.copy()
         self._setup_history()
 
     def _setup_matrix(self):
@@ -286,20 +273,18 @@ class _BaseSim:
         self._factors = kernels.factor_tridiagonal(lower, diag, upper)
 
     def _setup_history(self):
+        """The history at s < 0: the initial datum translated by speed * s,
+        held at its end values beyond the grid; frozen is speed 0.  A step
+        replaces self.u rather than writing into it, so u0 stays the datum."""
         hist = self.config.history
         if hist == "frozen":
-            self._psi = lambda xq, s: np.interp(xq, self.x, self._init_interp)
+            speed = 0.0
         elif isinstance(hist, tuple) and hist[0] == "translate":
             speed = float(hist[1])
-            init = self._init_interp
-
-            def psi(xq, s):
-                return np.interp(xq + speed * s, self.x, init,
-                                 left=init[0], right=init[-1])
-
-            self._psi = psi
         else:
             raise ModelInvalidError(f"unsupported history spec {hist!r}")
+        x, u0 = self.x, self.u
+        self._psi = lambda xq, s: np.interp(xq + speed * s, x, u0)
 
     def history_values(self, td: np.ndarray) -> np.ndarray:
         """Delayed values per grid point, splitting buffer and pre-initial times.
@@ -367,8 +352,7 @@ class _BaseSim:
                 times.append(self.t)
                 snaps.append(self.u.copy())
             if step_no % cfg.track_every == 0:
-                pos = front_position(Field(x=self.x, u=self.u, t=self.t),
-                                     front_level)
+                pos = front_position(self.x, self.u, front_level)
                 if pos is not None:
                     track_t.append(self.t)
                     track_x.append(pos)
@@ -392,13 +376,11 @@ class DelaySim(_BaseSim):
     def __init__(self, model: ModelSpec, config: SimConfig):
         self.model = model
         peak = birth_peak(model)
-        x = np.linspace(config.x_min, config.x_max, config.nx)
-        u0 = _resolve_initial(config, x)
-        level = config.level if config.level is not None else max(
-            peak / model.d, peak, float(np.max(u0)))
         scale = max(model.d, model.birth.derivative_at_zero)
         super().__init__(config, m_lag=model.delay.m, max_lag=model.delay.M,
-                         reaction_scale=scale, level=level)
+                         reaction_scale=scale)
+        self.level = config.level if config.level is not None else max(
+            peak / model.d, peak, float(np.max(self.u)))
 
     def reaction(self) -> np.ndarray:
         td = self.t - self.model.delay.tau(self.u)
@@ -410,24 +392,15 @@ class DelaySim(_BaseSim):
 class ComparisonSim(_BaseSim):
     """Fixed-delay quadratic comparison dynamics inside its invariant band."""
 
-    def __init__(self, params: ComparisonParams, config: SimConfig,
-                 psi: Optional[Callable] = None):
+    def __init__(self, params: ComparisonParams, config: SimConfig):
         self.params = params
         scale = params.D1 + params.D2 + 2.0 * params.D3 * params.plateau
         super().__init__(config, m_lag=params.m, max_lag=params.m,
-                         reaction_scale=scale, level=params.plateau)
-        if psi is not None:
-            self._psi = lambda xq, s: np.asarray(psi(xq, s), dtype=float)
-            self._check_history_band()
+                         reaction_scale=scale)
+        self.level = params.plateau
+        # the history translates this datum, so it lies in the band too
         if np.any(self.u < -1e-12) or np.any(self.u > params.plateau + 1e-12):
             raise ModelInvalidError("comparison initial datum outside the invariant band")
-
-    def _check_history_band(self):
-        for s in np.linspace(-self.params.m, 0.0, 5):
-            vals = self._psi(self.x, s)
-            if np.any(vals < -1e-12) or np.any(vals > self.params.plateau + 1e-12):
-                raise ModelInvalidError(
-                    "comparison history must lie in the invariant band")
 
     def reaction(self) -> np.ndarray:
         p = self.params
@@ -456,19 +429,19 @@ def run(config: SimConfig, model: ModelSpec, meta: Optional[dict] = None) -> Run
     return DelaySim(model, config).run(meta=meta)
 
 
-def simulate_comparison(params: ComparisonParams, psi, config: SimConfig,
+def simulate_comparison(params: ComparisonParams, config: SimConfig,
                         meta: Optional[dict] = None) -> RunRecord:
-    """Run the fixed-delay comparison system from history psi(x, s), s in [-m, 0]."""
-    sim = ComparisonSim(params, config, psi=psi)
-    return sim.run(meta=meta)
+    """Run the fixed-delay comparison system from the config's initial datum
+    and history."""
+    return ComparisonSim(params, config).run(meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # front measurements
 
-def front_position(field: Field, level: float) -> Optional[float]:
-    """Rightmost crossing of the level, linearly interpolated; None if absent."""
-    u = field.u
+def front_position(x: np.ndarray, u: np.ndarray, level: float) -> Optional[float]:
+    """Rightmost crossing of the level by u over the nodes x, linearly
+    interpolated; None if absent."""
     n = u.shape[0]
     if n >= 2 and 1e-100 <= abs(level) < math.inf:
         # the last point k at or above the level: when a point below the
@@ -481,19 +454,19 @@ def front_position(field: Field, level: float) -> Optional[float]:
         if not reach[k]:
             return None
         if k < n - 1 and u[k + 1] < level:
-            return _crossing(field, level, k)
+            return _crossing(x, u, level, k)
     s = u - level
     sign_change = np.nonzero(s[:-1] * s[1:] <= 0)[0]
     sign_change = sign_change[(s[sign_change] != 0) | (s[sign_change + 1] != 0)]
     if sign_change.size == 0:
         return None
-    return _crossing(field, level, int(sign_change[-1]))
+    return _crossing(x, u, level, int(sign_change[-1]))
 
 
-def _crossing(field: Field, level: float, i: int) -> float:
+def _crossing(x: np.ndarray, u: np.ndarray, level: float, i: int) -> float:
     """Linear interpolation of the level crossing between points i and i+1."""
-    x0, x1 = field.x[i], field.x[i + 1]
-    u0, u1 = field.u[i], field.u[i + 1]
+    x0, x1 = x[i], x[i + 1]
+    u0, u1 = u[i], u[i + 1]
     if u1 == u0:
         return float(x0)
     return float(x0 + (x1 - x0) * (level - u0) / (u1 - u0))

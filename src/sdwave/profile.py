@@ -101,9 +101,6 @@ class WaveSolution:
     residual_sup: float
     iterations: int
     trace: list
-    sandwich_ok: bool
-    lipschitz_ok: bool
-    monotone_ok: bool
     beta: float
     lambda1: float
     lambda2: float
@@ -248,7 +245,6 @@ def _make_xi(h: float, left: float, right: float) -> np.ndarray:
 @dataclass
 class _IterationResult:
     values: np.ndarray
-    xi: np.ndarray
     shift: float
     iterations: int
     trace: list = field(default_factory=list)
@@ -455,7 +451,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                 f"non-finite iterate at iteration {it} "
                 f"(sup-difference {diff:.3e})", trace=trace)
         if diff <= config.tol and anchored:
-            return _IterationResult(values=new, xi=xi, shift=shift, iterations=it,
+            return _IterationResult(values=new, shift=shift, iterations=it,
                                     trace=trace, clamp_excess=clamp_excess,
                                     exact_anchor_from=exact_from,
                                     anderson_steps=anderson_steps)
@@ -490,11 +486,13 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         # nonmonotone iteration has no such guarantee, and there the jump
         # costs iterations.  Gate on a strictly decreasing window so
         # noise near the floor cannot be amplified; the clamp keeps the step
-        # safe either way.
+        # safe either way.  Exact anchoring starts after iteration 150, so
+        # the window is full, and a strictly decreasing window of sup-norms
+        # starts above 0.
         if (monotone and exact_from is not None and it % 25 == 0
-                and len(trace) >= 26 and diff > config.tol):
+                and diff > config.tol):
             window = np.asarray(trace[-26:])
-            if np.all(np.diff(window) < 0.0) and window[0] > 0.0:
+            if np.all(np.diff(window) < 0.0):
                 r = (window[-1] / window[0]) ** (1.0 / 25.0)
                 if 0.85 < r < 0.9999:
                     factor = min(r / (1.0 - r), 50.0)
@@ -506,11 +504,11 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         f"(last sup-difference {trace[-1]:.3e})", trace=trace)
 
 
-def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
-              c: float, lam1: float, lam2: float, anchor_level: float,
-              level: float, right_state: float, upper, lower,
-              require_monotone: bool, note: str = "") -> WaveSolution:
-    xi, v = res.xi, res.values
+def _finalize(res: _IterationResult, xi: np.ndarray, model: ModelSpec,
+              rates: KernelRates, c: float, lam1: float, lam2: float,
+              anchor_level: float, level: float, right_state: float, upper,
+              lower, require_monotone: bool, note: str = "") -> WaveSolution:
+    v = res.values
     xa = _anchor_crossing(xi, v, anchor_level)
     total_shift = res.shift
     if xa is not None:
@@ -527,10 +525,9 @@ def _finalize(res: _IterationResult, model: ModelSpec, rates: KernelRates,
                            lower=lower, upper=upper)
     return WaveSolution(
         profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
-        trace=res.trace, sandwich_ok=mem.sandwich_ok,
-        lipschitz_ok=mem.lipschitz_ok, monotone_ok=mem.monotone_ok,
-        beta=rates.beta, lambda1=lam1, lambda2=lam2, shift=total_shift,
-        clamp_excess=res.clamp_excess, f_consistency=f_cons, membership=mem,
+        trace=res.trace, beta=rates.beta, lambda1=lam1, lambda2=lam2,
+        shift=total_shift, clamp_excess=res.clamp_excess, f_consistency=f_cons,
+        membership=mem,
         mode="monotone" if require_monotone else "nonmonotone",
         exact_anchor_from=res.exact_anchor_from,
         anderson_steps=res.anderson_steps, note=note)
@@ -655,7 +652,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         if not right_ok:
             right *= 2.0
         note = (note + " " if note else "") + "domain doubled after boundary check"
-    return _finalize(res, model, rates, c, roots.lambda1, roots.lambda2,
+    return _finalize(res, xi, model, rates, c, roots.lambda1, roots.lambda2,
                      anchor, level, K, upper, lower, require_monotone=monotone,
                      note=note)
 

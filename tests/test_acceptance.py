@@ -211,7 +211,7 @@ def test_criterion_08_comparison_spreading():
             x_min=-340.0, x_max=340.0, nx=3400, t_end=t_end, dt=0.05,
             initial=lambda x: np.where(np.abs(x) < 5.0, params.plateau, 0.0),
             history="frozen")
-        record = pdesim.simulate_comparison(params, None, cfg)
+        record = pdesim.simulate_comparison(params, cfg)
         lo, hi = pdesim.spreading_probe(record, 0.9 * c_comp)
         assert abs(lo - params.plateau) <= 0.02 * params.plateau, (m_lag, lo)
         assert abs(hi - params.plateau) <= 0.02 * params.plateau, (m_lag, hi)
@@ -226,7 +226,7 @@ def test_criterion_08_comparison_spreading():
                                initial=u0.copy(), history="frozen",
                                snapshot_times=list(np.linspace(0.0, 10.0, 41)))
         pair.append(pdesim.simulate_comparison(
-            pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5), None, cfg))
+            pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5), cfg))
     for ul, uh in zip(pair[0].snapshots, pair[1].snapshots):
         assert np.max(ul - uh) <= 1e-8
     announce(8, f"comparison cones reach the plateau within 2%: {results}; "

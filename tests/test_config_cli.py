@@ -430,6 +430,22 @@ class TestSimulateCommands:
         assert rep["results"]["spreading_speed"] == pytest.approx(2.0, abs=1e-6)
         assert (out_dir / "run.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_both_sections_take_every_initial_kind(self, tmp_path, command):
+        # both sections go through one reader, which takes every kind
+        if command == "simulate":
+            text = DELAYED_MODEL + SIM_SECTION.replace(
+                "initial.kind = step", "initial.kind = bump\ninitial.width = 5")
+        else:
+            (tmp_path / "datum.csv").write_text("x,u\n-60,1\n0,1\n5,0\n60,0\n")
+            text = BASE_MODEL + COMPARISON_SECTION.replace(
+                "initial.kind = bump",
+                "initial.kind = profile\ninitial.path = datum.csv")
+        p = write_cfg(tmp_path, text)
+        out_dir = tmp_path / "run"
+        assert run_cli(["--config", p, command, "--out-dir", out_dir]) == 0
+        assert (out_dir / "run.json").exists()
+
 
 class TestFrontspeedInputs:
     """A bad stored run or window ends in exit 1 with a one-line message."""

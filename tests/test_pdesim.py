@@ -60,6 +60,39 @@ class TestStepping:
             assert np.max(u) <= record.level + 1e-8
 
 
+class TestSetUp:
+    def test_callable_initial_is_called_once(self, ricker2):
+        calls = []
+
+        def initial(x):
+            calls.append(x.shape[0])
+            return 0.5 + 0.4 * np.tanh(x)
+
+        sim = pdesim.DelaySim(ricker2, small_config(initial=initial))
+        assert calls == [301]
+        np.testing.assert_array_equal(sim.u, 0.5 + 0.4 * np.tanh(sim.x))
+
+    def test_frozen_history_is_translation_at_speed_zero(self, ricker2):
+        # both runs reach back before t = 0 (the lags are at most M = 0.7
+        # and 0.5), where the history answers
+        def datum(x):
+            return 0.5 + 0.4 * np.tanh(x)
+
+        params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5)
+        runs = {}
+        for history in ("frozen", ("translate", 0.0)):
+            cfg = small_config(initial=datum, history=history, t_end=1.0,
+                               dt=0.05)
+            runs[history, "delay"] = pdesim.run(cfg, ricker2)
+            runs[history, "comparison"] = pdesim.simulate_comparison(params, cfg)
+        for kind in ("delay", "comparison"):
+            frozen = runs["frozen", kind]
+            moved = runs[("translate", 0.0), kind]
+            assert frozen.times == moved.times and len(frozen.times) == 21
+            for a, b in zip(frozen.snapshots, moved.snapshots):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestRun:
     def test_front_advances_monotonically(self, ricker2):
         K = model.equilibrium(ricker2)
@@ -93,17 +126,17 @@ class TestRun:
         assert worst <= 0.02 * K
 
 
-def scan_front_position(field, level):
+def scan_front_position(x, u, level):
     """Front position by a scan of every sign change: the reference for the
     shortcut in `pdesim.front_position`."""
-    s = field.u - level
+    s = u - level
     sign_change = np.nonzero(s[:-1] * s[1:] <= 0)[0]
     sign_change = sign_change[(s[sign_change] != 0) | (s[sign_change + 1] != 0)]
     if sign_change.size == 0:
         return None
     i = int(sign_change[-1])
-    x0, x1 = field.x[i], field.x[i + 1]
-    u0, u1 = field.u[i], field.u[i + 1]
+    x0, x1 = x[i], x[i + 1]
+    u0, u1 = u[i], u[i + 1]
     if u1 == u0:
         return float(x0)
     return float(x0 + (x1 - x0) * (level - u0) / (u1 - u0))
@@ -147,9 +180,8 @@ class TestFrontMeasurements:
                 level = float(rng.uniform(-1.0, 1.0))
             u = fuzz_profile(rng, level)
             x = np.sort(rng.uniform(-5.0, 5.0, u.shape[0]))
-            fld = pdesim.Field(x=x, u=u, t=0.0)
-            want = scan_front_position(fld, level)
-            got = pdesim.front_position(fld, level)
+            want = scan_front_position(x, u, level)
+            got = pdesim.front_position(x, u, level)
             assert same_result(got, want), (case, level, u.tolist())
             seen["none"] += want is None
             seen["last"] += bool(u.shape[0]) and u[-1] >= level
@@ -162,8 +194,7 @@ class TestFrontMeasurements:
         # which the scan counts as a crossing; the shortcut must not run
         x = np.arange(4.0)
         u = np.array([1.0, -1e-200, -1e-200, -1e-200])
-        fld = pdesim.Field(x=x, u=u, t=0.0)
-        assert pdesim.front_position(fld, 0.0) == scan_front_position(fld, 0.0) == 2.0
+        assert pdesim.front_position(x, u, 0.0) == scan_front_position(x, u, 0.0) == 2.0
 
 
     def test_front_position_symmetric_step(self):
@@ -171,29 +202,25 @@ class TestFrontMeasurements:
         x = x + 0.05  # grid cell straddles 0 symmetrically
         u = np.where(x < 0.05, 1.0, 0.0)
         u[x == 0.05] = 1.0
-        fld = pdesim.Field(x=x, u=u, t=0.0)
         # continuum step sits midway through the jump cell
-        pos = pdesim.front_position(fld, 0.5)
+        pos = pdesim.front_position(x, u, 0.5)
         assert pos == pytest.approx(0.1, abs=1e-12)
 
     def test_front_position_linear_ramp(self):
         x = np.linspace(0.0, 100.0, 101)
-        fld = pdesim.Field(x=x, u=x / 100.0, t=0.0)
-        assert pdesim.front_position(fld, 0.25) == pytest.approx(25.0, abs=1e-12)
+        assert pdesim.front_position(x, x / 100.0, 0.25) == pytest.approx(25.0, abs=1e-12)
 
     def test_front_position_none_without_crossing(self):
         x = np.linspace(0.0, 1.0, 11)
-        fld = pdesim.Field(x=x, u=np.zeros(11), t=0.0)
-        assert pdesim.front_position(fld, 0.5) is None
+        assert pdesim.front_position(x, np.zeros(11), 0.5) is None
 
     def test_front_position_shifts_with_profile(self, ricker2_solution):
         prof = ricker2_solution.profile
         x = np.linspace(-40.0, 40.0, 801)
         h = x[1] - x[0]
         level = 0.3
-        a = pdesim.front_position(pdesim.Field(x=x, u=prof.interp(x), t=0.0), level)
-        b = pdesim.front_position(
-            pdesim.Field(x=x, u=prof.interp(x - 7.3), t=0.0), level)
+        a = pdesim.front_position(x, prof.interp(x), level)
+        b = pdesim.front_position(x, prof.interp(x - 7.3), level)
         assert b - a == pytest.approx(7.3, abs=h)
 
     def test_front_speed_recovers_synthetic_slope(self):
@@ -223,7 +250,7 @@ class TestComparisonSystem:
     def test_plateau_is_stationary(self):
         params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5)
         cfg = small_config(initial=np.full(301, params.plateau), t_end=1.0)
-        record = pdesim.simulate_comparison(params, None, cfg)
+        record = pdesim.simulate_comparison(params, cfg)
         for u in record.snapshots:
             assert np.max(np.abs(u - params.plateau)) < 1e-10
 
@@ -242,7 +269,7 @@ class TestComparisonSystem:
         for name, u0 in (("low", lowd), ("high", high)):
             cfg = small_config(initial=u0.copy(), t_end=5.0,
                                snapshot_times=list(np.linspace(0, 5.0, 26)))
-            snaps[name] = pdesim.simulate_comparison(params, None, cfg)
+            snaps[name] = pdesim.simulate_comparison(params, cfg)
         for ul, uh in zip(snaps["low"].snapshots, snaps["high"].snapshots):
             assert np.max(ul - uh) <= 1e-8
 
@@ -252,7 +279,7 @@ class TestComparisonSystem:
                                initial=lambda x: np.where(np.abs(x) < 5.0,
                                                           params.plateau, 0.0),
                                history="frozen")
-        record = pdesim.simulate_comparison(params, None, cfg)
+        record = pdesim.simulate_comparison(params, cfg)
         lo, hi = pdesim.spreading_probe(record, 0.7 * 2.0)
         assert abs(lo - params.plateau) <= 0.02 * params.plateau
         assert abs(hi - params.plateau) <= 0.02 * params.plateau
@@ -263,7 +290,7 @@ class TestComparisonSystem:
     def test_probe_on_constant_plateau(self):
         params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.0)
         cfg = small_config(initial=np.full(301, params.plateau), t_end=2.0)
-        record = pdesim.simulate_comparison(params, None, cfg)
+        record = pdesim.simulate_comparison(params, cfg)
         lo, hi = pdesim.spreading_probe(record, 1.0)
         assert lo == pytest.approx(params.plateau, abs=1e-10)
         assert hi == pytest.approx(params.plateau, abs=1e-10)

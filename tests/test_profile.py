@@ -640,7 +640,7 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
                        monkeypatch):
     assert profile.SolverConfig().mode == "auto"
     s2 = profile.solve(ricker2, 1.3 * ricker2_cstar, profile.SolverConfig(h=0.02))
-    assert s2.mode == "monotone" and s2.monotone_ok
+    assert s2.mode == "monotone" and s2.membership.monotone_ok
     s3 = profile.solve(ricker3, 1.3 * ricker3_cstar, profile.SolverConfig(h=0.02))
     assert s3.mode == "nonmonotone" and "envelope" in s3.note
     # an explicit mode is honoured, not overridden by the hypotheses
