@@ -17,8 +17,7 @@ import numpy as np
 from .dispersion import CharacteristicContext, char_value, decay_roots
 from .errors import ModelInvalidError, NoRootsError
 from .model import (GRID_POINTS, ModelSpec, RickerBirth, _bisect_root,
-                    _scalar_or_array, birth_monotone_on, birth_peak,
-                    equilibrium, quadratic_gap)
+                    _scalar_or_array, birth_peak, equilibrium, quadratic_gap)
 
 ETA_DEGENERACY_TOL = 1e-6
 
@@ -166,13 +165,26 @@ def kink_excluded_grid(lo: float, hi: float, n: int, kinks, radius: float | None
 # ---------------------------------------------------------------------------
 # birth envelopes for the nonmonotone case
 
-class RickerUpperEnvelope:
+class _Envelope:
+    """A monotone envelope of the birth `base`: near 0 the envelopes
+    coincide with it, so they take its derivative and curvature there."""
+
+    def __init__(self, base):
+        self.base = base
+
+    @property
+    def derivative_at_zero(self):
+        return self.base.derivative_at_zero
+
+    @property
+    def curvature_at_zero(self):
+        return self.base.curvature_at_zero
+
+
+class RickerUpperEnvelope(_Envelope):
     """Running maximum of a Ricker birth whose peak sits inside the range."""
 
     kind = "envelope_upper"
-
-    def __init__(self, base: RickerBirth):
-        self.base = base
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -184,22 +196,14 @@ class RickerUpperEnvelope:
         out = np.where(u < 1.0, self.base.p * (1.0 - u) * np.exp(-np.minimum(u, 1.0)), 0.0)
         return _scalar_or_array(out)
 
-    @property
-    def derivative_at_zero(self):
-        return self.base.derivative_at_zero
 
-    @property
-    def curvature_at_zero(self):
-        return self.base.curvature_at_zero
-
-
-class RickerLowerEnvelope:
+class RickerLowerEnvelope(_Envelope):
     """Suffix minimum of a Ricker birth over [u, level]."""
 
     kind = "envelope_lower"
 
     def __init__(self, base: RickerBirth, level: float):
-        self.base = base
+        super().__init__(base)
         self.level = float(level)
         self.floor = float(base.value(level))
 
@@ -217,29 +221,21 @@ class RickerLowerEnvelope:
         out = np.where(active, self.base.p * (1.0 - capped) * np.exp(-capped), 0.0)
         return _scalar_or_array(out)
 
-    @property
-    def derivative_at_zero(self):
-        return self.base.derivative_at_zero
 
-    @property
-    def curvature_at_zero(self):
-        return self.base.curvature_at_zero
-
-
-class TabularEnvelope:
+class TabularEnvelope(_Envelope):
     """Envelope stored as a dense table, linearly interpolated (shape safe).
 
-    Near 0 both envelopes coincide with the base birth, so its derivative
-    and curvature there are the envelope's; the table's first secant would
-    fall short of b'(0) and fail the strict gap hypothesis on the first cell.
+    It takes b'(0) and b''(0) from the base birth: the table's first secant
+    would fall short of b'(0) and fail the strict gap hypothesis on the
+    first cell.
     """
 
     kind = "envelope_table"
 
     def __init__(self, u, vals, base):
+        super().__init__(base)
         self.u = np.asarray(u, dtype=float)
         self.vals = np.asarray(vals, dtype=float)
-        self.base = base
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -254,14 +250,6 @@ class TabularEnvelope:
         idx = np.clip(((x - self.u[0]) / du).astype(int), 0, len(slopes) - 1)
         out = np.where((x <= self.u[0]) | (x >= self.u[-1]), 0.0, slopes[idx])
         return _scalar_or_array(out)
-
-    @property
-    def derivative_at_zero(self):
-        return self.base.derivative_at_zero
-
-    @property
-    def curvature_at_zero(self):
-        return self.base.curvature_at_zero
 
 
 @dataclass
@@ -289,7 +277,8 @@ def build_envelopes(model: ModelSpec) -> EnvelopePair:
     K = equilibrium(model)
     peak = birth_peak(model)
 
-    if birth_monotone_on(b, 0.0, K) and peak <= b.value(K) + 1e-12:
+    rising = np.all(np.diff(b.value(np.linspace(0.0, K, GRID_POINTS))) >= -1e-14)
+    if rising and peak <= b.value(K) + 1e-12:
         # envelopes of a monotone birth coincide with it
         return EnvelopePair(upper=b, lower=b, k=K, level=K)
 

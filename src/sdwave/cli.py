@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, dispersion, pdesim, profile, reporting
-from .config import RunConfig, build_model, load_config
+from .config import RunConfig, _parse_value, build_model, load_config
 from .errors import (ConfigError, ModelInvalidError, NonconvergenceError,
                      NoRootsError, SchemeError, SdwaveError, VerificationError)
 from .model import ConstantDelay, ModelSpec, RickerBirth, equilibrium
@@ -253,19 +253,18 @@ def _sim_config_from(cfg: RunConfig, section: str,
     x_min, x_max, nx, t_end = (cfg.require(section, key)
                                for key in ("x_min", "x_max", "nx", "t_end"))
 
-    def resolve_high(raw):
-        return high if raw in (None, "equilibrium", "plateau") else float(raw)
-
     kind = sec.get("initial.kind", "step")
     if kind == "step":
-        high = resolve_high(sec.get("initial.high"))
+        raw = sec.get("initial.high", "equilibrium")
+        if raw not in ("equilibrium", "plateau"):
+            high = _parse_value(raw, "f", cfg.path.parent,
+                                f"[{section}] initial.high")
         initial = ("step", sec.get("initial.location", 0.0),
                    sec.get("initial.low", 0.0), high)
     elif kind == "bump":
         center = sec.get("initial.center", 0.0)
         width = sec.get("initial.width", 10.0)
-        height = sec.get("initial.height")
-        height = resolve_high(height)
+        height = sec.get("initial.height", high)
 
         def bump(x, center=center, width=width, height=height):
             return np.where(np.abs(x - center) < width, height, 0.0)

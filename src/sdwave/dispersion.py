@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelInvalidError, NoRootsError
 from .model import (ModelSpec, _bisect_root, _scalar_or_array, equilibrium,
-                    sup_delay_slope)
+                    lag_factor)
 
 ROOT_RESIDUAL_TOL = 1e-12
 BISECTION_TOL = 1e-10
@@ -259,9 +259,9 @@ def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
                 speed: SpeedResult | None = None) -> KernelRates:
     """Kernel rates at speed c with a beta meeting every solver constraint.
 
-    With A = 1 + b'(0) * range_end * sup-slope(tau) over [0, range_end]:
-    beta exceeds (by 1%) the largest of the smoothing bound, the
-    monotonicity bound, three times the root bound times A, and d + 1.
+    With A = lag_factor(model, range_end): beta exceeds (by 1%) the largest
+    of the smoothing bound, the monotonicity bound, three times the root
+    bound times A, and d + 1.
     The iteration's sandwich and the membership certificate assume these
     bounds, so the solvers take their rates from here only.  `speed` is the
     threshold speed of `ctx`; it is computed when absent.
@@ -270,9 +270,7 @@ def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
         ctx = CharacteristicContext.from_model(model)
     if range_end is None:
         range_end = equilibrium(model)
-    T = sup_delay_slope(model, range_end)
-    bp0 = model.birth.derivative_at_zero
-    A = 1.0 + bp0 * range_end * T
+    A = lag_factor(model, range_end)
     sr = speed if speed is not None else critical_speed(ctx)
     lo = sr.c_star * (1.0 + 1e-9)
     hi = max(c, 2.0 * sr.c_star)

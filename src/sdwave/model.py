@@ -1,9 +1,13 @@
 """Model ingredients: death rate, birth function, and state-dependent delay.
 
-Defines the built-in birth and delay families, validates the structural
-hypotheses the solvers rely on, and computes the derived constants used
-everywhere else (positive equilibrium, quadratic gap coefficient, birth
-peak, delay slope supremum).
+Defines the built-in birth and delay families and the derived constants
+used everywhere else: the positive equilibrium K, the quadratic gap
+coefficient L, the birth peak and the lag factor A.  One checker,
+`validate_hypotheses`, samples the structural hypotheses the solvers rely
+on over dense grids: A1-A3 on the delay and B on the sign of b(u) - d*u in
+both modes, then B1-B4 for a monotone birth or the relaxed C1-C3 for a
+nonmonotone one.  A failure records its first witness (u, violated
+inequality); the README tables every check and its grid.
 """
 from __future__ import annotations
 
@@ -146,11 +150,6 @@ class TabulatedBirth:
         return f"TabulatedBirth(u_max={self.u_max})"
 
 
-def birth_monotone_on(birth, lo: float, hi: float, n: int = GRID_POINTS) -> bool:
-    grid = np.linspace(lo, hi, n)
-    return bool(np.all(np.diff(birth.value(grid)) >= -1e-14))
-
-
 # ---------------------------------------------------------------------------
 # delay functions
 
@@ -171,7 +170,7 @@ class ConstantDelay:
         out = np.zeros_like(u)
         return _scalar_or_array(out)
 
-    def slope_sup(self, range_end: float) -> float:
+    def slope_sup(self) -> float:
         return 0.0
 
     def __repr__(self):
@@ -197,7 +196,7 @@ class RationalDelay:
         out = (self.M - self.m) / (1.0 + u) ** 2
         return _scalar_or_array(out)
 
-    def slope_sup(self, range_end: float) -> float:
+    def slope_sup(self) -> float:
         # slope is decreasing in u, maximal at u = 0
         return self.M - self.m
 
@@ -224,7 +223,7 @@ class ExponentialDelay:
         out = (self.M - self.m) * np.exp(-u)
         return _scalar_or_array(out)
 
-    def slope_sup(self, range_end: float) -> float:
+    def slope_sup(self) -> float:
         return self.M - self.m
 
     def __repr__(self):
@@ -303,7 +302,10 @@ def quadratic_gap(model: ModelSpec, range_end: float) -> float:
     sup = max(float(ratio.max()), float(limit))
     if sup <= 0:
         sup = 1e-12  # linear-at-origin birth: any tiny positive L certifies
-    return (1.0 + GAP_SAFETY) * sup
+    L = (1.0 + GAP_SAFETY) * sup
+    if not math.isfinite(L):
+        raise ModelInvalidError(f"gap coefficient L = {L} is not finite")
+    return L
 
 
 def birth_peak(model: ModelSpec) -> float:
@@ -324,13 +326,13 @@ def birth_peak(model: ModelSpec) -> float:
     return float(max(vals[i], b.value(x)))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, c = lo, hi
     x1 = c - invphi * (c - a)
     x2 = a + invphi * (c - a)
     f1, f2 = f(x1), f(x2)
-    while c - a > tol * max(1.0, abs(a) + abs(c)):
+    while c - a > 1e-12 * max(1.0, abs(a) + abs(c)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (c - a)
@@ -342,9 +344,13 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + c)
 
 
-def sup_delay_slope(model: ModelSpec, range_end: float) -> float:
-    """Supremum of tau'(u) over [0, range_end]; analytic for built-in kinds."""
-    return float(model.delay.slope_sup(range_end))
+def lag_factor(model: ModelSpec, level: float) -> float:
+    """The constant A = 1 + b'(0) * level * sup tau' of the solution set.
+
+    It enters the kernel parameter beta and the Lipschitz bound that the
+    membership certificate checks, for profiles on [0, level].
+    """
+    return 1.0 + model.birth.derivative_at_zero * level * model.delay.slope_sup()
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +368,18 @@ class HypothesisReport:
     mode: str
     entries: list = field(default_factory=list)
 
-    def add(self, id: str, holds: bool, witness=None):
-        if not holds and witness is None:
-            witness = (float("nan"), "unspecified")
-        self.entries.append(HypothesisCheck(id, bool(holds), witness))
+    def add(self, id: str, witness=None):
+        """Record `id`: it holds unless the witness of a violation is given."""
+        self.entries.append(HypothesisCheck(id, witness is None, witness))
+
+    def _entry(self, id: str) -> HypothesisCheck:
+        return {e.id: e for e in self.entries}[id]   # KeyError if unchecked
 
     def holds(self, id: str) -> bool:
-        for e in self.entries:
-            if e.id == id:
-                return e.holds
-        raise KeyError(id)
+        return self._entry(id).holds
 
     def witness(self, id: str):
-        for e in self.entries:
-            if e.id == id:
-                return e.witness
-        raise KeyError(id)
+        return self._entry(id).witness
 
     @property
     def all_hold(self) -> bool:
@@ -392,138 +394,108 @@ class HypothesisReport:
         }
 
 
-def _first_violation(u, mask):
-    idx = np.nonzero(mask)[0]
-    return None if idx.size == 0 else float(u[idx[0]])
+def _check(rep: HypothesisReport, id: str, u, bad, describe) -> None:
+    """Record `id` as checked on the grid u: it fails at the first point
+    that `bad` flags, with witness (u, describe(u)), and holds if none is."""
+    idx = np.flatnonzero(bad)
+    if idx.size:
+        w = float(u[idx[0]])
+        rep.add(id, (w, describe(w)))
+    else:
+        rep.add(id)
+
+
+def _check_gap(rep: HypothesisReport, id: str, model: ModelSpec,
+               range_end: float) -> None:
+    """Record `id` as the quadratic gap bound: it holds when `quadratic_gap`
+    finds a finite L, which then bounds the gap on the whole grid."""
+    try:
+        quadratic_gap(model, range_end)
+    except ModelInvalidError as exc:
+        rep.add(id, (0.0, str(exc)))
+    else:
+        rep.add(id)
 
 
 def validate_hypotheses(model: ModelSpec, mode: str = "monotone") -> HypothesisReport:
     """Check the structural hypotheses by dense grid sampling.
 
-    mode "monotone" checks the monotone-birth set over [0, K];
-    mode "nonmonotone" checks the relaxed set over [0, peak].
+    mode "monotone" checks the monotone-birth set B1-B4 over [0, K];
+    mode "nonmonotone" checks the relaxed set C1-C3 up to the birth peak.
+    The delay set A1-A3 and the sign structure B are checked in both.
     Violations are reported with witnesses, never thrown.
     """
     if mode not in ("monotone", "nonmonotone"):
         raise ValueError(f"unknown mode {mode!r}")
     rep = HypothesisReport(mode=mode)
     b, delay, d = model.birth, model.delay, model.d
-    bp0 = b.derivative_at_zero
-
     try:
         K = equilibrium(model)
     except ModelInvalidError:
         K = None
-    peak = None
-    if K is not None:
-        peak = birth_peak(model)
+    peak = None if K is None else birth_peak(model)
 
-    # delay hypotheses (always checked)
-    rep.add("A1", True)  # built-in kinds are C^1 by construction
-    span = 10.0 * max(K or 1.0, peak or 1.0)
+    # delay hypotheses; built-in kinds are C^1 by construction
+    rep.add("A1")
+    # capped so that the grid starts at u = 0 even when K or the peak is huge
+    span = min(10.0 * max(K or 1.0, peak or 1.0), np.finfo(float).max)
     ug = np.linspace(0.0, span, GRID_POINTS)
     sl = delay.slope(ug)
-    bad = (sl < -1e-14) | (sl >= 1.0)
-    if delay.slope_sup(span) >= 1.0 or np.any(bad):
-        w = _first_violation(ug, bad)
-        u0 = 0.0 if w is None else w
-        rep.add("A2", False, (u0, f"tau'({u0:g}) = {float(delay.slope(u0)):g} outside [0, 1)"))
-    else:
-        rep.add("A2", True)
+    _check(rep, "A2", ug, (sl < -1e-14) | (sl >= 1.0),
+           lambda w: f"tau'({w:g}) = {float(delay.slope(w)):g} outside [0, 1)")
     if delay.m < 0:
-        rep.add("A3", False, (0.0, f"tau(0) = {delay.m:g} < 0"))
+        rep.add("A3", (0.0, f"tau(0) = {delay.m:g} < 0"))
     elif delay.M < delay.m:
-        rep.add("A3", False, (0.0, f"limit {delay.M:g} below tau(0) = {delay.m:g}"))
+        rep.add("A3", (0.0, f"limit {delay.M:g} below tau(0) = {delay.m:g}"))
     else:
-        rep.add("A3", True)
+        rep.add("A3")
 
     # base birth hypothesis: sign structure of b(u) - d*u around the equilibrium
-    if abs(float(b.value(0.0))) > 1e-14:
-        rep.add("B", False, (0.0, f"b(0) = {float(b.value(0.0)):g} != 0"))
+    b0 = float(b.value(0.0))
+    if abs(b0) > 1e-14:
+        rep.add("B", (0.0, f"b(0) = {b0:g} != 0"))
     elif K is None:
-        rep.add("B", False, (0.0, "no positive equilibrium"))
+        rep.add("B", (0.0, "no positive equilibrium"))
     else:
         inner = np.linspace(0.0, K, GRID_POINTS)[1:-1]
-        outer = np.linspace(K, 10.0 * K, GRID_POINTS)[1:]
-        below = b.value(inner) - d * inner
-        above = b.value(outer) - d * outer
-        bad_in = below <= 0
-        bad_out = (above >= 0) | (b.value(outer) <= 0)
+        bad_in = b.value(inner) - d * inner <= 0
         if np.any(bad_in):
-            w = _first_violation(inner, bad_in)
-            rep.add("B", False, (w, f"b(u) <= d*u inside (0, K) at u={w:g}"))
-        elif np.any(bad_out):
-            w = _first_violation(outer, bad_out)
-            rep.add("B", False, (w, f"b(u) outside (0, d*u) above K at u={w:g}"))
+            _check(rep, "B", inner, bad_in,
+                   lambda w: f"b(u) <= d*u inside (0, K) at u={w:g}")
         else:
-            rep.add("B", True)
+            outer = np.linspace(K, 10.0 * K, GRID_POINTS)[1:]
+            b_out = b.value(outer)
+            _check(rep, "B", outer, (b_out - d * outer >= 0) | (b_out <= 0),
+                   lambda w: f"b(u) outside (0, d*u) above K at u={w:g}")
 
+    ids = ("B1", "B2", "B3", "B4") if mode == "monotone" else ("C1", "C2", "C3")
     if K is None:
-        for id in (("B1", "B2", "B3", "B4") if mode == "monotone" else ("C1", "C2", "C3")):
-            rep.add(id, False, (0.0, "no positive equilibrium"))
+        for id in ids:
+            rep.add(id, (0.0, "no positive equilibrium"))
         return rep
-
+    # K exists, so b'(0) > d; built-in births are C^1
+    bp0 = b.derivative_at_zero
+    rep.add(ids[0])
+    end = K if mode == "monotone" else max(10.0 * K, 10.0 * peak)
+    u = np.linspace(0.0, end, GRID_POINTS)[1:]
+    _check(rep, ids[1], u, bp0 * u - b.value(u) <= 0,
+           lambda w: f"b(u) >= b'(0)*u at u={w:g}")
     if mode == "monotone":
         u = np.linspace(0.0, K, GRID_POINTS)
-        rep.add("B1", True)  # built-in births are C^1 on [0, K]
-        if bp0 <= d:
-            rep.add("B2", False, (0.0, f"b'(0) = {bp0:g} <= d = {d:g}"))
-        else:
-            gap = bp0 * u[1:] - b.value(u[1:])
-            bad = gap <= 0
-            if np.any(bad):
-                w = _first_violation(u[1:], bad)
-                rep.add("B2", False, (w, f"b(u) >= b'(0)*u at u={w:g}"))
-            else:
-                rep.add("B2", True)
         der = b.derivative(u)
-        bad = der < -1e-12
-        bad_hi = der > bp0 * (1 + 1e-12)
-        if np.any(bad):
-            w = _first_violation(u, bad)
-            rep.add("B3", False, (w, f"b'({w:g}) = {float(b.derivative(w)):g} < 0"))
-        elif np.any(bad_hi):
-            w = _first_violation(u, bad_hi)
-            rep.add("B3", False, (w, f"b'({w:g}) > b'(0)"))
+        falling = der < -1e-12
+        if np.any(falling):
+            _check(rep, "B3", u, falling,
+                   lambda w: f"b'({w:g}) = {float(b.derivative(w)):g} < 0")
         else:
-            rep.add("B3", True)
+            _check(rep, "B3", u, der > bp0 * (1 + 1e-12),
+                   lambda w: f"b'({w:g}) > b'(0)")
         _check_gap(rep, "B4", model, K)
     else:
-        u_hi = max(10.0 * K, 10.0 * peak)
-        u = np.linspace(0.0, u_hi, GRID_POINTS)[1:]
-        rep.add("C1", True)
-        if bp0 <= d:
-            rep.add("C2", False, (0.0, f"b'(0) = {bp0:g} <= d = {d:g}"))
-        else:
-            gap = bp0 * u - b.value(u)
-            bad = gap <= 0
-            if np.any(bad):
-                w = _first_violation(u, bad)
-                rep.add("C2", False, (w, f"b(u) >= b'(0)*u at u={w:g}"))
-            else:
-                rep.add("C2", True)
-        ug2 = np.linspace(0.0, peak, GRID_POINTS)
-        der = np.abs(b.derivative(ug2))
-        bad = der > bp0 * (1 + 1e-12)
-        if np.any(bad):
-            w = _first_violation(ug2, bad)
-            rep.add("C3", False, (w, f"|b'({w:g})| > b'(0)"))
+        u = np.linspace(0.0, peak, GRID_POINTS)
+        steep = np.abs(b.derivative(u)) > bp0 * (1 + 1e-12)
+        if np.any(steep):
+            _check(rep, "C3", u, steep, lambda w: f"|b'({w:g})| > b'(0)")
         else:
             _check_gap(rep, "C3", model, peak)
     return rep
-
-
-def _check_gap(rep: HypothesisReport, id: str, model: ModelSpec, range_end: float):
-    try:
-        L = quadratic_gap(model, range_end)
-    except ModelInvalidError as exc:
-        rep.add(id, False, (0.0, str(exc)))
-        return
-    u = np.linspace(0.0, range_end, GRID_POINTS)[1:]
-    gap = model.birth.derivative_at_zero * u - model.birth.value(u)
-    bad = gap >= L * u**2
-    if np.any(bad):
-        w = _first_violation(u, bad)
-        rep.add(id, False, (w, f"gap not below L*u^2 at u={w:g}"))
-    else:
-        rep.add(id, True)

@@ -28,7 +28,7 @@ from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
                          choose_beta, critical_speed, decay_roots)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
 from .model import (HypothesisReport, ModelSpec, _bisect_root, equilibrium,
-                    sup_delay_slope, validate_hypotheses)
+                    lag_factor, validate_hypotheses)
 
 NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
@@ -181,9 +181,7 @@ def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
     sandwich_ok = max(over, under) <= sandwich_tol
     mono_margin = float(np.min(np.diff(phi.values)))
     monotone_ok = (not require_monotone) or mono_margin >= -1e-12
-    T = sup_delay_slope(model, level)
-    A = 1.0 + model.birth.derivative_at_zero * level * T
-    lip_bound = beta * level / (A * c)
+    lip_bound = beta * level / (lag_factor(model, level) * c)
     steep = float(np.max(np.abs(np.diff(phi.values)))) / phi.h
     lipschitz_ok = steep <= lip_bound * (1.0 + 1e-9) + 1e-12
     return MembershipReport(
@@ -617,9 +615,10 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         aux_cfg = SolverConfig(tol=config.tol, max_iters=config.max_iters,
                                h=config.h, left_width=config.left_width,
                                right_width=config.right_width)
-        aux_ctx = CharacteristicContext.from_model(aux_model)
+        # the envelopes share b'(0), and the lower model d and the delay,
+        # so both equations have the model's threshold speed
         aux = _solve(aux_model, c, aux_cfg, True, note="lower-envelope wavefront",
-                     speed=speed if aux_ctx == ctx else critical_speed(aux_ctx))
+                     speed=speed)
         level, anchor = pair.level, pair.k / 4.0
         lower = _EnvelopeFront(aux, roots.lambda1, pair.k)
         rate = _approach_rate(aux_model, c, pair.k)

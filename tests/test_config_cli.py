@@ -420,6 +420,27 @@ class TestSimulateCommands:
         assert key in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command, value", [
+        ("simulate", "abc"), ("simulate", "nan"), ("simulate", "inf"),
+        ("simulate", "1e400"), ("compare", "abc"),
+    ])
+    def test_bad_initial_high_rejected(self, tmp_path, capsys, command, value):
+        if command == "simulate":
+            section = "pde"
+            text = DELAYED_MODEL + SIM_SECTION.replace(
+                "initial.high = equilibrium", f"initial.high = {value}")
+        else:
+            section = "comparison"
+            text = BASE_MODEL + COMPARISON_SECTION.replace(
+                "initial.kind = bump", f"initial.kind = step\ninitial.high = {value}")
+        p = write_cfg(tmp_path, text)
+        out_dir = tmp_path / "rundir"
+        assert run_cli(["--config", p, command, "--out-dir", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}] initial.high" in err
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_compare_command(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BASE_MODEL + COMPARISON_SECTION)
         out_dir = tmp_path / "cmp"
@@ -634,6 +655,17 @@ class TestSweepCommand:
         assert rows[0]["error"] == ""
         assert "monotone hypothesis set" in rows[1]["error"]
         assert math.isnan(rows[1]["residual_sup"])
+
+    def test_bad_initial_high_fails_the_row(self, tmp_path):
+        text = (SWEEP_TEXT.replace("initial.high = equilibrium", "initial.high = abc")
+                .replace("p = 2.0, 2.4", "p = 2.0")
+                .replace("m = 0.1, 0.3", "m = 0.1"))
+        p = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
+        assert run_cli(["--config", p, "sweep"]) == 1
+        row, = json.loads((tmp_path / "out" / "sweep.json").read_text())[
+            "results"]["rows"]
+        assert "[pde] initial.high" in row["error"]
+        assert math.isnan(row["measured_speed"])
 
     def test_empty_grid_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[sweep]\np = 2.0\nm =\nM = 0.6\n")

@@ -156,7 +156,7 @@ class TestChooseBeta:
 
     def test_beta_formula_floor(self, ricker2, ricker2_cstar):
         K = model.equilibrium(ricker2)
-        T = model.sup_delay_slope(ricker2, K)
+        T = ricker2.delay.slope_sup()
         A = 1.0 + 2.0 * K * T
         c = 1.2 * ricker2_cstar
         kr = dispersion.choose_beta(c, ricker2, range_end=K)

@@ -93,16 +93,14 @@ def test_birth_peak_monotone_is_right_endpoint():
 
 
 def test_sup_delay_slope():
-    assert model.sup_delay_slope(
-        model.ModelSpec(1.0, model.RickerBirth(2.0), model.ConstantDelay(0.3)),
-        1.0) == 0.0
+    assert model.ConstantDelay(0.3).slope_sup() == 0.0
     m = model.ModelSpec(1.0, model.RickerBirth(2.0), model.RationalDelay(0.2, 0.7))
-    assert model.sup_delay_slope(m, 5.0) == pytest.approx(0.5, abs=1e-14)
+    assert m.delay.slope_sup() == pytest.approx(0.5, abs=1e-14)
     # grid cross-check: slope is maximal at u = 0
     u = np.linspace(0.0, 5.0, 10_001)
     assert np.max(m.delay.slope(u)) <= 0.5 + 1e-14
     m2 = model.ModelSpec(1.0, model.RickerBirth(2.0), model.ExponentialDelay(0.0, 0.9))
-    assert model.sup_delay_slope(m2, 5.0) == pytest.approx(0.9, abs=1e-14)
+    assert m2.delay.slope_sup() == pytest.approx(0.9, abs=1e-14)
 
 
 class TestHypothesisValidation:
@@ -139,6 +137,100 @@ class TestHypothesisValidation:
                                 delay=model.RationalDelay(0.1, 0.6))
             rep = model.validate_hypotheses(m, "monotone")
             assert rep.all_hold, (d, ratio, rep.as_dict())
+
+
+def _table(u, b):
+    return model.TabulatedBirth(np.column_stack([u, b]))
+
+
+def _dipping_birth():
+    """2u/(1+u) with a narrow dip below u near 0.5032 (d = 1, K = 1).
+
+    The dip falls between two nodes of the geometric scan that locates K,
+    so K stays 1 and the dip is a violation inside (0, K).
+    """
+    u0 = 0.5032
+    u = np.linspace(0.0, 4.0, 81)
+    u = np.sort(np.concatenate([u[np.abs(u - u0) > 0.01],
+                                [u0 - 1e-3, u0, u0 + 1e-3]]))
+    b = 2.0 * u / (1.0 + u)
+    b[u == u0] = u0 - 0.05
+    return _table(u, b)
+
+
+def _recrossing_birth():
+    """b(u) - u changes sign at 1, 2 and 3: above K = 1 it turns positive."""
+    u = np.linspace(0.0, 6.0, 61)
+    return _table(u, u + 0.3 * u * (1 - u) * (2 - u) * (3 - u) * np.exp(-u))
+
+
+def _convex_birth():
+    u = np.linspace(0.0, 3.0, 31)
+    return _table(u, 2.0 * u + 0.5 * u * u)
+
+
+def _fails(u, violated):
+    return {"holds": False, "witness": {"u": u, "violated": violated}}
+
+
+NO_EQUILIBRIUM = _fails(0.0, "no positive equilibrium")
+STEEP_LAG = _fails(0.0, "tau'(0) = 1.2 outside [0, 1)")
+FALLING_LAG = _fails(0.0, "tau'(0) = -0.5 outside [0, 1)")
+FALLING_LIMIT = _fails(0.0, "limit 0.2 below tau(0) = 0.7")
+DIP = _fails(0.5029, "b(u) <= d*u inside (0, K) at u=0.5029")
+RECROSS = _fails(2.0008, "b(u) outside (0, d*u) above K at u=2.0008")
+
+# the failing entries of `as_dict()`, exactly; every other entry holds
+FAILING_ENTRIES = [
+    ("steep lag", lambda: model.RickerBirth(2.0),
+     lambda: model.RationalDelay(0.2, 1.4), "monotone", {"A2": STEEP_LAG}),
+    ("steep lag", lambda: model.RickerBirth(2.0),
+     lambda: model.RationalDelay(0.2, 1.4), "nonmonotone", {"A2": STEEP_LAG}),
+    ("negative lag", lambda: model.RickerBirth(2.0),
+     lambda: model.ConstantDelay(-0.1), "monotone",
+     {"A3": _fails(0.0, "tau(0) = -0.1 < 0")}),
+    ("falling lag", lambda: model.RickerBirth(2.0),
+     lambda: model.RationalDelay(0.7, 0.2), "monotone",
+     {"A2": FALLING_LAG, "A3": FALLING_LIMIT}),
+    ("dip", _dipping_birth, lambda: model.RationalDelay(0.2, 0.7),
+     "monotone",
+     {"B": DIP, "B3": _fails(0.5023, "b'(0.5023) = -116.326 < 0")}),
+    ("dip", _dipping_birth, lambda: model.RationalDelay(0.2, 0.7),
+     "nonmonotone", {"B": DIP, "C3": _fails(0.5023, "|b'(0.5023)| > b'(0)")}),
+    ("recrossing", _recrossing_birth, lambda: model.RationalDelay(0.2, 0.7),
+     "monotone", {"B": RECROSS}),
+    ("recrossing", _recrossing_birth, lambda: model.RationalDelay(0.2, 0.7),
+     "nonmonotone", {"B": RECROSS}),
+    ("convex", _convex_birth, lambda: model.RationalDelay(0.2, 0.7),
+     "monotone",
+     {"B2": _fails(0.00105, "b(u) >= b'(0)*u at u=0.00105"),
+      "B3": _fails(0.00105, "b'(0.00105) > b'(0)"),
+      "B4": _fails(0.0, "b(u) exceeds its linearization at u=2.99985; "
+                        "gap hypothesis fails")}),
+    ("convex", _convex_birth, lambda: model.RationalDelay(0.2, 0.7),
+     "nonmonotone",
+     {"C2": _fails(0.0105, "b(u) >= b'(0)*u at u=0.0105"),
+      "C3": _fails(0.00105, "|b'(0.00105)| > b'(0)")}),
+    ("ricker p=3", lambda: model.RickerBirth(3.0),
+     lambda: model.RationalDelay(0.2, 0.7), "monotone",
+     {"B3": _fails(1.0000667663745804, "b'(1.00007) = -7.3681e-05 < 0")}),
+    ("no equilibrium", lambda: model.RickerBirth(0.5),
+     lambda: model.RationalDelay(0.2, 0.7), "monotone",
+     {id: NO_EQUILIBRIUM for id in ("B", "B1", "B2", "B3", "B4")}),
+    ("no equilibrium", lambda: model.RickerBirth(0.5),
+     lambda: model.RationalDelay(0.2, 0.7), "nonmonotone",
+     {id: NO_EQUILIBRIUM for id in ("B", "C1", "C2", "C3")}),
+]
+
+
+@pytest.mark.parametrize("name, birth, delay, mode, expected", FAILING_ENTRIES,
+                         ids=[f"{c[0]}-{c[3]}" for c in FAILING_ENTRIES])
+def test_failing_hypotheses_report_exact_witnesses(name, birth, delay, mode,
+                                                    expected):
+    m = model.ModelSpec(d=1.0, birth=birth(), delay=delay())
+    entries = model.validate_hypotheses(m, mode).as_dict()
+    assert list(entries)[:4] == ["A1", "A2", "A3", "B"]
+    assert {id: e for id, e in entries.items() if not e["holds"]} == expected
 
 
 class TestModelInvariants:

@@ -109,7 +109,7 @@ class TestOperatorF:
 
     def test_smoothing_bound(self, setup2):
         m, c, K, rates, up, low = setup2
-        T = model.sup_delay_slope(m, K)
+        T = m.delay.slope_sup()
         bound = rates.beta * K / (1.0 + m.birth.derivative_at_zero * K * T)
         xi = np.arange(-60.0, 60.0, 0.01)
         for theta in (0.0, 0.35, 1.0):
@@ -664,3 +664,30 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
     assert cfg.damping == 1.0
     with pytest.raises(ModelInvalidError, match="mode"):
         profile.SolverConfig(mode="bogus")
+
+
+def test_nonmonotone_solve_hands_its_speed_to_the_lower_envelope(
+        ricker3, monkeypatch):
+    # the envelopes share b'(0) with the birth, and the lower-envelope model
+    # shares d and the delay, so one threshold speed serves both solves
+    sr = dispersion.critical_speed(
+        dispersion.CharacteristicContext.from_model(ricker3))
+    calls, speeds = [], []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return critical_speed(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        speeds.append(kwargs["speed"])
+        return solve_(*args, **kwargs)
+
+    critical_speed, solve_ = dispersion.critical_speed, profile._solve
+    monkeypatch.setattr(profile, "critical_speed", counting)
+    monkeypatch.setattr(dispersion, "critical_speed", counting)
+    monkeypatch.setattr(profile, "_solve", recording)
+    sol = profile.solve(ricker3, 1.3 * sr.c_star, profile.SolverConfig(h=0.02),
+                        speed=sr)
+    assert sol.mode == "nonmonotone"
+    assert calls == []
+    assert len(speeds) == 2 and all(s is sr for s in speeds)
