@@ -1,17 +1,62 @@
 """Hot numerical kernels: the resolvent's exponential convolution and the
 simulator's tridiagonal solve.
 
-The recurrences run through scipy's C filter implementation.  Importing
-`scipy.signal` costs more than the rest of the package together, so
-`exp_conv_pair` imports `lfilter` at its first call: only the commands that
-iterate profiles (`profile`, `sweep`) pay for it.  The simulator's matrix is
-constant, so its tridiagonal system is factored once per run (LAPACK gttrf)
-and each step is one gttrs solve; `scipy.linalg` too is imported at first
-use, so start-up loads numpy only.
+Both run on compiled scipy extension modules that `_extension` loads at
+first use from their files, without the `scipy.signal` and `scipy.linalg`
+package imports.  Those would take a process from 27 MB of peak resident
+memory (numpy alone) to 103 MB and cost 1.0 s, mostly `scipy.stats`,
+`optimize`, `sparse` and `special`, which sdwave does not use; the two
+modules alone add 3 MB and 4 ms (2-core VM).
+- `exp_conv_pair` runs its two recurrences through
+  `scipy.signal._sigtools._linear_filter`, the C loop that
+  `scipy.signal.lfilter` calls for a two-tap denominator, so its results
+  are the bits `lfilter` gives;
+- the simulator's matrix is constant, so its tridiagonal system is
+  factored once per run (`scipy.linalg._flapack.dgttrf`, the LAPACK
+  routine `scipy.linalg.lapack` exports) and each step is one `dgttrs`
+  solve.
+Start-up loads numpy only; a profile solve adds the filter module and a
+simulation the LAPACK module.
 """
 from __future__ import annotations
 
+import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
+
+
+@functools.cache
+def _extension(fullname: str):
+    """The compiled module `fullname`, loaded from its file alone.
+
+    The file is looked up in its package's directory under scipy's install
+    directory, found without running any `__init__`.  The loader's
+    `sys.modules` entry is dropped again, so a later regular import of the
+    package runs as in a fresh interpreter and binds the module as its
+    attribute.  A module already imported, or a file not found, is taken
+    from the regular import system: the same compiled code either way.
+    """
+    spec = None
+    if fullname not in sys.modules:
+        top, *sub, _ = fullname.split(".")
+        root = importlib.util.find_spec(top)
+        if root is not None and root.submodule_search_locations:
+            finder = importlib.machinery.FileFinder(
+                os.path.join(root.submodule_search_locations[0], *sub),
+                (importlib.machinery.ExtensionFileLoader,
+                 importlib.machinery.EXTENSION_SUFFIXES))
+            spec = finder.find_spec(fullname)
+    if spec is None:
+        return importlib.import_module(fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(fullname, None)
+    return module
 
 
 def _cell_weights(a: float, h: float) -> tuple:
@@ -43,19 +88,20 @@ def exp_conv_pair(H, h: float, g1: float, g2: float,
     beyond it (exact tails).  Returns (I_minus + I_plus) / (g2 - g1).
     Requires g1 < 0 < g2.
     """
-    from scipy.signal import lfilter
-
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
     if n < 2:
         raise ValueError("need at least two grid samples")
+    linear_filter = _extension("scipy.signal._sigtools")._linear_filter
+    one = np.ones(1)                      # the recurrences' numerator
     c0, c1 = _cell_weights(g1, h)
     E1 = np.exp(g1 * h)
     far = np.multiply(c0 - c1, H[1:])     # reused for the mirrored pass
     x = np.multiply(c1, H[:-1])
     x += far
     i0 = h_left / (-g1)
-    body, _ = lfilter([1.0], [1.0, -E1], x, zi=np.array([E1 * i0]))
+    body, _ = linear_filter(one, np.array([1.0, -E1]), x, -1,
+                            np.array([E1 * i0]))
 
     d0, d1 = _cell_weights(-g2, h)
     E2 = np.exp(-g2 * h)
@@ -63,7 +109,8 @@ def exp_conv_pair(H, h: float, g1: float, g2: float,
     y = np.multiply(d1, H[:0:-1], out=x)
     y += np.multiply(d0 - d1, H[-2::-1], out=far)
     j0 = h_right / g2
-    body2, _ = lfilter([1.0], [1.0, -E2], y, zi=np.array([E2 * j0]))
+    body2, _ = linear_filter(one, np.array([1.0, -E2]), y, -1,
+                             np.array([E2 * j0]))
 
     # I_minus is (i0, body) and I_plus is (body2 reversed, j0)
     out = np.empty(n)
@@ -81,8 +128,7 @@ def factor_tridiagonal(lower, diag, upper):
     Returns the tuple (dl, d, du, du2, ipiv) that `solve_tridiagonal` takes
     before its right-hand side.
     """
-    from scipy.linalg.lapack import dgttrf
-
+    dgttrf = _extension("scipy.linalg._flapack").dgttrf
     dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix (pivot {info})")
@@ -91,7 +137,6 @@ def factor_tridiagonal(lower, diag, upper):
 
 def solve_tridiagonal(dl, d, du, du2, ipiv, rhs):
     """Solve one right-hand side against the factors of `factor_tridiagonal`."""
-    from scipy.linalg.lapack import dgttrs
-
+    dgttrs = _extension("scipy.linalg._flapack").dgttrs
     x, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
     return x

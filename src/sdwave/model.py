@@ -268,7 +268,12 @@ def equilibrium(model: ModelSpec) -> float:
     if b.derivative_at_zero <= d:
         raise ModelInvalidError("no positive equilibrium: b'(0) <= d")
     if isinstance(b, RickerBirth):
-        return float(np.log(b.p / d))
+        k = float(np.log(b.p / d))
+        if not math.isfinite(k):
+            raise ModelInvalidError(
+                f"equilibrium K = log(p/d) = {k} is not finite; "
+                "model coefficients out of numerical range")
+        return k
     g = lambda u: b.value(u) - d * u
     grid = np.geomspace(1e-9, 50.0, 4000)
     vals = g(grid)

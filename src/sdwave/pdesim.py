@@ -246,7 +246,7 @@ class _BaseSim:
         self.t = 0.0
         self.band_violation = 0.0
         self.max_lag = max_lag
-        # factored (and scipy.linalg imported) before the ring is allocated:
+        # factored (and LAPACK loaded) before the ring is allocated:
         # the other order peaks about 1% higher in resident memory
         self._setup_matrix()
         window = max_lag + 2.0 * self.dt + 2.0 * self.dt * config.store_every

@@ -142,6 +142,22 @@ class TestSpeedCommand:
         assert 0 <= proc.returncode <= 4, proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
+    @pytest.mark.parametrize("command", ["profile", "envelope"])
+    def test_overflowing_equilibrium_is_a_model_error(self, tmp_path, command):
+        # p/d overflows, so K = log(p/d) is inf: refused before any grid on
+        # [0, K] turns into NaN and numpy warnings
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace("d = 1.0", "d = 1e-300")
+                      .replace("birth.p = 2.0", "birth.p = 1e10"))
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdwave.cli", "--config", str(p), command],
+            capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "not finite" in proc.stderr
+
     def test_csv_output(self, tmp_path):
         p = write_cfg(tmp_path, BASE_MODEL)
         out = tmp_path / "roots.csv"
