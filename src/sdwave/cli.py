@@ -120,7 +120,8 @@ def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
         beta_rows.append({"c": c, "beta": kr.beta,
                           "gamma1": kr.gamma1, "gamma2": kr.gamma2})
     rep.results = {"c_star": sr.c_star, "lambda_star": sr.lambda_star,
-                   "bracket": list(sr.bracket), "roots": roots_rows,
+                   "char_residual": sr.char_residual,
+                   "slope_residual": sr.slope_residual, "roots": roots_rows,
                    "beta": beta_rows}
     json_path = None
     if args.out:

@@ -18,10 +18,8 @@ from .model import (ModelSpec, _bisect_root, _scalar_or_array, equilibrium,
                     lag_factor)
 
 ROOT_RESIDUAL_TOL = 1e-12
-BISECTION_TOL = 1e-10
-MAX_BRACKET_STEPS = 4000     # cap on golden-section and bisection steps
-# Above this, lam^2 overflows on the speed bracket: lam reaches about
-# 2^12 * sqrt(d + b'(0)) there.
+# Bound on S = d + b'(0).  The speed bracket ends at 2 sqrt(S) + 1, where
+# lambda_hi is at most 4 sqrt(S) + 1, so lam^2 stays below about 16 S.
 MAX_RATE_SUM = 1e300
 BETA_SAFETY = 1.01
 L_BOUND_INFLATION = 1.05
@@ -59,10 +57,13 @@ class CharacteristicContext:
 
 @dataclass(frozen=True)
 class SpeedResult:
+    """Threshold speed c*, the double root lambda* there, and the residuals
+    of char = 0 and d char / d lam = 0 at (lambda*, c*)."""
+
     c_star: float
     lambda_star: float
-    bracket: tuple
-    tolerance: float
+    char_residual: float
+    slope_residual: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,12 @@ def char_value(lam, c: float, ctx: CharacteristicContext):
 
 def _char_slope(lam: float, c: float, ctx: CharacteristicContext) -> float:
     lag = ctx.lag_at_zero * c
-    return 2.0 * lam - c - ctx.growth_at_zero * lag * math.exp(-lam * lag)
+    pull = ctx.growth_at_zero * lag * math.exp(-lam * lag)
+    if math.isnan(pull):
+        # b'(0) lag overflowed where exp(-lam lag) underflowed: add the logs
+        x = math.log(ctx.growth_at_zero) + math.log(lag) - lam * lag
+        pull = math.inf if x > 709.0 else math.exp(x)
+    return 2.0 * lam - c - pull
 
 
 def _lambda_hi(c: float, ctx: CharacteristicContext) -> float:
@@ -100,93 +106,40 @@ def _lambda_hi(c: float, ctx: CharacteristicContext) -> float:
 
 
 def char_min(c: float, ctx: CharacteristicContext) -> tuple:
-    """Global minimizer of char(., c) over (0, lambda_hi] and its value.
+    """Global minimizer of char(., c) over [0, lambda_hi] and its value.
 
-    The function is strictly convex in lam, so golden-section over
-    [0, lambda_hi] followed by a Newton polish on the lam-derivative finds
-    the unique minimum.  The bracket stops shrinking at 1e-10 or at four
-    ulps of its upper end, whichever is larger, so huge coefficients cannot
-    make the loop spin forever.
+    char is strictly convex in lam (char'' = 2 + b'(0) L^2 exp(-lam L) with
+    L = c tau(0)), so the minimizer is the sign change of the increasing
+    slope, or 0 when the slope is nonnegative there.  The slope is positive
+    at lambda_hi, since b'(0) L exp(-lam L) <= b'(0) / (e lam).
     """
     if c < 0:
         raise ValueError("speed must be nonnegative")
-    lo, hi = 0.0, _lambda_hi(c, ctx)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = char_value(x1, c, ctx)
-    f2 = char_value(x2, c, ctx)
-    for _ in range(MAX_BRACKET_STEPS):
-        if hi - lo <= max(1e-10, 4.0 * math.ulp(hi)):
-            break
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = char_value(x2, c, ctx)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = char_value(x1, c, ctx)
-    else:
-        raise _stalled("characteristic minimum")
-    lam = 0.5 * (lo + hi)
-    for _ in range(60):
-        slope = _char_slope(lam, c, ctx)
-        lag = ctx.lag_at_zero * c
-        curve = 2.0 + ctx.growth_at_zero * lag * lag * math.exp(-lam * lag)
-        step = slope / curve
-        if not math.isfinite(step):
-            break                  # curvature overflowed: keep the bracket midpoint
-        lam_new = lam - step
-        if lam_new < 0:
-            lam_new = 0.5 * lam
-        lam = lam_new
-        if abs(step) < 1e-15 * max(1.0, lam):
-            break
+    slope = lambda lam: _char_slope(lam, c, ctx)
+    lam = 0.0 if slope(0.0) >= 0.0 else _bisect_root(slope, 0.0, _lambda_hi(c, ctx))
     return lam, char_value(lam, c, ctx)
 
 
-def critical_speed(ctx: CharacteristicContext, tol: float = BISECTION_TOL) -> SpeedResult:
-    """Threshold speed: bisection on the sign of the characteristic minimum.
+def critical_speed(ctx: CharacteristicContext) -> SpeedResult:
+    """Threshold speed: the sign change of the characteristic minimum in c.
 
-    The zero-lag closed form 2*sqrt(b'(0) - d) plus one bounds the initial
-    upper bracket; the bracket doubles (up to 2^10 times) if the predicate
-    is not yet true there.  Bisection stops at `tol` or at four ulps of the
-    upper end, whichever is larger.
+    The lag term only lowers char, so the minimum is at most its zero-lag
+    value b'(0) - d - c^2/4, and c* is at most 2 sqrt(b'(0) - d): the
+    bracket [1e-6, 2 sqrt(b'(0) - d) + 1] holds the sign change.  The result
+    carries the residuals of char = 0 and d char / d lam = 0 at
+    (lambda*, c*).
     """
     c_lo = 1e-6
-    if char_min(c_lo, ctx)[1] <= 0.0:
+    minimum = lambda c: char_min(c, ctx)[1]
+    if minimum(c_lo) <= 0.0:
         raise ModelInvalidError(
             "characteristic minimum nonpositive at near-zero speed; "
             "context invalid")
     c_hi = 2.0 * math.sqrt(ctx.growth_at_zero - ctx.d) + 1.0
-    doublings = 0
-    while char_min(c_hi, ctx)[1] > 0.0:
-        doublings += 1
-        if doublings > 10:
-            raise ModelInvalidError("no speed with nonpositive characteristic "
-                                    "minimum found below bracket limit")
-        c_hi = c_lo + 2.0 * (c_hi - c_lo)
-    for _ in range(MAX_BRACKET_STEPS):
-        if c_hi - c_lo <= max(tol, 4.0 * math.ulp(c_hi)):
-            break
-        mid = 0.5 * (c_lo + c_hi)
-        if char_min(mid, ctx)[1] <= 0.0:
-            c_hi = mid
-        else:
-            c_lo = mid
-    else:
-        raise _stalled("threshold speed bisection")
-    c_star = 0.5 * (c_lo + c_hi)
-    lam_star, _ = char_min(c_star, ctx)
-    return SpeedResult(c_star=c_star, lambda_star=lam_star,
-                       bracket=(c_lo, c_hi), tolerance=c_hi - c_lo)
-
-
-def _stalled(what: str) -> ModelInvalidError:
-    return ModelInvalidError(
-        f"{what} did not converge in {MAX_BRACKET_STEPS} steps; "
-        "model coefficients out of numerical range")
+    c_star = _bisect_root(minimum, c_lo, c_hi)
+    lam_star, value = char_min(c_star, ctx)
+    return SpeedResult(c_star=c_star, lambda_star=lam_star, char_residual=value,
+                       slope_residual=_char_slope(lam_star, c_star, ctx))
 
 
 def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
@@ -224,30 +177,6 @@ def _newton_polish(lam: float, c: float, ctx: CharacteristicContext) -> float:
     return lam
 
 
-def speed_root_bounds(ctx: CharacteristicContext, c_lo: float, c_hi: float,
-                      n: int = 200) -> tuple:
-    """Inflated suprema of c*lambda1(c) and lambda1(c) over [c_lo, c_hi].
-
-    The speeds are sampled on linspace(c_lo, c_hi, n).  Both suprema sit at
-    the first supercritical sample, so the walk solves the roots there only:
-
-    * lambda1 decreases in c.  At fixed lam > 0 the characteristic function
-      decreases in c, and it falls through zero at lambda1, so the implicit
-      derivative of lambda1 is negative.
-    * With mu = c*lambda1 the root equation reads
-      lambda1^2 = mu + d - b'(0) exp(-mu m), whose right side increases in
-      mu.  So mu rises and falls with lambda1 and decreases in c as well.
-    """
-    for c in np.linspace(c_lo, c_hi, n):
-        try:
-            roots = decay_roots(float(c), ctx)
-        except NoRootsError:
-            continue
-        return (L_BOUND_INFLATION * (c * roots.lambda1),
-                L_BOUND_INFLATION * roots.lambda1)
-    raise NoRootsError("no supercritical speeds in the requested range")
-
-
 def kernel_rates(c: float, beta: float) -> KernelRates:
     disc = math.sqrt(c * c + 4.0 * beta)
     return KernelRates(gamma1=0.5 * (c - disc), gamma2=0.5 * (c + disc),
@@ -261,7 +190,17 @@ def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
 
     With A = lag_factor(model, range_end): beta exceeds (by 1%) the largest
     of the smoothing bound, the monotonicity bound, three times the root
-    bound times A, and d + 1.
+    bound L1 times A, and d + 1.  L1 inflates the supremum of c*lambda1(c)
+    over supercritical speeds, which is its limit c* lambda* at the
+    threshold, because c*lambda1(c) decreases in c:
+
+    * lambda1 decreases in c.  At fixed lam > 0 the characteristic function
+      decreases in c, and it falls through zero at lambda1, so the implicit
+      derivative of lambda1 is negative.
+    * With mu = c*lambda1 the root equation reads
+      lambda1^2 = mu + d - b'(0) exp(-mu m), whose right side increases in
+      mu.  So mu rises and falls with lambda1 and decreases in c as well.
+
     The iteration's sandwich and the membership certificate assume these
     bounds, so the solvers take their rates from here only.  `speed` is the
     threshold speed of `ctx`; it is computed when absent.
@@ -272,9 +211,7 @@ def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
         range_end = equilibrium(model)
     A = lag_factor(model, range_end)
     sr = speed if speed is not None else critical_speed(ctx)
-    lo = sr.c_star * (1.0 + 1e-9)
-    hi = max(c, 2.0 * sr.c_star)
-    L1, _ = speed_root_bounds(ctx, lo, hi)
+    L1 = L_BOUND_INFLATION * sr.c_star * sr.lambda_star
     try:
         beta = BETA_SAFETY * max(
             model.d * A + (A * c) ** 2 / 4.0,

@@ -39,9 +39,10 @@ def _scalar_or_array(out: np.ndarray):
 def _bisect_root(f, lo: float, hi: float) -> float:
     """Root of the scalar f on [lo, hi], where f changes sign, by bisection.
 
-    Halves the bracket at most 200 times, stopping early once it is
-    narrower than 1e-16 relative to its midpoint, or once the midpoint
-    rounds onto an end: every later midpoint would be that same float.
+    Halves the bracket until it is narrower than 1e-16 relative to its
+    midpoint (absolute below 1), or until the midpoint rounds onto an end:
+    every later midpoint would be that same float.  Any finite bracket is
+    narrower than 2^1025, so the width stop comes within 1,100 halvings.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -51,7 +52,7 @@ def _bisect_root(f, lo: float, hi: float) -> float:
         return hi
     if flo * fhi > 0:
         raise NoRootsError("root bracket does not change sign")
-    for _ in range(200):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
@@ -316,7 +317,8 @@ def quadratic_gap(model: ModelSpec, range_end: float) -> float:
 def birth_peak(model: ModelSpec) -> float:
     """Maximum of the birth function over [0, equilibrium].
 
-    Grid scan refined by golden-section; closed form for Ricker.
+    Closed form for Ricker.  Otherwise the grid maximum, refined by the
+    sign change of b' between its two neighbours when there is one.
     """
     b = model.birth
     K = equilibrium(model)
@@ -327,26 +329,11 @@ def birth_peak(model: ModelSpec) -> float:
     i = int(np.argmax(vals))
     lo = u[max(i - 1, 0)]
     hi = u[min(i + 1, len(u) - 1)]
-    x = _golden_max(b.value, lo, hi)
+    try:
+        x = _bisect_root(b.derivative, lo, hi)
+    except NoRootsError:
+        return float(vals[i])
     return float(max(vals[i], b.value(x)))
-
-
-def _golden_max(f, lo: float, hi: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, c = lo, hi
-    x1 = c - invphi * (c - a)
-    x2 = a + invphi * (c - a)
-    f1, f2 = f(x1), f(x2)
-    while c - a > 1e-12 * max(1.0, abs(a) + abs(c)):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (c - a)
-            f2 = f(x2)
-        else:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - invphi * (c - a)
-            f1 = f(x1)
-    return 0.5 * (a + c)
 
 
 def lag_factor(model: ModelSpec, level: float) -> float:

@@ -602,7 +602,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     if c <= speed.c_star:
         raise NoRootsError(
             f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
-            "profile exists; use the simulator's nonexistence probe instead")
+            "profile exists; measure the front with simulate then frontspeed "
+            "(or sweep) instead")
     roots = decay_roots(c, ctx)
     K = equilibrium(model)
     if monotone:

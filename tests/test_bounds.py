@@ -111,7 +111,7 @@ class TestLowerValueBitwise:
 def test_lower_rejects_near_threshold(ricker2):
     # needs a very sharp threshold value so the root gap is truly degenerate
     ctx = dispersion.CharacteristicContext.from_model(ricker2)
-    c_star = dispersion.critical_speed(ctx, tol=1e-14).c_star
+    c_star = dispersion.critical_speed(ctx).c_star
     with pytest.raises(NoRootsError):
         bounds.build_lower(c_star * (1.0 + 1e-14), ricker2)
 

@@ -99,7 +99,12 @@ class TestSpeedCommand:
         p = write_cfg(tmp_path, BASE_MODEL)
         assert run_cli(["--config", p, "--json", "speed"]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert abs(rep["results"]["c_star"] - 2.0) <= 1e-8
+        assert rep["results"]["c_star"] == 2.0
+        assert rep["results"]["lambda_star"] == 1.0
+        # the double-root residuals replace the old bisection bracket
+        assert "bracket" not in rep["results"]
+        assert rep["results"]["char_residual"] == 0.0
+        assert rep["results"]["slope_residual"] == 0.0
 
     def test_json_is_single_object(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BASE_MODEL)
@@ -261,10 +266,16 @@ class TestProfileVerifyCommands:
         assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
                         "profile"]) == 4
 
-    def test_subthreshold_speed_exits_2(self, tmp_path):
+    def test_subthreshold_speed_exits_2(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nh = 0.02\n")
         assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
                         "profile", "--c", "0.5"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        # the message points at commands that exist
+        assert "simulate then frontspeed (or sweep)" in err
+        for command in ("simulate", "frontspeed", "sweep"):
+            assert command in cli.COMMANDS
 
     def test_critical_flag(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nh = 0.02\n")

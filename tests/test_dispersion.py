@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,10 +54,10 @@ def test_char_min_matches_dense_scan():
 
 
 def test_critical_speed_zero_lag_closed_form():
-    assert dispersion.critical_speed(ctx_of(1.0, 2.0, 0.0)).c_star == \
-        pytest.approx(2.0, abs=1e-8)
-    assert dispersion.critical_speed(ctx_of(1.0, math.e, 0.0)).c_star == \
-        pytest.approx(2.0 * math.sqrt(math.e - 1.0), abs=1e-8)
+    assert dispersion.critical_speed(ctx_of(1.0, 2.0, 0.0)).c_star == 2.0
+    want = 2.0 * math.sqrt(math.e - 1.0)
+    got = dispersion.critical_speed(ctx_of(1.0, math.e, 0.0)).c_star
+    assert abs(got - want) <= math.ulp(want)
 
 
 def test_lag_strictly_reduces_speed():
@@ -70,7 +71,8 @@ def test_zero_lag_reduction_random_contexts():
         d = rng.uniform(0.2, 3.0)
         bp0 = d + rng.uniform(0.1, 3.0)
         got = dispersion.critical_speed(ctx_of(d, bp0, 0.0)).c_star
-        assert abs(got - 2.0 * math.sqrt(bp0 - d)) <= 1e-8
+        # the sign of char_min is rounding noise within a few ulps of c*
+        assert got == pytest.approx(2.0 * math.sqrt(bp0 - d), rel=1e-14)
 
 
 def test_decay_roots_quadratic_case():
@@ -128,10 +130,11 @@ def test_root_monotonicity_in_speed(ricker2_ctx, ricker2_cstar):
     assert np.all(np.diff(l2) > 0)
 
 
-def test_root_bounds_over_speed_range(ricker2_ctx, ricker2_cstar):
-    L1, L2 = dispersion.speed_root_bounds(ricker2_ctx, 1.001 * ricker2_cstar,
-                                          10.0 * ricker2_cstar)
-    for c in np.linspace(1.002 * ricker2_cstar, 10.0 * ricker2_cstar, 50):
+def test_root_bounds_over_speed_range(ricker2_ctx):
+    sr = dispersion.critical_speed(ricker2_ctx)
+    L1 = dispersion.L_BOUND_INFLATION * sr.c_star * sr.lambda_star
+    L2 = dispersion.L_BOUND_INFLATION * sr.lambda_star
+    for c in np.linspace(1.002 * sr.c_star, 10.0 * sr.c_star, 50):
         r = dispersion.decay_roots(float(c), ricker2_ctx)
         assert c * r.lambda1 < L1
         assert r.lambda1 < L2
@@ -165,7 +168,8 @@ class TestChooseBeta:
 
 
 def dense_root_bounds(ctx, c_lo, c_hi, n=200):
-    """The full 200-speed scan, kept as the reference for speed_root_bounds."""
+    """Inflated suprema of c*lambda1(c) and lambda1(c) over a 200-speed scan,
+    the reference that choose_beta's closed-form root bound must cover."""
     sup_cl = sup_l = 0.0
     for c in np.linspace(c_lo, c_hi, n):
         try:
@@ -187,20 +191,25 @@ EXACT_SCAN_MODELS = [
 
 
 @pytest.mark.parametrize("m", EXACT_SCAN_MODELS, ids=repr)
-def test_root_bounds_equal_dense_scan(m, monkeypatch):
+def test_root_bounds_equal_dense_scan(m):
+    # c* lambda* is the supremum that the scan approaches from below, so the
+    # closed form is at least the scan's bound, and the scan's first sample
+    # c*(1 + 1e-9) already lies within 1e-4 of it
     ctx = dispersion.CharacteristicContext.from_model(m)
     sr = dispersion.critical_speed(ctx)
     lo, hi = sr.c_star * (1.0 + 1e-9), 2.0 * sr.c_star
-    reference = dense_root_bounds(ctx, lo, hi)
-    assert dispersion.speed_root_bounds(ctx, lo, hi) == reference
+    ref_cl, ref_l = dense_root_bounds(ctx, lo, hi)
+    closed_cl = dispersion.L_BOUND_INFLATION * sr.c_star * sr.lambda_star
+    closed_l = dispersion.L_BOUND_INFLATION * sr.lambda_star
+    assert ref_cl <= closed_cl <= ref_cl * (1.0 + 1e-4)
+    assert ref_l <= closed_l <= ref_l * (1.0 + 1e-4)
     K = model.equilibrium(m)
+    A = model.lag_factor(m, K)
     for factor in (1.2, 2.0):
         c = factor * sr.c_star
-        fast = dispersion.choose_beta(c, m, range_end=K, ctx=ctx)
-        with monkeypatch.context() as patch:
-            patch.setattr(dispersion, "speed_root_bounds", dense_root_bounds)
-            slow = dispersion.choose_beta(c, m, range_end=K, ctx=ctx)
-        assert fast.beta == slow.beta
+        kr = dispersion.choose_beta(c, m, range_end=K, ctx=ctx, speed=sr)
+        floor = dispersion.BETA_SAFETY * 3.0 * closed_cl * A
+        assert kr.beta >= floor * (1.0 - 1e-15)
 
 
 def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_cstar, monkeypatch):
@@ -213,7 +222,7 @@ def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_cstar, monkeypatch)
 
     monkeypatch.setattr(dispersion, "decay_roots", counting)
     dispersion.choose_beta(1.2 * ricker2_cstar, ricker2)
-    assert 1 <= len(calls) <= 2
+    assert calls == []    # the root bound is the closed form c* lambda*
 
 
 def test_choose_beta_reuses_given_speed(ricker2, ricker2_ctx, ricker2_cstar,
@@ -229,26 +238,43 @@ def test_choose_beta_reuses_given_speed(ricker2, ricker2_ctx, ricker2_cstar,
     assert got == expected
 
 
-def test_scalar_loops_are_capped(monkeypatch):
-    ctx = ctx_of(1.0, 2.0, 0.5)
-    monkeypatch.setattr(dispersion, "MAX_BRACKET_STEPS", 5)
-    with pytest.raises(ModelInvalidError, match="did not converge"):
-        dispersion.char_min(2.0, ctx)
-    # a stand-in minimum whose sign flips at c = 1: bisection to 1e-10 from
-    # the bracket [1e-6, 2 + 1] needs about 35 steps
-    monkeypatch.setattr(dispersion, "MAX_BRACKET_STEPS", 20)
-    monkeypatch.setattr(dispersion, "char_min", lambda c, ctx: (1.0, 1.0 - c))
-    with pytest.raises(ModelInvalidError, match="threshold speed bisection"):
-        dispersion.critical_speed(ctx)
+def test_scalar_loops_are_capped():
+    # every scalar search is a capped bisection, so the extreme contexts end
+    # in a finite c* or a ModelInvalidError, quickly
+    for d, bp0, lag0 in ((1.0, 1e30, 0.0), (1.0, 1e299, 0.0), (1.0, 2.0, 1e6),
+                         (1.0, 2.0, 1e12), (1.0, 2.0, 1e300),
+                         (1.0, 1e299, 1e300), (1e-300, 1e-299, 5.0)):
+        t0 = time.perf_counter()
+        try:
+            sr = dispersion.critical_speed(ctx_of(d, bp0, lag0))
+        except ModelInvalidError:
+            pass
+        else:
+            assert math.isfinite(sr.c_star) and sr.c_star > 0.0
+            assert math.isfinite(sr.lambda_star)
+        assert time.perf_counter() - t0 < 2.0, (d, bp0, lag0)
+
+
+@pytest.mark.parametrize("bp0,lag0,c_star", [
+    (1e299, 0.2, 58.6372081121), (1e250, 1e-50, 2.14829975877e26)])
+def test_huge_growth_with_lag(bp0, lag0, c_star):
+    # the brackets span 1e150 and 1e125 around a c* of order 1e2 and 1e26,
+    # more than 200 halvings, and b'(0) c tau(0) overflows on them
+    sr = dispersion.critical_speed(ctx_of(1.0, bp0, lag0))
+    assert sr.c_star == pytest.approx(c_star, rel=1e-11)
+    lag = lag0 * sr.c_star
+    decay = bp0 * math.exp(-sr.lambda_star * lag)
+    scale = sr.lambda_star * (sr.lambda_star + sr.c_star) + 1.0 + decay
+    assert abs(sr.char_residual) <= 1e-14 * scale
 
 
 def test_huge_brackets_stop_on_ulp_floor():
-    # lambda_hi is about 2e15 here: its spacing in floating point exceeds the
-    # 1e-10 tolerance, so only the ulp floor can end the golden section
+    # lambda_hi is about 3e15 here, where floats are 0.5 apart: the
+    # bisections end once their brackets reach adjacent floats
     ctx = ctx_of(1.0, 1e30, 0.0)
     lam, val = dispersion.char_min(1e15, ctx)
-    assert lam == pytest.approx(5e14, rel=1e-9)
-    assert dispersion.critical_speed(ctx).c_star == pytest.approx(2e15, rel=1e-12)
+    assert lam == pytest.approx(5e14, rel=1e-15)
+    assert dispersion.critical_speed(ctx).c_star == 2e15
 
 
 @pytest.mark.parametrize("field", ["d", "growth_at_zero", "lag_at_zero"])
@@ -304,8 +330,8 @@ def test_bisection_stops_on_a_stuck_bracket(ricker2_ctx, ricker2_cstar, monkeypa
 
     monkeypatch.setattr(dispersion, "_bisect_root", recording)
     dispersion.decay_roots(2.0 * ricker2_cstar, ricker2_ctx)
-    f, lo, hi, root, evaluations = brackets[1]          # lambda2
-    assert 3.0 < root < 3.5
+    # char_min bisects too, so pick lambda2's bracket by its root
+    f, lo, hi, root, evaluations = next(b for b in brackets if 3.0 < b[3] < 3.5)
     assert evaluations <= 70
     assert root == full_loop_bisect(f, lo, hi)
     for f, lo, hi, root, _ in brackets:

@@ -92,6 +92,22 @@ def test_birth_peak_monotone_is_right_endpoint():
     assert model.birth_peak(m) == pytest.approx(m.d * K, rel=1e-8)
 
 
+def test_birth_peak_tabulated_interior_matches_golden_section_oracle():
+    # Ricker p=3 peaks at u = 1 inside (0, K = ln 3); the grid maximum is
+    # refined by the sign change of b', whose value the oracle confirms
+    u = np.linspace(0.0, 6.0, 97)
+    samples = np.column_stack([u, 3.0 * u * np.exp(-u)])
+    m = model.ModelSpec(d=1.0, birth=model.TabulatedBirth(samples),
+                        delay=model.ConstantDelay(0.0))
+    K = model.equilibrium(m)
+    grid = np.linspace(0.0, K, model.GRID_POINTS)
+    peak = model.birth_peak(m)
+    assert peak >= float(np.max(m.birth.value(grid)))
+    want = m.birth.value(golden_max(m.birth.value, 0.9, 1.1))
+    assert peak == pytest.approx(want, rel=1e-14)
+    assert peak == pytest.approx(3.0 / math.e, rel=1e-5)
+
+
 def test_sup_delay_slope():
     assert model.ConstantDelay(0.3).slope_sup() == 0.0
     m = model.ModelSpec(1.0, model.RickerBirth(2.0), model.RationalDelay(0.2, 0.7))

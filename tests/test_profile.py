@@ -185,7 +185,7 @@ class TestMonotoneSolve:
         assert np.max(np.abs(a.interp(xi) - b.interp(xi))) <= 1e-7
 
     def test_rejects_subthreshold_speed(self, ricker2, ricker2_cstar):
-        with pytest.raises(NoRootsError, match="probe"):
+        with pytest.raises(NoRootsError, match="simulate then frontspeed"):
             profile.solve(ricker2, 0.5 * ricker2_cstar,
                           profile.SolverConfig(h=0.02, mode="monotone"))
 

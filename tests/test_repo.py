@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,22 @@ def test_traced_targets_exist():
             assert (obj.__module__, obj.__name__) not in tracing.UNWRAPPED
             layer = tracing.MODULE_LAYER[obj.__module__]
             assert f"{layer}.{obj.__name__}" == f"{tracing.MODULE_LAYER[module]}.{attr}"
+
+
+def test_hypothesis_reports_under_the_warning_filters(tmp_path):
+    # to print a falsifying example, hypothesis imports
+    # hypothesis.extra._patching, which imports libcst; a DeprecationWarning
+    # there, turned into an error by pyproject's filters, would end the run
+    # in an INTERNALERROR that hides the example
+    pytest.importorskip("hypothesis")
+    if importlib.util.find_spec("libcst") is None:
+        pytest.skip("libcst is not installed, so nothing can warn")
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("def test_import():\n"
+                     "    import hypothesis.extra._patching  # noqa: F401\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
