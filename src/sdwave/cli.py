@@ -39,7 +39,7 @@ def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
     kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping",
                                         "phase_level", "h", "left_width",
-                                        "right_width", "mode")
+                                        "right_width")
               if key in sec}
     try:
         return profile.SolverConfig(**kwargs)

@@ -38,7 +38,7 @@ SCHEMA = {
     },
     "profile": {
         "c": "f", "critical": "b", "c_factor": "f", "h": "f", "tol": "f",
-        "max_iters": "i", "damping": "f", "mode": "s", "phase_level": "f",
+        "max_iters": "i", "damping": "f", "phase_level": "f",
         "left_width": "f", "right_width": "f",
     },
     "pde": {

@@ -12,15 +12,14 @@ positions are tracked by level crossings and fitted to a speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels as kernels
-from .dispersion import CharacteristicContext, critical_speed
 from .errors import ModelInvalidError, SchemeError, SdwaveError
-from .model import ModelSpec, birth_peak, equilibrium
+from .model import ModelSpec, birth_peak
 
 BAND_SLACK = 1e-8
 COMPARISON_BAND_TOL = 1e-6
@@ -510,37 +509,3 @@ def spreading_probe(record: RunRecord, c_probe: float) -> tuple:
     if not seen:
         raise SdwaveError("spreading cone empty at every sampled time")
     return lo, hi
-
-
-@dataclass
-class ProbeReport:
-    c_test: float
-    c_star: float
-    speed: float
-    stderr: float
-    excess: float
-    samples: int
-    window_fraction: float
-
-
-def nonexistence_probe(model: ModelSpec, c_test: float, config: SimConfig,
-                       window_fraction: float = 0.5) -> ProbeReport:
-    """Demonstrate that fronts outrun any subthreshold speed.
-
-    Seeds a front-like datum, measures the realized front speed, and reports
-    its excess over the requested speed (expected to be near the threshold
-    speed, hence far above c_test).
-    """
-    ctx = CharacteristicContext.from_model(model)
-    c_star = critical_speed(ctx).c_star
-    if c_test >= c_star:
-        raise ModelInvalidError(
-            f"nonexistence probe needs c_test < threshold {c_star:.9g}, "
-            f"got {c_test:.9g}")
-    if config.initial is None:
-        config = replace(config, initial=("step", 0.0, 0.0, equilibrium(model)))
-    record = run(config, model, meta={"probe": "nonexistence", "c_test": c_test})
-    speed, stderr = front_speed(record.track, window_fraction)
-    return ProbeReport(c_test=c_test, c_star=c_star, speed=speed, stderr=stderr,
-                       excess=speed - c_test, samples=record.track.times.shape[0],
-                       window_fraction=window_fraction)

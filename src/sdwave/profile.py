@@ -12,7 +12,7 @@ mixing, whose iterates are clamped into the same sandwich.  Convergence is
 certified a posteriori by an independent finite-difference residual, never
 by the iteration metric alone.  The near-critical regime is a property of
 the speed: `solve` tightens the iteration, on the usual grid, for any speed
-in (c*, c*(1 + 1e-6)], and `solve_critical` is `solve` at that surrogate.
+in (c*, c*(1 + 1e-6)].
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
 ANCHOR_DEAD_ZONE = 0.75      # cells; hysteresis against one-cell flapping
 ANDERSON_DEPTH = 5           # mixed differences kept in the whole-cell phase
-MODES = ("auto", "monotone", "nonmonotone")
 
 
 @dataclass
@@ -65,7 +64,6 @@ class SolverConfig:
     max_iters: int = 10_000
     damping: float = 1.0
     phase_level: Optional[float] = None
-    mode: str = "auto"                # one of MODES; auto picks by the hypotheses
     h: Optional[float] = None
     left_width: Optional[float] = None
     right_width: Optional[float] = None
@@ -76,9 +74,6 @@ class SolverConfig:
             raise ModelInvalidError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ModelInvalidError("damping must lie in (0, 1]")
-        if self.mode not in MODES:
-            raise ModelInvalidError(
-                f"mode must be one of {', '.join(MODES)}, not {self.mode!r}")
 
 
 @dataclass
@@ -594,7 +589,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     mode = "monotone" if monotone else "nonmonotone"
     rep = hypotheses or validate_hypotheses(model, mode)
     if not rep.all_hold:
-        failed = [e.id for e in rep.entries if not e.holds]
+        failed = "; ".join(f"{e.id}: {e.witness[1]}"
+                           for e in rep.entries if not e.holds)
         wanted = "monotone" if monotone else "relaxed"
         raise ModelInvalidError(
             f"{mode} solve requires the {wanted} hypothesis set; failed: {failed}")
@@ -664,33 +660,23 @@ def near_critical_speed(speed: SpeedResult) -> float:
 
 def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
           speed: Optional[SpeedResult] = None) -> WaveSolution:
-    """Solve with the configured mode; "auto" picks it by the model's hypotheses.
+    """Solve as monotone when the model's monotone hypothesis set holds,
+    else as nonmonotone; either runs with config.damping as given.
 
-    Auto picks monotone when the monotone hypothesis set holds, else
-    nonmonotone; either runs with config.damping as given.  `speed` is the
-    model's threshold speed, if the caller already has it.  Near the
-    threshold, c <= near_critical_speed, the leading-edge decay degenerates:
-    the tolerance is tightened and the budget doubled.  The grid is the one
-    any speed gets: the capped default left width, or `left_width` as given.
+    `speed` is the model's threshold speed, if the caller already has it.
+    Near the threshold, c <= near_critical_speed, the leading-edge decay
+    degenerates: the tolerance is tightened and the budget doubled.  The
+    grid is the one any speed gets: the capped default left width, or
+    `left_width` as given.
     """
     config = config or SolverConfig()
-    ctx = CharacteristicContext.from_model(model)
     if speed is None:
-        speed = critical_speed(ctx)
+        speed = critical_speed(CharacteristicContext.from_model(model))
     note = ""
     if speed.c_star < c <= near_critical_speed(speed):
         config = replace(config, tol=min(config.tol, 1e-8),
                          max_iters=2 * config.max_iters)
         note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
-    rep = validate_hypotheses(model, "monotone") if config.mode == "auto" else None
-    monotone = config.mode == "monotone" or rep is not None and rep.all_hold
-    return _solve(model, c, config, monotone, note=note, speed=speed,
-                  hypotheses=rep if monotone else None)
-
-
-def solve_critical(model: ModelSpec, config: Optional[SolverConfig] = None,
-                   speed: Optional[SpeedResult] = None) -> WaveSolution:
-    """`solve` at the near-critical surrogate speed.  `speed` is the model's
-    threshold speed, if the caller already has it."""
-    sr = speed or critical_speed(CharacteristicContext.from_model(model))
-    return solve(model, near_critical_speed(sr), config, sr)
+    rep = validate_hypotheses(model, "monotone")
+    return _solve(model, c, config, rep.all_hold, note=note, speed=speed,
+                  hypotheses=rep if rep.all_hold else None)

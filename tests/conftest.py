@@ -44,14 +44,14 @@ def ricker3_cstar(ricker3):
 @pytest.fixture(scope="session")
 def ricker2_solution(ricker2, ricker2_cstar):
     """Converged monotone wave at c = 1.2 c*, h = 0.01 (shared, read-only)."""
-    cfg = profile.SolverConfig(h=0.01, mode="monotone")
+    cfg = profile.SolverConfig(h=0.01)
     return profile.solve(ricker2, 1.2 * ricker2_cstar, cfg)
 
 
 @pytest.fixture(scope="session")
 def ricker3_solution(ricker3, ricker3_cstar):
     """Converged nonmonotone wave at c = 1.2 c*, h = 0.01 (shared, read-only)."""
-    cfg = profile.SolverConfig(h=0.01, damping=0.5, mode="nonmonotone")
+    cfg = profile.SolverConfig(h=0.01, damping=0.5)
     return profile.solve(ricker3, 1.2 * ricker3_cstar, cfg)
 
 

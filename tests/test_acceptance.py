@@ -87,8 +87,8 @@ def test_criterion_03_constant_fixed_points(p2_setup):
 def test_criterion_04_monotone_existence(ricker2, ricker2_cstar):
     t0 = time.perf_counter()
     c = 1.2 * ricker2_cstar
-    sol = profile.solve(ricker2, c, profile.SolverConfig(h=0.01, mode="monotone"))
-    fine = profile.solve(ricker2, c, profile.SolverConfig(h=0.005, mode="monotone"))
+    sol = profile.solve(ricker2, c, profile.SolverConfig(h=0.01))
+    fine = profile.solve(ricker2, c, profile.SolverConfig(h=0.005))
     elapsed = time.perf_counter() - t0
     K = model.equilibrium(ricker2)
     assert sol.iterations <= 500
@@ -247,11 +247,12 @@ def test_criterion_09_nonmonotone_wave(ricker3, ricker3_solution):
 
 
 def test_criterion_10_near_critical_solve(ricker2):
-    sol = profile.solve_critical(ricker2, profile.SolverConfig(h=0.005))
-    K = model.equilibrium(ricker2)
     ctx = dispersion.CharacteristicContext.from_model(ricker2)
-    c_star = dispersion.critical_speed(ctx).c_star
-    assert sol.c == pytest.approx(c_star * (1.0 + 1e-6), rel=1e-9)
+    sr = dispersion.critical_speed(ctx)
+    sol = profile.solve(ricker2, profile.near_critical_speed(sr),
+                        profile.SolverConfig(h=0.005), sr)
+    K = model.equilibrium(ricker2)
+    assert sol.c == pytest.approx(sr.c_star * (1.0 + 1e-6), rel=1e-9)
     assert sol.residual_sup <= 1e-3
     assert abs(float(sol.profile.interp(0.0)) - K / 2.0) <= 1e-6
     announce(10, f"near-critical wave at c*(1+1e-6): residual "
@@ -269,7 +270,7 @@ def test_criterion_11_delay_sensitivity_regression():
         ctx = dispersion.CharacteristicContext.from_model(m)
         c = 1.2 * dispersion.critical_speed(ctx).c_star
         sol = profile.solve(
-            m, c, profile.SolverConfig(h=0.01, damping=0.5, mode="nonmonotone"))
+            m, c, profile.SolverConfig(h=0.01, damping=0.5))
         pair = bounds.build_envelopes(m)
         tails[f"{T:g}"] = {"tail": float(sol.profile.values[0]),
                            "fraction": float(sol.profile.values[0] / pair.level),

@@ -42,14 +42,16 @@ def run_cli(args):
 
 
 class TestConfigParsing:
-    # the last three were options of the dispersion and profile layers;
+    # the last four were options of the dispersion and profile layers;
     # a config that still sets one fails like any other unknown key
     @pytest.mark.parametrize("extra,key", [
         ("typo_key = 3\n", "typo_key"),
         ("[dispersion]\nexponent = lambda_m\n", "exponent"),
         ("[dispersion]\ntol = 1e-12\n", "tol"),
         ("[profile]\nbeta = 5\n", "beta"),
-    ], ids=["typo_key", "dispersion.exponent", "dispersion.tol", "profile.beta"])
+        ("[profile]\nmode = auto\n", "mode"),
+    ], ids=["typo_key", "dispersion.exponent", "dispersion.tol", "profile.beta",
+            "profile.mode"])
     def test_unknown_key_rejected(self, tmp_path, extra, key):
         p = write_cfg(tmp_path, BASE_MODEL + extra)
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -229,28 +231,6 @@ class TestProfileVerifyCommands:
         assert sidecar["results"]["mode"] == "nonmonotone"
         assert run_cli(["--config", p, "verify", "--profile", out]) == 0
 
-    def test_auto_damping_is_the_explicit_nonmonotone_solve(self, tmp_path):
-        # auto mode runs a nonmonotone model with the damping it is given,
-        # exactly as an explicit nonmonotone mode does
-        text = (DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
-                + "\n[profile]\nh = 0.05\nc_factor = 1.2\n")
-        runs = {}
-        for label, extra in (("auto", "damping = 1.0\n"),
-                             ("explicit", "mode = nonmonotone\n")):
-            p = write_cfg(tmp_path, text + extra, name=f"{label}.cfg")
-            out = tmp_path / f"{label}.csv"
-            assert run_cli(["--config", p, "--out", out, "profile"]) == 0
-            sidecar = json.loads(out.with_suffix(".json").read_text())
-            runs[label] = (sidecar["results"]["iterations"], out.read_bytes())
-        assert runs["auto"] == runs["explicit"]
-
-    def test_unknown_mode_names_the_key(self, tmp_path, capsys):
-        p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nmode = bogus\n")
-        assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
-                        "profile"]) == 2
-        assert "[profile] mode" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
     def test_sidecar_report_fields(self, profile_run):
         _, out, _ = profile_run
         rep = json.loads(out.with_suffix(".json").read_text())
@@ -276,6 +256,16 @@ class TestProfileVerifyCommands:
         assert "simulate then frontspeed (or sweep)" in err
         for command in ("simulate", "frontspeed", "sweep"):
             assert command in cli.COMMANDS
+
+    def test_failed_hypothesis_names_its_witness(self, tmp_path, capsys):
+        text = DELAYED_MODEL.replace("delay.m = 0.2", "delay.m = 0").replace(
+            "delay.M = 0.7", "delay.M = 1.5")
+        p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\n")
+        assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
+                        "profile"]) == 2
+        err = capsys.readouterr().err
+        assert "relaxed hypothesis set" in err
+        assert "A2: tau'(0) = 1.5 outside [0, 1)" in err
 
     def test_critical_flag(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nh = 0.02\n")
@@ -670,19 +660,6 @@ class TestSweepCommand:
             speeds = [s for _, s in entries]
             assert speeds == sorted(speeds, reverse=True)
 
-    def test_explicit_mode_applies_to_every_row(self, tmp_path):
-        text = (SWEEP_TEXT.replace("h = 0.02", "h = 0.02\nmode = monotone")
-                .replace("p = 2.0, 2.4", "p = 2.0, 3.0")
-                .replace("m = 0.1, 0.3", "m = 0.2"))
-        p = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
-        assert run_cli(["--config", p, "sweep"]) == 0
-        rows = json.loads((tmp_path / "out" / "sweep.json").read_text())[
-            "results"]["rows"]
-        assert [r["p"] for r in rows] == [2.0, 3.0]
-        assert rows[0]["error"] == ""
-        assert "monotone hypothesis set" in rows[1]["error"]
-        assert math.isnan(rows[1]["residual_sup"])
-
     def test_bad_initial_high_fails_the_row(self, tmp_path):
         text = (SWEEP_TEXT.replace("initial.high = equilibrium", "initial.high = abc")
                 .replace("p = 2.0, 2.4", "p = 2.0")
@@ -697,3 +674,13 @@ class TestSweepCommand:
     def test_empty_grid_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[sweep]\np = 2.0\nm =\nM = 0.6\n")
         assert run_cli(["--config", p, "sweep"]) == 1
+
+
+def test_readme_example_config_runs(tmp_path, monkeypatch):
+    # the README's example config, as a user would copy it into run.cfg
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.cfg").write_text(block)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["--config", "run.cfg", "speed"]) == 0
+    assert run_cli(["--config", "run.cfg", "--out", "wave.csv", "profile"]) == 0

@@ -6,8 +6,9 @@ filter loop of `scipy.signal` and LAPACK's tridiagonal pair of
 profile solve, `simulate` and `compare` on a Ricker model import no scipy
 module at all: none of `scipy.signal`, `scipy.linalg`, `scipy.optimize` or
 `scipy.interpolate`.  Only a tabulated birth imports `scipy.interpolate`.
-Every check runs in a fresh interpreter, since this test process may
-already hold the modules.
+The simulator loads none of the profile route's modules.  Every check runs
+in a fresh interpreter, since this test process may already hold the
+modules.
 """
 import json
 import math
@@ -197,3 +198,15 @@ print(json.dumps(out))
         assert loaded == []
     assert got == {"attribute": True, "lfilter": True, "again": True,
                    "dgttrf": True, "dgttrs": True}
+
+
+def test_simulator_route_loads_no_profile_route(tmp_path):
+    # the two routes to c* stay independent: the simulator loads neither the
+    # dispersion relation nor the bounds nor the profile solver
+    code = """
+import json, sys
+import sdwave.pdesim
+print(json.dumps([m for m in ("sdwave.dispersion", "sdwave.profile",
+                              "sdwave.bounds") if m in sys.modules]))
+"""
+    assert run_fresh(code, tmp_path) == []

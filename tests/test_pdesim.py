@@ -448,21 +448,6 @@ def test_history_values_before_and_after_the_initial_window(ricker2):
     assert sim.buffer.clamp_warnings == 0
 
 
-class TestNonexistenceProbe:
-    def test_rejects_supercritical_request(self, ricker2, ricker2_cstar):
-        cfg = small_config()
-        with pytest.raises(ModelInvalidError):
-            pdesim.nonexistence_probe(ricker2, 1.5 * ricker2_cstar, cfg)
-
-    def test_front_outruns_subthreshold_speed(self, ricker2, ricker2_cstar):
-        cfg = pdesim.SimConfig(x_min=-30.0, x_max=120.0, nx=751, t_end=40.0,
-                               initial=None, history="frozen")
-        report = pdesim.nonexistence_probe(ricker2, 0.5 * ricker2_cstar, cfg)
-        assert cfg.initial is None       # the caller's config is left as it was
-        assert report.excess > 0.3 * ricker2_cstar
-        assert abs(report.speed - ricker2_cstar) / ricker2_cstar < 0.1
-
-
 def test_dt_validation(ricker2):
     with pytest.raises(ModelInvalidError):
         small_config(dt=10.0).validate(m=0.2, reaction_scale=2.0)

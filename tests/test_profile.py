@@ -146,13 +146,13 @@ class TestMonotoneSolve:
     def test_residual_refines_second_order(self, ricker2, ricker2_cstar,
                                            ricker2_solution):
         fine = profile.solve(ricker2, 1.2 * ricker2_cstar,
-                             profile.SolverConfig(h=0.005, mode="monotone"))
+                             profile.SolverConfig(h=0.005))
         assert ricker2_solution.residual_sup / fine.residual_sup >= 3.0
         # order study needs the iteration floor well below the h^2 error
         res = {}
         for h in (0.01, 0.0025):
             sol = profile.solve(ricker2, 1.2 * ricker2_cstar,
-                                profile.SolverConfig(h=h, tol=1e-10, mode="monotone"))
+                                profile.SolverConfig(h=h, tol=1e-10))
             res[h] = sol.residual_sup
         order = 0.5 * np.log2(res[0.01] / res[0.0025])
         assert order >= 1.8
@@ -179,7 +179,7 @@ class TestMonotoneSolve:
                                     ricker2_solution):
         shifted = profile.solve(
             ricker2, 1.2 * ricker2_cstar,
-            profile.SolverConfig(h=0.01, initial_shift=0.13, mode="monotone"))
+            profile.SolverConfig(h=0.01, initial_shift=0.13))
         a, b = ricker2_solution.profile, shifted.profile
         xi = np.linspace(-30.0, 30.0, 2001)
         assert np.max(np.abs(a.interp(xi) - b.interp(xi))) <= 1e-7
@@ -187,17 +187,19 @@ class TestMonotoneSolve:
     def test_rejects_subthreshold_speed(self, ricker2, ricker2_cstar):
         with pytest.raises(NoRootsError, match="simulate then frontspeed"):
             profile.solve(ricker2, 0.5 * ricker2_cstar,
-                          profile.SolverConfig(h=0.02, mode="monotone"))
+                          profile.SolverConfig(h=0.02))
 
-    def test_rejects_nonmonotone_model(self, ricker3, ricker3_cstar):
-        with pytest.raises(ModelInvalidError):
-            profile.solve(ricker3, 1.2 * ricker3_cstar,
-                          profile.SolverConfig(h=0.02, mode="monotone"))
+    def test_rejects_nonmonotone_model(self, ricker3):
+        sr = dispersion.critical_speed(
+            dispersion.CharacteristicContext.from_model(ricker3))
+        with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
+            profile._solve(ricker3, 1.2 * sr.c_star, profile.SolverConfig(h=0.02),
+                           monotone=True, speed=sr)
 
     def test_nonconvergence_carries_trace(self, ricker2, ricker2_cstar):
         with pytest.raises(NonconvergenceError) as err:
             profile.solve(ricker2, 1.2 * ricker2_cstar,
-                          profile.SolverConfig(h=0.02, max_iters=3, mode="monotone"))
+                          profile.SolverConfig(h=0.02, max_iters=3))
         assert len(err.value.trace) == 3
 
     def test_nonfinite_iterate_stops_at_once(self, ricker2, ricker2_cstar,
@@ -215,8 +217,7 @@ class TestMonotoneSolve:
         monkeypatch.setattr(profile, "apply_F", poisoned)
         with pytest.raises(NonconvergenceError, match="iteration 5 ") as err:
             profile.solve(ricker2, 1.2 * ricker2_cstar,
-                          profile.SolverConfig(h=0.02, max_iters=2000,
-                                               mode="monotone"))
+                          profile.SolverConfig(h=0.02, max_iters=2000))
         assert len(err.value.trace) == 5 and len(calls) == 5
         assert np.isnan(err.value.trace[-1])
         assert np.all(np.isfinite(err.value.trace[:-1]))
@@ -226,9 +227,9 @@ class TestMonotoneSolve:
         # once; the rerun is the solve that had the doubled width from the start
         c = 1.3 * ricker2_cstar
         sol = profile.solve(ricker2, c, profile.SolverConfig(
-            h=0.02, right_width=12.0, mode="monotone"))
+            h=0.02, right_width=12.0))
         wide = profile.solve(ricker2, c, profile.SolverConfig(
-            h=0.02, right_width=24.0, mode="monotone"))
+            h=0.02, right_width=24.0))
         assert sol.note.count("domain doubled") == 1
         assert "domain doubled" not in wide.note
         assert np.array_equal(bits(sol.profile.xi), bits(wide.profile.xi))
@@ -465,7 +466,7 @@ def test_constant_delay_cross_validation():
                         delay=model.ConstantDelay(0.3))
     ctx = dispersion.CharacteristicContext.from_model(m)
     c = 1.2 * dispersion.critical_speed(ctx).c_star
-    sol = profile.solve(m, c, profile.SolverConfig(h=0.01, mode="monotone"))
+    sol = profile.solve(m, c, profile.SolverConfig(h=0.01))
     assert sol.residual_sup <= 5e-4
     oxi, ov = collocation_oracle(m, c, 0.3, -40.0, 80.0, 0.01)
     K = model.equilibrium(m)
@@ -534,10 +535,7 @@ class TestCriticalSolve:
                                                    given.right_width)
         assert "near-critical surrogate" in note_in and note_at == note_in
         assert above == given and note_above == ""
-        # solve_critical is solve at the surrogate
         assert profile.near_critical_speed(sr) == surrogate
-        profile.solve_critical(ricker2, given, speed=sr)
-        assert calls[-1] == calls[1]
 
     def test_near_critical_solve_keeps_the_given_left_width(self, ricker2,
                                                             ricker2_ctx):
@@ -546,8 +544,8 @@ class TestCriticalSolve:
         # shift, not -2 left_width
         h, left = 0.1, 60.0
         sr = dispersion.critical_speed(ricker2_ctx)
-        sol = profile.solve_critical(
-            ricker2, profile.SolverConfig(h=h, left_width=left), speed=sr)
+        sol = profile.solve(ricker2, profile.near_critical_speed(sr),
+                            profile.SolverConfig(h=h, left_width=left), sr)
         assert abs(sol.profile.xi[0] + left) < h
 
 
@@ -579,18 +577,19 @@ class TestNonmonotoneSolve:
         assert sol.membership.lipschitz_ok
 
     def test_monotone_birth_reduces_to_monotone_solver(self, ricker2,
-                                                       ricker2_cstar):
+                                                       ricker2_ctx):
         # both routes converge toward the same fixed point; run them deep
         # enough that the stopping slack (tol/(1-rho)) sits under 10x the
         # default tolerance
-        c = 1.2 * ricker2_cstar
+        sr = dispersion.critical_speed(ricker2_ctx)
+        c = 1.2 * sr.c_star
         K = model.equilibrium(ricker2)
-        alt = profile.solve(
-            ricker2, c, profile.SolverConfig(h=0.01, damping=0.5,
-                                             mode="nonmonotone", tol=2e-10,
-                                             phase_level=K / 2.0))
-        ref = profile.solve(
-            ricker2, c, profile.SolverConfig(h=0.01, tol=2e-10, mode="monotone"))
+        alt = profile._solve(
+            ricker2, c, profile.SolverConfig(h=0.01, damping=0.5, tol=2e-10,
+                                             phase_level=K / 2.0),
+            monotone=False, speed=sr)
+        ref = profile.solve(ricker2, c, profile.SolverConfig(h=0.01, tol=2e-10),
+                            sr)
         xi = np.linspace(-25.0, 25.0, 1001)
         diff = np.max(np.abs(alt.profile.interp(xi) - ref.profile.interp(xi)))
         assert diff <= 1e-7
@@ -615,13 +614,11 @@ class TestNonmonotoneSolve:
     def test_residual_refines(self, ricker3, ricker3_cstar, ricker3_solution):
         fine = profile.solve(
             ricker3, 1.2 * ricker3_cstar,
-            profile.SolverConfig(h=0.005, damping=0.5, mode="nonmonotone"))
+            profile.SolverConfig(h=0.005, damping=0.5))
         assert ricker3_solution.residual_sup / fine.residual_sup >= 3.0
 
 
-@pytest.mark.parametrize("mode", ["auto", "monotone"])
-def test_hypotheses_checked_once_per_solve(ricker2, ricker2_cstar, monkeypatch,
-                                           mode):
+def test_hypotheses_checked_once_per_solve(ricker2, ricker2_cstar, monkeypatch):
     modes = []
 
     def counting(model_, mode_="monotone"):
@@ -631,22 +628,23 @@ def test_hypotheses_checked_once_per_solve(ricker2, ricker2_cstar, monkeypatch,
     validate = profile.validate_hypotheses
     monkeypatch.setattr(profile, "validate_hypotheses", counting)
     sol = profile.solve(ricker2, 1.3 * ricker2_cstar,
-                        profile.SolverConfig(h=0.02, mode=mode))
+                        profile.SolverConfig(h=0.02))
     assert sol.mode == "monotone"
     assert modes == ["monotone"]
 
 
 def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
                        monkeypatch):
-    assert profile.SolverConfig().mode == "auto"
     s2 = profile.solve(ricker2, 1.3 * ricker2_cstar, profile.SolverConfig(h=0.02))
     assert s2.mode == "monotone" and s2.membership.monotone_ok
     s3 = profile.solve(ricker3, 1.3 * ricker3_cstar, profile.SolverConfig(h=0.02))
     assert s3.mode == "nonmonotone" and "envelope" in s3.note
-    # an explicit mode is honoured, not overridden by the hypotheses
+    # the monotone solver refuses the nonmonotone birth the dispatch avoids
+    sr3 = dispersion.critical_speed(
+        dispersion.CharacteristicContext.from_model(ricker3))
     with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
-        profile.solve(ricker3, 1.3 * ricker3_cstar,
-                      profile.SolverConfig(h=0.02, mode="monotone"))
+        profile._solve(ricker3, 1.3 * sr3.c_star, profile.SolverConfig(h=0.02),
+                       monotone=True, speed=sr3)
     # the near-critical solve dispatches the same way; record the call
     # instead of running the (long) near-critical iteration
     calls = []
@@ -658,12 +656,11 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
         return "nonmonotone ran"
 
     monkeypatch.setattr(profile, "_solve", fake_solve)
-    assert profile.solve_critical(ricker3) == "nonmonotone ran"
+    surrogate = profile.near_critical_speed(sr3)
+    assert profile.solve(ricker3, surrogate, speed=sr3) == "nonmonotone ran"
     (c, cfg), = calls
     assert c == pytest.approx(ricker3_cstar * (1.0 + profile.NEAR_CRITICAL_OFFSET))
     assert cfg.damping == 1.0
-    with pytest.raises(ModelInvalidError, match="mode"):
-        profile.SolverConfig(mode="bogus")
 
 
 def test_nonmonotone_solve_hands_its_speed_to_the_lower_envelope(
