@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CharacteristicContext, char_value, decay_roots
+from .dispersion import CharacteristicContext, RootPair, char_value
 from .errors import ModelInvalidError, NoRootsError
 from .model import (GRID_POINTS, ModelSpec, RickerBirth, _bisect_root,
                     _scalar_or_array, birth_peak, equilibrium, quadratic_gap)
@@ -96,19 +96,10 @@ class LowerSolution:
         return _scalar_or_array(out)
 
 
-def build_upper(c: float, model: ModelSpec, level: float | None = None) -> UpperSolution:
-    """Upper solution for a supercritical speed at the given plateau level."""
+def build_lower(roots: RootPair, model: ModelSpec) -> LowerSolution:
+    """Lower solution at the speed of the decay roots `roots`, with midpoint
+    exponent ratio and the explicit q bound."""
     ctx = CharacteristicContext.from_model(model)
-    roots = decay_roots(c, ctx)   # raises NoRootsError at or below threshold
-    if level is None:
-        level = equilibrium(model)
-    return UpperSolution(lam1=roots.lambda1, level=level)
-
-
-def build_lower(c: float, model: ModelSpec) -> LowerSolution:
-    """Lower solution with midpoint exponent ratio and the explicit q bound."""
-    ctx = CharacteristicContext.from_model(model)
-    roots = decay_roots(c, ctx)
     lam1, lam2 = roots.lambda1, roots.lambda2
     ratio = lam2 / lam1
     if ratio < 1.0 + ETA_DEGENERACY_TOL:
@@ -116,7 +107,7 @@ def build_lower(c: float, model: ModelSpec) -> LowerSolution:
             f"decay roots nearly coincide (ratio {ratio:.3e}); speed too close "
             "to the threshold for an explicit lower solution")
     eta = 0.5 * (1.0 + min(2.0, ratio))
-    depth = -char_value(eta * lam1, c, ctx)
+    depth = -char_value(eta * lam1, roots.c, ctx)
     if depth <= 0:
         raise ModelInvalidError("characteristic value not negative between roots")
     K = equilibrium(model)
@@ -189,11 +180,6 @@ class RickerUpperEnvelope(_Envelope):
     def value(self, u):
         u = np.asarray(u, dtype=float)
         out = self.base.p * np.minimum(u, 1.0) * np.exp(-np.minimum(u, 1.0))
-        return _scalar_or_array(out)
-
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.where(u < 1.0, self.base.p * (1.0 - u) * np.exp(-np.minimum(u, 1.0)), 0.0)
         return _scalar_or_array(out)
 
 

@@ -194,9 +194,14 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
     res_sup, res_arr = profile.residual(grid, c, model)
     monotone = meta.get("mode", "monotone") == "monotone"
     level = K if monotone else bounds.build_envelopes(model).level
-    mem = profile.gamma_membership(grid, c, beta, model, shift=shift,
-                                   level=level, require_monotone=monotone,
-                                   sandwich_tol=1e-6)
+    # the closed-form sandwich at the recorded speed, for either mode
+    roots = dispersion.decay_roots(
+        c, dispersion.CharacteristicContext.from_model(model))
+    mem = profile.gamma_membership(
+        grid, c, beta, model, shift=shift, level=level,
+        upper=bounds.UpperSolution(roots.lambda1, level),
+        lower=bounds.build_lower(roots, model), require_monotone=monotone,
+        sandwich_tol=1e-6)
     tol = max(2.0 * recorded, 1e-9)
     failures = {}
     if res_sup > tol:
@@ -225,8 +230,10 @@ def cmd_envelope(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model.validate()
     pair = bounds.build_envelopes(model)
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c)
-    low = bounds.build_lower(c, model)
-    up = bounds.build_upper(c, model, level=pair.level)
+    roots = dispersion.decay_roots(
+        c, dispersion.CharacteristicContext.from_model(model))
+    low = bounds.build_lower(roots, model)
+    up = bounds.UpperSolution(roots.lambda1, pair.level)
     rep.results = {"kcal": pair.level, "k": pair.k, "c": c,
                    "eta": low.eta, "q": low.q, "c_star": sr.c_star}
     out_dir = _out_dir(cfg, args)

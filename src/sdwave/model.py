@@ -3,10 +3,11 @@
 Defines the built-in birth and delay families and the derived constants
 used everywhere else: the positive equilibrium K, the quadratic gap
 coefficient L, the birth peak and the lag factor A.  One checker,
-`validate_hypotheses`, samples the structural hypotheses the solvers rely
-on over dense grids: A1-A3 on the delay and B on the sign of b(u) - d*u in
-both modes, then B1-B4 for a monotone birth or the relaxed C1-C3 for a
-nonmonotone one.  A failure records its first witness (u, violated
+`validate_hypotheses`, samples every structural hypothesis the solvers rely
+on over dense grids, once: A1-A3 on the delay and B on the sign of
+b(u) - d*u, which both solvers need, then the monotone-birth set B1-B4 and
+the relaxed set C1-C3.  B1-B4 pick the monotone solver, else C1-C3 admit
+the nonmonotone one.  A failure records its first witness (u, violated
 inequality); the README tables every check and its grid.
 """
 from __future__ import annotations
@@ -20,6 +21,9 @@ import numpy as np
 from .errors import ModelInvalidError, NoRootsError
 
 GRID_POINTS = 10_001          # density for hypothesis certification grids
+SHARED_SET = ("A1", "A2", "A3", "B")      # needed by both solvers
+MONOTONE_SET = ("B1", "B2", "B3", "B4")   # a monotone birth
+RELAXED_SET = ("C1", "C2", "C3")          # a nonmonotone birth
 GAP_SAFETY = 0.01             # inflation on the quadratic gap supremum
 EQUILIBRIUM_TOL = 1e-10
 
@@ -357,7 +361,6 @@ class HypothesisCheck:
 
 @dataclass
 class HypothesisReport:
-    mode: str
     entries: list = field(default_factory=list)
 
     def add(self, id: str, witness=None):
@@ -373,9 +376,11 @@ class HypothesisReport:
     def witness(self, id: str):
         return self._entry(id).witness
 
-    @property
-    def all_hold(self) -> bool:
-        return all(e.holds for e in self.entries)
+    def failures(self, ids) -> str:
+        """'id: violated inequality' of each failed check among ids, joined
+        by '; ', or '' when all of them hold."""
+        return "; ".join(f"{e.id}: {e.witness[1]}" for e in self.entries
+                         if e.id in ids and not e.holds)
 
     def as_dict(self) -> dict:
         return {
@@ -409,17 +414,14 @@ def _check_gap(rep: HypothesisReport, id: str, model: ModelSpec,
         rep.add(id)
 
 
-def validate_hypotheses(model: ModelSpec, mode: str = "monotone") -> HypothesisReport:
-    """Check the structural hypotheses by dense grid sampling.
+def validate_hypotheses(model: ModelSpec) -> HypothesisReport:
+    """Check the structural hypotheses by dense grid sampling, each once.
 
-    mode "monotone" checks the monotone-birth set B1-B4 over [0, K];
-    mode "nonmonotone" checks the relaxed set C1-C3 up to the birth peak.
-    The delay set A1-A3 and the sign structure B are checked in both.
-    Violations are reported with witnesses, never thrown.
+    The delay set A1-A3 and the sign structure B come first, then the
+    monotone-birth set B1-B4 over [0, K] and the relaxed set C1-C3 up to
+    the birth peak.  Violations are reported with witnesses, never thrown.
     """
-    if mode not in ("monotone", "nonmonotone"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rep = HypothesisReport(mode=mode)
+    rep = HypothesisReport()
     b, delay, d = model.birth, model.delay, model.d
     try:
         K = equilibrium(model)
@@ -460,34 +462,34 @@ def validate_hypotheses(model: ModelSpec, mode: str = "monotone") -> HypothesisR
             _check(rep, "B", outer, (b_out - d * outer >= 0) | (b_out <= 0),
                    lambda w: f"b(u) outside (0, d*u) above K at u={w:g}")
 
-    ids = ("B1", "B2", "B3", "B4") if mode == "monotone" else ("C1", "C2", "C3")
     if K is None:
-        for id in ids:
+        for id in MONOTONE_SET + RELAXED_SET:
             rep.add(id, (0.0, "no positive equilibrium"))
         return rep
     # K exists, so b'(0) > d; built-in births are C^1
     bp0 = b.derivative_at_zero
-    rep.add(ids[0])
-    end = K if mode == "monotone" else max(10.0 * K, 10.0 * peak)
-    u = np.linspace(0.0, end, GRID_POINTS)[1:]
-    _check(rep, ids[1], u, bp0 * u - b.value(u) <= 0,
-           lambda w: f"b(u) >= b'(0)*u at u={w:g}")
-    if mode == "monotone":
-        u = np.linspace(0.0, K, GRID_POINTS)
-        der = b.derivative(u)
-        falling = der < -1e-12
-        if np.any(falling):
-            _check(rep, "B3", u, falling,
-                   lambda w: f"b'({w:g}) = {float(b.derivative(w)):g} < 0")
-        else:
-            _check(rep, "B3", u, der > bp0 * (1 + 1e-12),
-                   lambda w: f"b'({w:g}) > b'(0)")
-        _check_gap(rep, "B4", model, K)
+    below_tangent = lambda w: f"b(u) >= b'(0)*u at u={w:g}"
+
+    rep.add("B1")
+    u = np.linspace(0.0, K, GRID_POINTS)
+    _check(rep, "B2", u[1:], bp0 * u[1:] - b.value(u[1:]) <= 0, below_tangent)
+    der = b.derivative(u)
+    falling = der < -1e-12
+    if np.any(falling):
+        _check(rep, "B3", u, falling,
+               lambda w: f"b'({w:g}) = {float(b.derivative(w)):g} < 0")
     else:
-        u = np.linspace(0.0, peak, GRID_POINTS)
-        steep = np.abs(b.derivative(u)) > bp0 * (1 + 1e-12)
-        if np.any(steep):
-            _check(rep, "C3", u, steep, lambda w: f"|b'({w:g})| > b'(0)")
-        else:
-            _check_gap(rep, "C3", model, peak)
+        _check(rep, "B3", u, der > bp0 * (1 + 1e-12),
+               lambda w: f"b'({w:g}) > b'(0)")
+    _check_gap(rep, "B4", model, K)
+
+    rep.add("C1")
+    u = np.linspace(0.0, max(10.0 * K, 10.0 * peak), GRID_POINTS)[1:]
+    _check(rep, "C2", u, bp0 * u - b.value(u) <= 0, below_tangent)
+    u = np.linspace(0.0, peak, GRID_POINTS)
+    steep = np.abs(b.derivative(u)) > bp0 * (1 + 1e-12)
+    if np.any(steep):
+        _check(rep, "C3", u, steep, lambda w: f"|b'({w:g})| > b'(0)")
+    else:
+        _check_gap(rep, "C3", model, peak)
     return rep

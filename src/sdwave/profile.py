@@ -4,15 +4,17 @@ The second-order wave equation is recast through the two-sided exponential
 resolvent kernel; its fixed points are wave profiles.  One solve serves
 monotone and nonmonotone birth functions alike: only the sandwich differs,
 closed-form bounds for a monotone birth and birth-envelope fronts for a
-nonmonotone one.  Iteration starts from the upper profile, clamps each
-iterate into the (phase-shifted) sandwich, and re-anchors the phase by whole
-grid cells so the translation mode cannot drift.  While the phase is
-anchored by whole cells, the undamped iteration is accelerated by Anderson
-mixing, whose iterates are clamped into the same sandwich.  Convergence is
-certified a posteriori by an independent finite-difference residual, never
-by the iteration metric alone.  The near-critical regime is a property of
-the speed: `solve` tightens the iteration, on the usual grid, for any speed
-in (c*, c*(1 + 1e-6)].
+nonmonotone one.  `solve` checks the model's hypotheses once: B1-B4 pick
+the monotone solver, else C1-C3 must hold, and a failure of A1-A3 or B,
+which both need, is reported as such.  Iteration starts from the upper
+profile, clamps each iterate into the (phase-shifted) sandwich, and
+re-anchors the phase by whole grid cells so the translation mode cannot
+drift.  While the phase is anchored by whole cells, the undamped iteration
+is accelerated by Anderson mixing, whose iterates are clamped into the same
+sandwich.  Convergence is certified a posteriori by an independent
+finite-difference residual, never by the iteration metric alone.  The
+near-critical regime is a property of the speed: `solve` tightens the
+iteration, on the usual grid, for any speed in (c*, c*(1 + 1e-6)].
 """
 from __future__ import annotations
 
@@ -23,12 +25,13 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kernels
-from .bounds import UpperSolution, build_envelopes, build_lower, build_upper
+from .bounds import UpperSolution, build_envelopes, build_lower
 from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
                          choose_beta, critical_speed, decay_roots)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
-from .model import (HypothesisReport, ModelSpec, _bisect_root, equilibrium,
-                    lag_factor, validate_hypotheses)
+from .model import (MONOTONE_SET, RELAXED_SET, SHARED_SET, HypothesisReport,
+                    ModelSpec, _bisect_root, equilibrium, lag_factor,
+                    validate_hypotheses)
 
 NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
@@ -154,21 +157,15 @@ def residual(phi: ProfileGrid, c: float, model: ModelSpec):
 
 
 def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
-                     shift: float, level: Optional[float] = None,
+                     shift: float, level: float, upper, lower,
                      require_monotone: bool = True,
-                     lower=None, upper=None,
                      sandwich_tol: float = 1e-8) -> MembershipReport:
     """Check the solution-set conditions: sandwich, monotonicity, Lipschitz bound.
 
-    The bounds are compared at the abscissae shifted by the solve's
-    recorded phase shift.
+    `upper` and `lower` are the sandwich's bounds, compared at the abscissae
+    shifted by the solve's recorded phase shift; `level` is the plateau of
+    the solution set, on which the Lipschitz bound depends.
     """
-    if level is None:
-        level = equilibrium(model)
-    if upper is None:
-        upper = build_upper(c, model, level=level)
-    if lower is None:
-        lower = build_lower(c, model)
     hi = upper.value(phi.xi + shift)
     lo = lower.value(phi.xi + shift)
     over = float(np.max(phi.values - hi))
@@ -191,24 +188,26 @@ def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
 # grid geometry
 
 def _approach_rate(model: ModelSpec, c: float, state: float) -> float:
-    """Decay rate of perturbations of the constant state at the right end."""
+    """Decay rate of perturbations of the constant state at the right end.
+
+    It is -mu for the negative root mu of
+    g(mu) = mu^2 - c mu - d + s exp(-mu c tau(state)), s = b'(state).  At
+    s = 0 that root is mu0 = (c - sqrt(c^2 + 4d)) / 2.  For s in (0, d),
+    g(mu0) = s exp(-mu0 c tau(state)) > 0 > s - d = g(0), so the root lies
+    in [mu0, 0]; any other s gives -mu0.  Every birth that reaches here (a
+    monotone birth or a lower envelope) has s >= 0 by B3.
+    """
     slope = model.birth.derivative(state)
     lag = c * model.delay.tau(state)
-    fallback = 0.5 * (math.sqrt(c * c + 4.0 * model.d) - c)
-    if slope >= model.d:
-        return fallback
+    mu0 = 0.5 * (c - math.sqrt(c * c + 4.0 * model.d))
 
     def g(mu):
         return mu * mu - c * mu - model.d + slope * math.exp(-mu * lag)
 
-    hi = 0.0
-    step = 0.25
-    for k in range(1, 81):
-        mu = -step * k
-        if g(mu) > 0.0:
-            return abs(_bisect_root(g, mu, hi))
-        hi = mu
-    return fallback
+    # g(mu0) may round to <= 0 when s is tiny: the root is mu0 to rounding
+    if not 0.0 < slope < model.d or g(mu0) <= 0.0:
+        return -mu0
+    return -_bisect_root(g, mu0, 0.0)
 
 
 def _grid_geometry(config: SolverConfig, lam1: float, lam2: float,
@@ -497,35 +496,6 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         f"(last sup-difference {trace[-1]:.3e})", trace=trace)
 
 
-def _finalize(res: _IterationResult, xi: np.ndarray, model: ModelSpec,
-              rates: KernelRates, c: float, lam1: float, lam2: float,
-              anchor_level: float, level: float, right_state: float, upper,
-              lower, require_monotone: bool, note: str = "") -> WaveSolution:
-    v = res.values
-    xa = _anchor_crossing(xi, v, anchor_level)
-    total_shift = res.shift
-    if xa is not None:
-        xi = xi - xa                      # relabel: anchor sits exactly at 0
-        total_shift += xa
-    if res.exact_anchor_from is not None:
-        note = (note + "; " if note else "") + "exact phase anchoring engaged"
-    right_limit = right_state
-    phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=right_limit)
-    res_sup, _ = residual(phi, c, model)
-    f_cons = float(np.max(np.abs(apply_F(phi, model, rates) - v)))
-    mem = gamma_membership(phi, c, rates.beta, model, shift=total_shift,
-                           level=level, require_monotone=require_monotone,
-                           lower=lower, upper=upper)
-    return WaveSolution(
-        profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
-        trace=res.trace, beta=rates.beta, lambda1=lam1, lambda2=lam2,
-        shift=total_shift, clamp_excess=res.clamp_excess, f_consistency=f_cons,
-        membership=mem,
-        mode="monotone" if require_monotone else "nonmonotone",
-        exact_anchor_from=res.exact_anchor_from,
-        anderson_steps=res.anderson_steps, note=note)
-
-
 # ---------------------------------------------------------------------------
 # public solvers
 
@@ -572,8 +542,8 @@ class _EnvelopeFront:
 
 
 def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
-           speed: SpeedResult, note: str = "",
-           hypotheses: Optional[HypothesisReport] = None) -> WaveSolution:
+           speed: SpeedResult, hypotheses: HypothesisReport,
+           note: str = "") -> WaveSolution:
     """Wave profile for a supercritical speed, iterated in a sandwich.
 
     Only the sandwich depends on the mode.  A monotone birth gets the
@@ -583,14 +553,16 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     matches the unit-amplitude exponential, and the same exponential capped
     at the upper-envelope equilibrium; its iteration is not order preserving,
     so convergence rests on the residual alone.  `speed` is the model's
-    threshold speed, and `hypotheses` its monotone hypothesis report if the
-    caller already has it.
+    threshold speed and `hypotheses` its `validate_hypotheses` report: the
+    shared set A1-A3 and B must hold, and B1-B4 or C1-C3 for the mode.
     """
     mode = "monotone" if monotone else "nonmonotone"
-    rep = hypotheses or validate_hypotheses(model, mode)
-    if not rep.all_hold:
-        failed = "; ".join(f"{e.id}: {e.witness[1]}"
-                           for e in rep.entries if not e.holds)
+    failed = hypotheses.failures(SHARED_SET)
+    if failed:
+        raise ModelInvalidError(
+            f"the delay and sign hypotheses A1-A3 and B must hold; failed: {failed}")
+    failed = hypotheses.failures(MONOTONE_SET if monotone else RELAXED_SET)
+    if failed:
         wanted = "monotone" if monotone else "relaxed"
         raise ModelInvalidError(
             f"{mode} solve requires the {wanted} hypothesis set; failed: {failed}")
@@ -604,7 +576,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     K = equilibrium(model)
     if monotone:
         level, anchor = K, K / 2.0
-        lower = build_lower(c, model)
+        lower = build_lower(roots, model)
         rate = _approach_rate(model, c, K)
     else:
         pair = build_envelopes(model)
@@ -614,8 +586,9 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
                                right_width=config.right_width)
         # the envelopes share b'(0), and the lower model d and the delay,
         # so both equations have the model's threshold speed
-        aux = _solve(aux_model, c, aux_cfg, True, note="lower-envelope wavefront",
-                     speed=speed)
+        aux = _solve(aux_model, c, aux_cfg, True, speed,
+                     validate_hypotheses(aux_model),
+                     note="lower-envelope wavefront")
         level, anchor = pair.level, pair.k / 4.0
         lower = _EnvelopeFront(aux, roots.lambda1, pair.k)
         rate = _approach_rate(aux_model, c, pair.k)
@@ -648,9 +621,27 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         if not right_ok:
             right *= 2.0
         note = (note + " " if note else "") + "domain doubled after boundary check"
-    return _finalize(res, xi, model, rates, c, roots.lambda1, roots.lambda2,
-                     anchor, level, K, upper, lower, require_monotone=monotone,
-                     note=note)
+
+    # relabel so the anchor crossing sits exactly at 0, then certify
+    v, shift = res.values, res.shift
+    xa = _anchor_crossing(xi, v, anchor)
+    if xa is not None:
+        xi = xi - xa
+        shift += xa
+    if res.exact_anchor_from is not None:
+        note = (note + "; " if note else "") + "exact phase anchoring engaged"
+    phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=K)
+    res_sup, _ = residual(phi, c, model)
+    f_cons = float(np.max(np.abs(apply_F(phi, model, rates) - v)))
+    mem = gamma_membership(phi, c, rates.beta, model, shift=shift, level=level,
+                           upper=upper, lower=lower, require_monotone=monotone)
+    return WaveSolution(
+        profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
+        trace=res.trace, beta=rates.beta, lambda1=roots.lambda1,
+        lambda2=roots.lambda2, shift=shift, clamp_excess=res.clamp_excess,
+        f_consistency=f_cons, membership=mem, mode=mode,
+        exact_anchor_from=res.exact_anchor_from,
+        anderson_steps=res.anderson_steps, note=note)
 
 
 def near_critical_speed(speed: SpeedResult) -> float:
@@ -661,7 +652,9 @@ def near_critical_speed(speed: SpeedResult) -> float:
 def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
           speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Solve as monotone when the model's monotone hypothesis set holds,
-    else as nonmonotone; either runs with config.damping as given.
+    else as nonmonotone; either runs with config.damping as given.  The
+    model's hypotheses are checked once, and a failure of the shared set
+    A1-A3 and B is reported before either solver is chosen.
 
     `speed` is the model's threshold speed, if the caller already has it.
     Near the threshold, c <= near_critical_speed, the leading-edge decay
@@ -677,6 +670,6 @@ def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
         config = replace(config, tol=min(config.tol, 1e-8),
                          max_iters=2 * config.max_iters)
         note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
-    rep = validate_hypotheses(model, "monotone")
-    return _solve(model, c, config, rep.all_hold, note=note, speed=speed,
-                  hypotheses=rep if rep.all_hold else None)
+    rep = validate_hypotheses(model)
+    return _solve(model, c, config, not rep.failures(MONOTONE_SET), speed, rep,
+                  note=note)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdwave import dispersion, model, profile
+from sdwave import bounds, dispersion, model, profile
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +53,18 @@ def ricker3_solution(ricker3, ricker3_cstar):
     """Converged nonmonotone wave at c = 1.2 c*, h = 0.01 (shared, read-only)."""
     cfg = profile.SolverConfig(h=0.01, damping=0.5)
     return profile.solve(ricker3, 1.2 * ricker3_cstar, cfg)
+
+
+def closed_form_bounds(c, m, level=None):
+    """(upper, lower): the closed-form sandwich of model m at speed c, built
+    as the solvers build it from one decay-root solve; the upper bound's
+    plateau is `level`, by default the equilibrium K."""
+    roots = dispersion.decay_roots(
+        c, dispersion.CharacteristicContext.from_model(m))
+    if level is None:
+        level = model.equilibrium(m)
+    return (bounds.UpperSolution(roots.lambda1, level),
+            bounds.build_lower(roots, m))
 
 
 def bisect(f, lo, hi, n=200):

@@ -32,10 +32,10 @@ def p2_setup(ricker2, ricker2_cstar):
     c = 1.2 * ricker2_cstar
     K = model.equilibrium(ricker2)
     rates = dispersion.choose_beta(c, ricker2, range_end=K)
-    up = bounds.build_upper(c, ricker2)
-    low = bounds.build_lower(c, ricker2)
     roots = dispersion.decay_roots(
         c, dispersion.CharacteristicContext.from_model(ricker2))
+    up = bounds.UpperSolution(roots.lambda1, K)
+    low = bounds.build_lower(roots, ricker2)
     rate = profile._approach_rate(ricker2, c, K)
     h, left, right = profile._grid_geometry(profile.SolverConfig(h=0.01),
                                             roots.lambda1, roots.lambda2, rate)
@@ -148,8 +148,10 @@ def test_criterion_06_differential_inequalities(ricker2, ricker2_cstar,
         c = 1.2 * cs
         level = (model.equilibrium(m) if name == "monotone"
                  else bounds.build_envelopes(m).level)
-        up = bounds.build_upper(c, m, level=level)
-        low = bounds.build_lower(c, m)
+        roots = dispersion.decay_roots(
+            c, dispersion.CharacteristicContext.from_model(m))
+        up = bounds.UpperSolution(roots.lambda1, level)
+        low = bounds.build_lower(roots, m)
         grid_up = bounds.kink_excluded_grid(-60.0, 60.0, 2000, up.kinks)
         grid_lo = bounds.kink_excluded_grid(low.xi0 - 60.0, low.xi0 + 20.0,
                                             2000, low.kinks)

@@ -5,13 +5,13 @@ import pytest
 
 from sdwave import bounds, dispersion, model, profile
 from sdwave.errors import NoRootsError
-from conftest import bisect
+from conftest import bisect, closed_form_bounds
 
 
 def test_upper_solution_branches():
     m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
                         delay=model.ConstantDelay(0.0))
-    up = bounds.build_upper(2.5, m)
+    up, _ = closed_form_bounds(2.5, m)
     K = math.log(2.0)
     assert up.value(-200.0) < 1e-40
     kink = math.log(K) / up.lam1
@@ -24,20 +24,21 @@ def test_upper_solution_branches():
 
 def test_lower_solution_structure(ricker2, ricker2_cstar):
     c = 1.2 * ricker2_cstar
-    low = bounds.build_lower(c, ricker2)
+    ctx = dispersion.CharacteristicContext.from_model(ricker2)
+    roots = dispersion.decay_roots(c, ctx)
+    low = bounds.build_lower(roots, ricker2)
     K = model.equilibrium(ricker2)
     assert low.q > 1.0 + K
     assert low.value(low.xi0) == 0.0
     assert low.value(low.xi0 + 3.0) == 0.0
+    assert low.lam1 == roots.lambda1
     # characteristic value is negative strictly between the decay roots
-    ctx = dispersion.CharacteristicContext.from_model(ricker2)
     assert dispersion.char_value(low.eta * low.lam1, c, ctx) < 0
-    roots = dispersion.decay_roots(c, ctx)
     assert 1.0 < low.eta < min(2.0, roots.lambda2 / roots.lambda1)
 
 
 def test_lower_positive_exactly_left_of_kink(ricker2, ricker2_cstar):
-    low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+    _, low = closed_form_bounds(1.2 * ricker2_cstar, ricker2)
     xi = np.linspace(low.xi0 - 30.0, low.xi0 + 5.0, 20_001)
     vals = low.value(xi)
     assert np.all(vals[xi < low.xi0 - 1e-9] > 0.0)
@@ -61,7 +62,7 @@ class TestLowerValueBitwise:
     """`LowerSolution.value` evaluates only left of its kink, bit for bit."""
 
     def test_sorted_grid_across_the_kink(self, ricker2, ricker2_cstar):
-        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        _, low = closed_form_bounds(1.2 * ricker2_cstar, ricker2)
         xi = np.linspace(-80.0, 40.0, 20_001)
         assert xi[0] < low.xi0 < xi[-1]
         got = low.value(xi)
@@ -71,8 +72,8 @@ class TestLowerValueBitwise:
     def test_near_critical_grid_is_all_zero(self, ricker2, ricker2_ctx,
                                             ricker2_cstar):
         c = ricker2_cstar * (1.0 + profile.NEAR_CRITICAL_OFFSET)
-        low = bounds.build_lower(c, ricker2)
         roots = dispersion.decay_roots(c, ricker2_ctx)
+        low = bounds.build_lower(roots, ricker2)
         rate = profile._approach_rate(ricker2, c, model.equilibrium(ricker2))
         h, left, right = profile._grid_geometry(
             profile.SolverConfig(h=0.02), roots.lambda1, roots.lambda2, rate)
@@ -84,14 +85,14 @@ class TestLowerValueBitwise:
         assert not np.any(np.signbit(got))
 
     def test_grid_left_of_the_kink(self, ricker2, ricker2_cstar):
-        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        _, low = closed_form_bounds(1.2 * ricker2_cstar, ricker2)
         xi = np.linspace(low.xi0 - 60.0, low.xi0 - 1e-3, 4_001)
         got = low.value(xi)
         _assert_bitwise(got, _lower_value_full(low, xi))
         assert np.all(got > 0.0)
 
     def test_unsorted_input(self, ricker2, ricker2_cstar):
-        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        _, low = closed_form_bounds(1.2 * ricker2_cstar, ricker2)
         rng = np.random.default_rng(7)
         xi = rng.uniform(low.xi0 - 40.0, low.xi0 + 40.0, 5_001)
         xi[:4] = [low.xi0, -np.inf, np.inf, np.nan]
@@ -101,7 +102,7 @@ class TestLowerValueBitwise:
         _assert_bitwise(blocks, _lower_value_full(low, xi.reshape(3, 1_667)))
 
     def test_scalar_input(self, ricker2, ricker2_cstar):
-        low = bounds.build_lower(1.2 * ricker2_cstar, ricker2)
+        _, low = closed_form_bounds(1.2 * ricker2_cstar, ricker2)
         for x in (low.xi0 - 5.0, low.xi0, low.xi0 + 5.0, -np.inf):
             got = low.value(x)
             assert type(got) is float
@@ -113,7 +114,8 @@ def test_lower_rejects_near_threshold(ricker2):
     ctx = dispersion.CharacteristicContext.from_model(ricker2)
     c_star = dispersion.critical_speed(ctx).c_star
     with pytest.raises(NoRootsError):
-        bounds.build_lower(c_star * (1.0 + 1e-14), ricker2)
+        bounds.build_lower(dispersion.decay_roots(c_star * (1.0 + 1e-14), ctx),
+                           ricker2)
 
 
 def _grids_for(prof, lo, hi, n=2000):
@@ -123,7 +125,7 @@ def _grids_for(prof, lo, hi, n=2000):
 class TestDifferentialInequalities:
     def test_upper_plateau_value_is_zero(self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
-        up = bounds.build_upper(c, ricker2)
+        up, _ = closed_form_bounds(c, ricker2)
         kink = up.kinks[0]
         far = np.array([kink + c * ricker2.delay.M + 5.0, kink + 40.0])
         res = bounds.wave_inequality_residuals(up, c, ricker2, far)
@@ -131,33 +133,33 @@ class TestDifferentialInequalities:
 
     def test_upper_inequality_monotone_model(self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
-        up = bounds.build_upper(c, ricker2)
+        up, _ = closed_form_bounds(c, ricker2)
         grid = _grids_for(up, -60.0, 60.0)
         assert bounds.verify_upper(up, c, ricker2, grid) <= 1e-8
 
     def test_lower_inequality_monotone_model(self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
-        low = bounds.build_lower(c, ricker2)
+        _, low = closed_form_bounds(c, ricker2)
         grid = _grids_for(low, low.xi0 - 60.0, low.xi0 + 20.0)
         assert bounds.verify_lower(low, c, ricker2, grid) >= -1e-8
 
     def test_upper_inequality_nonmonotone_model(self, ricker3, ricker3_cstar):
         c = 1.2 * ricker3_cstar
         pair = bounds.build_envelopes(ricker3)
-        up = bounds.build_upper(c, ricker3, level=pair.level)
+        up, _ = closed_form_bounds(c, ricker3, level=pair.level)
         grid = _grids_for(up, -60.0, 60.0)
         assert bounds.verify_upper(up, c, ricker3, grid) <= 1e-8
 
     def test_lower_inequality_nonmonotone_model(self, ricker3, ricker3_cstar):
         c = 1.2 * ricker3_cstar
-        low = bounds.build_lower(c, ricker3)
+        _, low = closed_form_bounds(c, ricker3)
         grid = _grids_for(low, low.xi0 - 60.0, low.xi0 + 20.0)
         assert bounds.verify_lower(low, c, ricker3, grid) >= -1e-8
 
     def test_truncation_branch_residual_vanishes_where_delayed_is_zero(
             self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
-        low = bounds.build_lower(c, ricker2)
+        _, low = closed_form_bounds(c, ricker2)
         # right of the kink by more than the largest lag: residual is b(0) = 0
         xi = np.array([low.xi0 + c * ricker2.delay.M + 1.0])
         res = bounds.wave_inequality_residuals(low, c, ricker2, xi)
@@ -166,7 +168,7 @@ class TestDifferentialInequalities:
     def test_lower_slack_decay_rate(self, ricker2, ricker2_cstar):
         # leading-order expansion: the slack decays like exp(eta*lam1*xi)
         c = 1.2 * ricker2_cstar
-        low = bounds.build_lower(c, ricker2)
+        _, low = closed_form_bounds(c, ricker2)
         xi = np.linspace(low.xi0 - 40.0, low.xi0 - 30.0, 400)
         slack = bounds.wave_inequality_residuals(low, c, ricker2, xi)
         assert np.all(slack > 0)
@@ -242,8 +244,7 @@ class TestEnvelopes:
 
 def test_bound_ordering_pointwise(ricker2, ricker2_cstar):
     c = 1.2 * ricker2_cstar
-    up = bounds.build_upper(c, ricker2)
-    low = bounds.build_lower(c, ricker2)
+    up, low = closed_form_bounds(c, ricker2)
     xi = np.linspace(-80.0, 40.0, 20_001)
     lo_vals = low.value(xi)
     hi_vals = up.value(xi)

@@ -258,14 +258,31 @@ class TestProfileVerifyCommands:
             assert command in cli.COMMANDS
 
     def test_failed_hypothesis_names_its_witness(self, tmp_path, capsys):
+        # a monotone birth with a steep lag fails A2, which both solvers
+        # need: the error names the check and no solver
         text = DELAYED_MODEL.replace("delay.m = 0.2", "delay.m = 0").replace(
             "delay.M = 0.7", "delay.M = 1.5")
         p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\n")
         assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
                         "profile"]) == 2
         err = capsys.readouterr().err
-        assert "relaxed hypothesis set" in err
         assert "A2: tau'(0) = 1.5 outside [0, 1)" in err
+        assert "nonmonotone" not in err and "relaxed" not in err
+
+    def test_verify_solves_the_decay_roots_once(self, profile_run,
+                                                monkeypatch):
+        # every decay_roots call, whichever module calls it, builds one RootPair
+        cfg_path, out, _ = profile_run
+        calls = []
+        root_pair = dispersion.RootPair
+
+        def counting(**kwargs):
+            calls.append(kwargs)
+            return root_pair(**kwargs)
+
+        monkeypatch.setattr(dispersion, "RootPair", counting)
+        assert run_cli(["--config", cfg_path, "verify", "--profile", out]) == 0
+        assert len(calls) == 1
 
     def test_critical_flag(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[profile]\nh = 0.02\n")

@@ -119,26 +119,31 @@ def test_sup_delay_slope():
     assert m2.delay.slope_sup() == pytest.approx(0.9, abs=1e-14)
 
 
+ALL_IDS = model.SHARED_SET + model.MONOTONE_SET + model.RELAXED_SET
+
+
 class TestHypothesisValidation:
     def test_monotone_set_holds_for_p2(self, ricker2):
-        rep = model.validate_hypotheses(ricker2, "monotone")
-        assert rep.all_hold
+        rep = model.validate_hypotheses(ricker2)
+        assert rep.failures(ALL_IDS) == ""
+        assert all(e.holds for e in rep.entries)
 
     def test_p3_fails_monotone_with_witness_above_one(self, ricker3):
-        rep = model.validate_hypotheses(ricker3, "monotone")
+        rep = model.validate_hypotheses(ricker3)
         assert not rep.holds("B3")
         u, desc = rep.witness("B3")
         assert u > 1.0
         assert "b'" in desc
+        assert rep.failures(model.MONOTONE_SET) == f"B3: {desc}"
 
     def test_p3_nonmonotone_set_holds(self, ricker3):
-        rep = model.validate_hypotheses(ricker3, "nonmonotone")
-        assert rep.all_hold
+        rep = model.validate_hypotheses(ricker3)
+        assert rep.failures(model.SHARED_SET + model.RELAXED_SET) == ""
 
     def test_steep_delay_fails_a2(self):
         m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
                             delay=model.RationalDelay(0.2, 1.4))
-        rep = model.validate_hypotheses(m, "monotone")
+        rep = model.validate_hypotheses(m)
         assert not rep.holds("A2")
         u, desc = rep.witness("A2")
         assert u == pytest.approx(0.0, abs=1e-6)
@@ -151,8 +156,9 @@ class TestHypothesisValidation:
             ratio = rng.uniform(1.05, math.e)
             m = model.ModelSpec(d=d, birth=model.RickerBirth(ratio * d),
                                 delay=model.RationalDelay(0.1, 0.6))
-            rep = model.validate_hypotheses(m, "monotone")
-            assert rep.all_hold, (d, ratio, rep.as_dict())
+            rep = model.validate_hypotheses(m)
+            assert rep.failures(model.SHARED_SET + model.MONOTONE_SET) == "", (
+                d, ratio, rep.as_dict())
 
 
 def _table(u, b):
@@ -196,57 +202,55 @@ FALLING_LIMIT = _fails(0.0, "limit 0.2 below tau(0) = 0.7")
 DIP = _fails(0.5029, "b(u) <= d*u inside (0, K) at u=0.5029")
 RECROSS = _fails(2.0008, "b(u) outside (0, d*u) above K at u=2.0008")
 
-# the failing entries of `as_dict()`, exactly; every other entry holds
-FAILING_ENTRIES = [
-    ("steep lag", lambda: model.RickerBirth(2.0),
-     lambda: model.RationalDelay(0.2, 1.4), "monotone", {"A2": STEEP_LAG}),
-    ("steep lag", lambda: model.RickerBirth(2.0),
-     lambda: model.RationalDelay(0.2, 1.4), "nonmonotone", {"A2": STEEP_LAG}),
-    ("negative lag", lambda: model.RickerBirth(2.0),
-     lambda: model.ConstantDelay(-0.1), "monotone",
-     {"A3": _fails(0.0, "tau(0) = -0.1 < 0")}),
-    ("falling lag", lambda: model.RickerBirth(2.0),
-     lambda: model.RationalDelay(0.7, 0.2), "monotone",
-     {"A2": FALLING_LAG, "A3": FALLING_LIMIT}),
-    ("dip", _dipping_birth, lambda: model.RationalDelay(0.2, 0.7),
-     "monotone",
-     {"B": DIP, "B3": _fails(0.5023, "b'(0.5023) = -116.326 < 0")}),
-    ("dip", _dipping_birth, lambda: model.RationalDelay(0.2, 0.7),
-     "nonmonotone", {"B": DIP, "C3": _fails(0.5023, "|b'(0.5023)| > b'(0)")}),
-    ("recrossing", _recrossing_birth, lambda: model.RationalDelay(0.2, 0.7),
-     "monotone", {"B": RECROSS}),
-    ("recrossing", _recrossing_birth, lambda: model.RationalDelay(0.2, 0.7),
-     "nonmonotone", {"B": RECROSS}),
-    ("convex", _convex_birth, lambda: model.RationalDelay(0.2, 0.7),
-     "monotone",
-     {"B2": _fails(0.00105, "b(u) >= b'(0)*u at u=0.00105"),
-      "B3": _fails(0.00105, "b'(0.00105) > b'(0)"),
-      "B4": _fails(0.0, "b(u) exceeds its linearization at u=2.99985; "
-                        "gap hypothesis fails")}),
-    ("convex", _convex_birth, lambda: model.RationalDelay(0.2, 0.7),
-     "nonmonotone",
-     {"C2": _fails(0.0105, "b(u) >= b'(0)*u at u=0.0105"),
-      "C3": _fails(0.00105, "|b'(0.00105)| > b'(0)")}),
-    ("ricker p=3", lambda: model.RickerBirth(3.0),
-     lambda: model.RationalDelay(0.2, 0.7), "monotone",
-     {"B3": _fails(1.0000667663745804, "b'(1.00007) = -7.3681e-05 < 0")}),
-    ("no equilibrium", lambda: model.RickerBirth(0.5),
-     lambda: model.RationalDelay(0.2, 0.7), "monotone",
-     {id: NO_EQUILIBRIUM for id in ("B", "B1", "B2", "B3", "B4")}),
-    ("no equilibrium", lambda: model.RickerBirth(0.5),
-     lambda: model.RationalDelay(0.2, 0.7), "nonmonotone",
-     {id: NO_EQUILIBRIUM for id in ("B", "C1", "C2", "C3")}),
-]
+# the failing entries of one model's `as_dict()`, exactly: the checks both
+# solvers need, and the monotone and relaxed sets; every other entry holds
+FAILING_ENTRIES = {
+    "steep lag": (lambda: model.RickerBirth(2.0),
+                  lambda: model.RationalDelay(0.2, 1.4), {"A2": STEEP_LAG}),
+    "negative lag": (lambda: model.RickerBirth(2.0),
+                     lambda: model.ConstantDelay(-0.1),
+                     {"A3": _fails(0.0, "tau(0) = -0.1 < 0")}),
+    "falling lag": (lambda: model.RickerBirth(2.0),
+                    lambda: model.RationalDelay(0.7, 0.2),
+                    {"A2": FALLING_LAG, "A3": FALLING_LIMIT}),
+    "dip": (_dipping_birth, lambda: model.RationalDelay(0.2, 0.7),
+            {"B": DIP, "B3": _fails(0.5023, "b'(0.5023) = -116.326 < 0"),
+             "C3": _fails(0.5023, "|b'(0.5023)| > b'(0)")}),
+    "recrossing": (_recrossing_birth, lambda: model.RationalDelay(0.2, 0.7),
+                   {"B": RECROSS}),
+    "convex": (_convex_birth, lambda: model.RationalDelay(0.2, 0.7),
+               {"B2": _fails(0.00105, "b(u) >= b'(0)*u at u=0.00105"),
+                "B3": _fails(0.00105, "b'(0.00105) > b'(0)"),
+                "B4": _fails(0.0, "b(u) exceeds its linearization at "
+                                  "u=2.99985; gap hypothesis fails"),
+                "C2": _fails(0.0105, "b(u) >= b'(0)*u at u=0.0105"),
+                "C3": _fails(0.00105, "|b'(0.00105)| > b'(0)")}),
+    "ricker p=3": (lambda: model.RickerBirth(3.0),
+                   lambda: model.RationalDelay(0.2, 0.7),
+                   {"B3": _fails(1.0000667663745804,
+                                 "b'(1.00007) = -7.3681e-05 < 0")}),
+    "no equilibrium": (lambda: model.RickerBirth(0.5),
+                       lambda: model.RationalDelay(0.2, 0.7),
+                       {id: NO_EQUILIBRIUM for id in ALL_IDS[3:]}),
+}
+SOLVER_SETS = {"monotone": model.MONOTONE_SET, "nonmonotone": model.RELAXED_SET}
 
 
-@pytest.mark.parametrize("name, birth, delay, mode, expected", FAILING_ENTRIES,
-                         ids=[f"{c[0]}-{c[3]}" for c in FAILING_ENTRIES])
-def test_failing_hypotheses_report_exact_witnesses(name, birth, delay, mode,
-                                                    expected):
+@pytest.mark.parametrize("solver", SOLVER_SETS)
+@pytest.mark.parametrize("name", FAILING_ENTRIES)
+def test_failing_hypotheses_report_exact_witnesses(name, solver):
+    # one report holds every check; a solver's gate reads the shared checks
+    # and its own set from it
+    birth, delay, expected = FAILING_ENTRIES[name]
     m = model.ModelSpec(d=1.0, birth=birth(), delay=delay())
-    entries = model.validate_hypotheses(m, mode).as_dict()
-    assert list(entries)[:4] == ["A1", "A2", "A3", "B"]
+    rep = model.validate_hypotheses(m)
+    entries = rep.as_dict()
+    assert list(entries) == list(ALL_IDS)
     assert {id: e for id, e in entries.items() if not e["holds"]} == expected
+    ids = model.SHARED_SET + SOLVER_SETS[solver]
+    assert rep.failures(ids) == "; ".join(
+        f"{id}: {expected[id]['witness']['violated']}"
+        for id in ids if id in expected)
 
 
 class TestModelInvariants:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from sdwave import bounds, dispersion, model, profile
 from sdwave.errors import ModelInvalidError, NonconvergenceError, NoRootsError
+from conftest import closed_form_bounds
 
 
 def make_grid(xi_lo, xi_hi, h, fn, left, right):
@@ -20,8 +22,7 @@ def setup2(ricker2, ricker2_cstar):
     c = 1.2 * ricker2_cstar
     K = model.equilibrium(ricker2)
     rates = dispersion.choose_beta(c, ricker2, range_end=K)
-    up = bounds.build_upper(c, ricker2)
-    low = bounds.build_lower(c, ricker2)
+    up, low = closed_form_bounds(c, ricker2)
     return ricker2, c, K, rates, up, low
 
 
@@ -194,7 +195,8 @@ class TestMonotoneSolve:
             dispersion.CharacteristicContext.from_model(ricker3))
         with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
             profile._solve(ricker3, 1.2 * sr.c_star, profile.SolverConfig(h=0.02),
-                           monotone=True, speed=sr)
+                           monotone=True, speed=sr,
+                           hypotheses=model.validate_hypotheses(ricker3))
 
     def test_nonconvergence_carries_trace(self, ricker2, ricker2_cstar):
         with pytest.raises(NonconvergenceError) as err:
@@ -285,6 +287,36 @@ def adversarial_arrays():
     arrays.append(noisy)
     arrays.append(rng.choice([-0.0, 0.0, 1.0, np.nan, np.inf, -np.inf], 4001))
     return arrays
+
+
+class TestApproachRate:
+    """The right-end decay rate -mu: the negative root mu of
+    mu^2 - c mu - d + b'(K) exp(-mu c tau(K)) = 0."""
+
+    @staticmethod
+    def closed_form(c, d=1.0):
+        return 0.5 * (math.sqrt(c * c + 4.0 * d) - c)   # the root at b'(K) = 0
+
+    def test_root_for_a_positive_slope(self, ricker2, ricker2_cstar):
+        c = 1.2 * ricker2_cstar
+        K = model.equilibrium(ricker2)
+        rate = profile._approach_rate(ricker2, c, K)
+        mu, s, lag = -rate, ricker2.birth.derivative(K), c * ricker2.delay.tau(K)
+        assert 0.0 < s < ricker2.d
+        assert abs(mu * mu - c * mu - ricker2.d + s * math.exp(-mu * lag)) <= 1e-14
+        assert 0.0 < rate < self.closed_form(c)
+
+    @pytest.mark.parametrize("p", [math.e, math.nextafter(math.e, 0.0)])
+    def test_zero_slope_gives_the_closed_form(self, p):
+        # p = e puts K at 1, where b'(K) = 0; one ulp below, b'(K) is about
+        # 2e-16 and the root lies within rounding of the closed form, where
+        # the characteristic function can round below zero
+        m = model.ModelSpec(d=1.0, birth=model.RickerBirth(p),
+                            delay=model.RationalDelay(0.2, 0.7))
+        K = model.equilibrium(m)
+        for c in (1.5, 3.0, 10.0):
+            rate = profile._approach_rate(m, c, K)
+            assert rate == pytest.approx(self.closed_form(c), rel=1e-14)
 
 
 class TestIterationHelpers:
@@ -486,7 +518,7 @@ class TestGammaMembership:
         g = profile.ProfileGrid(xi=xi, values=up.value(xi), left_limit=0.0,
                                 right_limit=K)
         rep = profile.gamma_membership(g, c, rates.beta, m, shift=0.0,
-                                       lower=low, upper=up)
+                                       level=K, upper=up, lower=low)
         assert rep.member
 
     def test_steepened_profile_fails_lipschitz(self, setup2, ricker2_solution):
@@ -498,7 +530,7 @@ class TestGammaMembership:
             right_limit=base.right_limit)
         rep = profile.gamma_membership(squeezed, c, rates.beta, m,
                                        shift=ricker2_solution.shift,
-                                       lower=low, upper=up)
+                                       level=K, upper=up, lower=low)
         assert not rep.lipschitz_ok
         mild = profile.ProfileGrid(
             xi=base.xi / 10.0, values=base.values, left_limit=0.0,
@@ -517,8 +549,8 @@ class TestCriticalSolve:
         # Record the calls instead of running the long iterations.
         calls = []
 
-        def fake_solve(model_, c, config, monotone, note="", speed=None,
-                       hypotheses=None):
+        def fake_solve(model_, c, config, monotone, speed, hypotheses,
+                       note=""):
             calls.append((config, note))
 
         monkeypatch.setattr(profile, "_solve", fake_solve)
@@ -587,7 +619,8 @@ class TestNonmonotoneSolve:
         alt = profile._solve(
             ricker2, c, profile.SolverConfig(h=0.01, damping=0.5, tol=2e-10,
                                              phase_level=K / 2.0),
-            monotone=False, speed=sr)
+            monotone=False, speed=sr,
+            hypotheses=model.validate_hypotheses(ricker2))
         ref = profile.solve(ricker2, c, profile.SolverConfig(h=0.01, tol=2e-10),
                             sr)
         xi = np.linspace(-25.0, 25.0, 1001)
@@ -618,19 +651,46 @@ class TestNonmonotoneSolve:
         assert ricker3_solution.residual_sup / fine.residual_sup >= 3.0
 
 
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its positional
+    arguments, one tuple per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_hypotheses_checked_once_per_solve(ricker2, ricker2_cstar, monkeypatch):
-    modes = []
-
-    def counting(model_, mode_="monotone"):
-        modes.append(mode_)
-        return validate(model_, mode_)
-
-    validate = profile.validate_hypotheses
-    monkeypatch.setattr(profile, "validate_hypotheses", counting)
+    calls = _count_calls(monkeypatch, profile, "validate_hypotheses")
     sol = profile.solve(ricker2, 1.3 * ricker2_cstar,
                         profile.SolverConfig(h=0.02))
     assert sol.mode == "monotone"
-    assert modes == ["monotone"]
+    assert calls == [(ricker2,)]
+
+
+def test_nonmonotone_solve_checks_each_model_once(ricker3, ricker3_cstar,
+                                                  monkeypatch):
+    # the model itself, then its lower-envelope model for the aux solve
+    calls = _count_calls(monkeypatch, profile, "validate_hypotheses")
+    sol = profile.solve(ricker3, 1.3 * ricker3_cstar,
+                        profile.SolverConfig(h=0.02))
+    assert sol.mode == "nonmonotone"
+    (first,), (second,) = calls
+    assert first is ricker3
+    assert second.birth.kind == "envelope_lower"
+
+
+def test_monotone_solve_solves_the_decay_roots_once(ricker2, ricker2_cstar,
+                                                    monkeypatch):
+    # every decay_roots call, whichever module calls it, builds one RootPair
+    roots = _count_calls(monkeypatch, dispersion, "RootPair")
+    profile.solve(ricker2, 1.3 * ricker2_cstar, profile.SolverConfig(h=0.02))
+    assert len(roots) == 1
 
 
 def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
@@ -644,13 +704,13 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
         dispersion.CharacteristicContext.from_model(ricker3))
     with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
         profile._solve(ricker3, 1.3 * sr3.c_star, profile.SolverConfig(h=0.02),
-                       monotone=True, speed=sr3)
+                       monotone=True, speed=sr3,
+                       hypotheses=model.validate_hypotheses(ricker3))
     # the near-critical solve dispatches the same way; record the call
     # instead of running the (long) near-critical iteration
     calls = []
 
-    def fake_solve(model_, c, config, monotone, note="", speed=None,
-                   hypotheses=None):
+    def fake_solve(model_, c, config, monotone, speed, hypotheses, note=""):
         assert not monotone and "near-critical surrogate" in note
         calls.append((c, config))
         return "nonmonotone ran"
@@ -676,7 +736,8 @@ def test_nonmonotone_solve_hands_its_speed_to_the_lower_envelope(
         return critical_speed(*args, **kwargs)
 
     def recording(*args, **kwargs):
-        speeds.append(kwargs["speed"])
+        speeds.append(inspect.signature(solve_).bind(*args, **kwargs)
+                      .arguments["speed"])
         return solve_(*args, **kwargs)
 
     critical_speed, solve_ = dispersion.critical_speed, profile._solve

@@ -10,7 +10,10 @@ geometric extrapolation), and a near-critical solve at a coarse grid, where
 exact anchoring and the extrapolation run under the monotone projection.
 Every undamped whole-cell phase, the lower-envelope solve of the damped band
 included, takes Anderson-mixed steps.  A change to the iteration engine or
-the convolution kernel that moves one bit fails here.  Set
+the convolution kernel that moves one bit fails here.  Each profile is then
+re-checked by `verify`, whose invariants are pinned too, and `envelope` runs
+on the monotone (p=2) and nonmonotone (p=3) birth, whose two CSVs (birth
+envelopes and closed-form profile bounds) are pinned by their sha256.  Set
 SDWAVE_REGENERATE_GOLDEN=1 to rewrite the golden file.
 """
 import hashlib
@@ -60,11 +63,19 @@ RUNS = {
 # sidecar figures that the iteration determines bit for bit
 RESULT_KEYS = ("c", "beta", "iterations", "phase_shift", "residual_sup")
 INVARIANT_KEYS = ("f_consistency", "clamp_excess")
+VERIFY_KEYS = ("residual_ok", "sandwich_ok", "monotone_ok", "lipschitz_ok")
+ENVELOPE_RUNS = {"envelope_p2": ricker(2.0), "envelope_p3": ricker(3.0)}
+ENVELOPE_CSVS = ("envelopes.csv", "profile_bounds.csv")
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """label -> (sha256 of the CSV, parsed sidecar report) for each run."""
+    """label -> (sha256 of the CSV, parsed sidecar report, parsed `verify`
+    report) for each run."""
     tmp = tmp_path_factory.mktemp("profile_golden")
     runs = {}
     for label, (text, flags) in RUNS.items():
@@ -73,19 +84,39 @@ def outputs(tmp_path_factory):
         out = tmp / f"{label}.csv"
         argv = ["--config", str(cfg), "--out", str(out), "profile"] + flags
         assert cli.main(argv) == 0
-        runs[label] = (hashlib.sha256(out.read_bytes()).hexdigest(),
-                       json.loads(out.with_suffix(".json").read_text()))
+        assert cli.main(["--config", str(cfg), "verify", "--profile",
+                         str(out)]) == 0
+        runs[label] = (sha256(out),
+                       json.loads(out.with_suffix(".json").read_text()),
+                       json.loads((tmp / f"{label}_verify.json").read_text()))
     return runs
 
 
-def test_profile_outputs_byte_identical(outputs):
+@pytest.fixture(scope="module")
+def envelope_digests(tmp_path_factory):
+    """"label.csv name" -> sha256 of each CSV `envelope` writes."""
+    tmp = tmp_path_factory.mktemp("envelope_golden")
     digests = {}
-    for label, (csv_digest, report) in outputs.items():
+    for label, text in ENVELOPE_RUNS.items():
+        out_dir = tmp / label
+        cfg = tmp / f"{label}.cfg"
+        cfg.write_text(text + f"[output]\ndir = {out_dir}\n")
+        assert cli.main(["--config", str(cfg), "envelope"]) == 0
+        for name in ENVELOPE_CSVS:
+            digests[f"{label}.{name}"] = sha256(out_dir / name)
+    return digests
+
+
+def test_profile_outputs_byte_identical(outputs, envelope_digests):
+    digests = dict(envelope_digests)
+    for label, (csv_digest, report, verified) in outputs.items():
         digests[f"{label}.csv"] = csv_digest
         for key in RESULT_KEYS:
             digests[f"{label}.results.{key}"] = repr(report["results"][key])
         for key in INVARIANT_KEYS:
             digests[f"{label}.invariants.{key}"] = repr(report["invariants"][key])
+        for key in VERIFY_KEYS:
+            digests[f"{label}.verify.{key}"] = repr(verified["invariants"][key])
     if os.environ.get(REGEN_GOLDEN_VAR) == "1":
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
@@ -102,7 +133,7 @@ def test_report_names_exact_anchoring_iteration(outputs):
     # the plateau trigger fires after iterations 417 and 177 respectively
     want = {"monotone": None, "nonmonotone": 418, "nonmonotone_auto": None,
             "critical": 178}
-    for label, (_, report) in outputs.items():
+    for label, (_, report, _) in outputs.items():
         results = report["results"]
         assert results["exact_anchor_from"] == want[label], label
         engaged = "exact phase anchoring engaged" in results["note"]
@@ -112,14 +143,14 @@ def test_report_names_exact_anchoring_iteration(outputs):
 def test_nonmonotone_band_reaches_its_fixed_point(outputs):
     # without the geometric jump the damped band solve ends at a true fixed
     # point of F: |F(v) - v| is 3.7e-8 (2.5e-7 with the jump)
-    _, report = outputs["nonmonotone"]
+    _, report, _ = outputs["nonmonotone"]
     assert report["invariants"]["f_consistency"] <= 1e-7
 
 
 def test_undamped_band_reaches_a_closer_fixed_point(outputs):
     # the default undamped step ends nearer a fixed point of F than damping
     # by 0.5 does: |F(v) - v| is 8.0e-9 against 3.7e-8
-    _, report = outputs["nonmonotone_auto"]
+    _, report, _ = outputs["nonmonotone_auto"]
     assert report["invariants"]["f_consistency"] <= 2e-8
 
 
@@ -131,7 +162,7 @@ def test_mixing_cuts_whole_cell_iterations(outputs):
 
 
 def test_report_counts_mixed_steps(outputs):
-    for label, (_, report) in outputs.items():
+    for label, (_, report, _) in outputs.items():
         steps = report["results"]["anderson_steps"]
         if label == "nonmonotone":                # damped: never mixed
             assert steps == 0
