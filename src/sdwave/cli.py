@@ -255,8 +255,9 @@ def cmd_envelope(cfg: RunConfig, args, rep: reporting.Report) -> None:
 
 def _sim_config_from(cfg: RunConfig, section: str,
                      high: float) -> pdesim.SimConfig:
-    """The section's simulation config; `high` is the datum's default height,
-    also spelled `equilibrium` or `plateau`."""
+    """The section's simulation config, its datum, history and snapshot times
+    resolved; `high` is the datum's default height, also spelled
+    `equilibrium` or `plateau`."""
     sec = cfg.section(section)
     x_min, x_max, nx, t_end = (cfg.require(section, key)
                                for key in ("x_min", "x_max", "nx", "t_end"))
@@ -267,17 +268,17 @@ def _sim_config_from(cfg: RunConfig, section: str,
         if raw not in ("equilibrium", "plateau"):
             high = _parse_value(raw, "f", cfg.path.parent,
                                 f"[{section}] initial.high")
-        initial = ("step", sec.get("initial.location", 0.0),
-                   sec.get("initial.low", 0.0), high)
+        loc, low = sec.get("initial.location", 0.0), sec.get("initial.low", 0.0)
+
+        def initial(x, loc=loc, low=float(low), high=float(high)):
+            return np.where(x <= loc, high, low)
     elif kind == "bump":
         center = sec.get("initial.center", 0.0)
         width = sec.get("initial.width", 10.0)
         height = sec.get("initial.height", high)
 
-        def bump(x, center=center, width=width, height=height):
+        def initial(x, center=center, width=width, height=height):
             return np.where(np.abs(x - center) < width, height, 0.0)
-
-        initial = bump
     elif kind in ("profile", "table"):
         path = sec.get("initial.path")
         if path is None:
@@ -289,20 +290,17 @@ def _sim_config_from(cfg: RunConfig, section: str,
             raise ConfigError(f"{path}: expected columns 'xi,phi' or 'x,u'")
         xs, ys = cols[xcol], cols[ycol]
 
-        def interp_init(x, xs=xs, ys=ys):
+        def initial(x, xs=xs, ys=ys):
             return np.interp(x, xs, ys, left=float(ys[0]), right=float(ys[-1]))
-
-        initial = interp_init
     else:
         raise ConfigError(f"unknown initial.kind {kind!r}")
     hkind = sec.get("history.kind", "frozen")
     if hkind == "frozen":
-        history = "frozen"
+        history_speed = 0.0
     elif hkind == "translate":
-        speed = sec.get("history.speed")
-        if speed is None:
+        history_speed = sec.get("history.speed")
+        if history_speed is None:
             raise ConfigError("history.kind = translate requires history.speed")
-        history = ("translate", float(speed))
     else:
         raise ConfigError(f"unknown history.kind {hkind!r}")
     n_snap = sec.get("snapshot_count", 41)
@@ -312,7 +310,7 @@ def _sim_config_from(cfg: RunConfig, section: str,
         x_min=x_min, x_max=x_max, nx=nx, t_end=t_end, dt=sec.get("dt"),
         boundary=sec.get("boundary", "neumann"),
         dirichlet=(sec.get("dirichlet_left", 0.0), sec.get("dirichlet_right", 0.0)),
-        initial=initial, history=history,
+        initial=initial, history_speed=history_speed,
         snapshot_times=list(np.linspace(0.0, t_end, n_snap)),
         store_every=sec.get("store_every", 1),
         track_every=sec.get("track_every", 1),
@@ -329,7 +327,8 @@ def _persist_run(record: pdesim.RunRecord, out_dir: Path) -> dict:
         files.append(name)
     run_meta = {
         "times": record.times, "files": files, "level": record.level,
-        "dt": record.dt, "warnings": record.warnings, "meta": record.meta,
+        "dt": record.dt, "warnings": record.warnings,
+        "meta": {"kind": record.kind},
         "track": {"times": record.track.times, "positions": record.track.positions},
     }
     reporting.write_json(out_dir / "run.json", run_meta)
@@ -340,7 +339,7 @@ def cmd_simulate(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
     sim_cfg = _sim_config_from(cfg, "pde", equilibrium(model))
-    record = pdesim.run(sim_cfg, model, meta={"kind": "delay"})
+    record = pdesim.run(sim_cfg, model)
     out_dir = _out_dir(cfg, args)
     _persist_run(record, out_dir)
     rep.results = {"snapshots": len(record.times), "t_end": record.times[-1],
@@ -428,7 +427,7 @@ def cmd_compare(cfg: RunConfig, args, rep: reporting.Report) -> None:
     D1, D2, D3 = (cfg.require("comparison", key) for key in ("D1", "D2", "D3"))
     params = pdesim.ComparisonParams(D1=D1, D2=D2, D3=D3, m=sec.get("m", 0.0))
     sim_cfg = _sim_config_from(cfg, "comparison", params.plateau)
-    record = pdesim.simulate_comparison(params, sim_cfg, meta={"kind": "comparison"})
+    record = pdesim.simulate_comparison(params, sim_cfg)
     out_dir = _out_dir(cfg, args)
     _persist_run(record, out_dir)
     frac = sec.get("probe_speed_fraction", 0.9)
@@ -467,9 +466,9 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
         ctx = dispersion.CharacteristicContext.from_model(model)
         sr = dispersion.critical_speed(ctx)
         row["c_star"] = sr.c_star
-        factor = cfg.get("sweep", "c_factor", 1.2)
-        sol = profile.solve(model, factor * sr.c_star, _solver_config(cfg),
-                            speed=sr)
+        c = _checked_speed(cfg.get("sweep", "c_factor", 1.2) * sr.c_star,
+                           "[sweep] c_factor times c*", ctx)
+        sol = profile.solve(model, c, _solver_config(cfg), speed=sr)
         row["residual_sup"] = sol.residual_sup
         sweep = cfg.section("sweep")
         pde = dict(cfg.section("pde"))

@@ -8,12 +8,16 @@ initial datum translated at the history speed: a frozen history is the
 translation at speed 0.  The same machinery, with the same history, runs
 the fixed-delay comparison system with a quadratic reaction.  Front
 positions are tracked by level crossings and fitted to a speed.
+
+`SimConfig` holds resolved inputs only: the initial datum is a function of
+x, the history a speed and the snapshot times a list.  Reading them from a
+config file is the CLI's job.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,8 +25,10 @@ from . import _kernels as kernels
 from .errors import ModelInvalidError, SchemeError, SdwaveError
 from .model import ModelSpec, birth_peak
 
-BAND_SLACK = 1e-8
 COMPARISON_BAND_TOL = 1e-6
+# the largest |u(x, 0)|: it keeps the reaction's products and the squared
+# distances of the front scan finite
+DATUM_CEILING = 0.25 * math.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -51,12 +57,12 @@ class SimConfig:
     x_max: float
     nx: int
     t_end: float
+    initial: Callable                          # x -> u(x, 0), called once on the grid
+    snapshot_times: Sequence[float]            # each rounded to a step, capped at t_end
     dt: Optional[float] = None
     boundary: str = "neumann"                  # or "dirichlet"
     dirichlet: tuple = (0.0, 0.0)
-    initial: object = None                     # ndarray, callable, or ("step", loc, low, high)
-    history: object = "frozen"                 # or ("translate", speed); frozen is speed 0
-    snapshot_times: Optional[Sequence[float]] = None
+    history_speed: float = 0.0                 # u(x, s < 0) = u(x + speed s, 0)
     store_every: int = 1
     track_every: int = 1
     level: Optional[float] = None
@@ -106,7 +112,7 @@ class RunRecord:
     level: float
     dt: float
     warnings: dict
-    meta: dict = field(default_factory=dict)
+    kind: str                                  # "delay" or "comparison"
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +221,9 @@ class HistoryBuffer:
 # ---------------------------------------------------------------------------
 # simulations
 
-def _resolve_initial(config: SimConfig, x: np.ndarray) -> np.ndarray:
-    init = config.initial
-    if init is None:
-        raise ModelInvalidError("no initial datum configured")
-    if isinstance(init, np.ndarray):
-        if init.shape != x.shape:
-            raise ModelInvalidError("initial array does not match the grid")
-        return init.astype(float).copy()
-    if callable(init):
-        return np.asarray(init(x), dtype=float)
-    if isinstance(init, tuple) and init[0] == "step":
-        _, loc, low, high = init
-        return np.where(x <= loc, float(high), float(low))
-    raise ModelInvalidError(f"unsupported initial datum spec {init!r}")
-
-
 class _BaseSim:
-    """Shared IMEX stepping machinery; subclasses provide the reaction and
-    set the band level."""
+    """Shared IMEX stepping machinery; subclasses provide `kind`, the
+    reaction and the band level."""
 
     def __init__(self, config: SimConfig, m_lag: float, max_lag: float,
                  reaction_scale: float):
@@ -241,7 +231,12 @@ class _BaseSim:
         self.dt = config.validate(m_lag, reaction_scale)
         self.x = np.linspace(config.x_min, config.x_max, config.nx)
         self.dx = float(self.x[1] - self.x[0])
-        self.u = _resolve_initial(config, self.x)
+        self.u = u0 = np.asarray(config.initial(self.x), dtype=float)
+        sup = float(np.max(np.abs(u0)))
+        if not sup <= DATUM_CEILING:
+            raise ModelInvalidError(
+                f"the initial datum must be finite with |u| at most "
+                f"{DATUM_CEILING:.4g}, not sup|u| = {sup:.4g}")
         self.t = 0.0
         self.band_violation = 0.0
         self.max_lag = max_lag
@@ -253,7 +248,11 @@ class _BaseSim:
                                     window)
         self.buffer.append(0.0, self.u)
         self._steps_done = 0
-        self._setup_history()
+        # the history at s < 0: the datum translated by speed * s, held at its
+        # end values beyond the grid; a step replaces self.u rather than
+        # writing into it, so u0 stays the datum
+        x, speed = self.x, float(config.history_speed)
+        self._psi = lambda xq, s: np.interp(xq + speed * s, x, u0)
 
     def _setup_matrix(self):
         r = self.dt / self.dx**2
@@ -270,20 +269,6 @@ class _BaseSim:
             diag[-1] = 1.0
             lower[-1] = 0.0
         self._factors = kernels.factor_tridiagonal(lower, diag, upper)
-
-    def _setup_history(self):
-        """The history at s < 0: the initial datum translated by speed * s,
-        held at its end values beyond the grid; frozen is speed 0.  A step
-        replaces self.u rather than writing into it, so u0 stays the datum."""
-        hist = self.config.history
-        if hist == "frozen":
-            speed = 0.0
-        elif isinstance(hist, tuple) and hist[0] == "translate":
-            speed = float(hist[1])
-        else:
-            raise ModelInvalidError(f"unsupported history spec {hist!r}")
-        x, u0 = self.x, self.u
-        self._psi = lambda xq, s: np.interp(xq + speed * s, x, u0)
 
     def history_values(self, td: np.ndarray) -> np.ndarray:
         """Delayed values per grid point, splitting buffer and pre-initial times.
@@ -303,10 +288,6 @@ class _BaseSim:
             vals = self.buffer.lookup_pointwise(np.where(post, td, 0.0))
             out[post] = vals[post]
         return out
-
-    def reaction(self) -> np.ndarray:
-        """Reaction term at the current state, as a fresh array."""
-        raise NotImplementedError
 
     def _post_step(self):
         pass
@@ -334,14 +315,11 @@ class _BaseSim:
             self.buffer.evict(self.t + self.dt)
             self.buffer.append(self.t, self.u)
 
-    def run(self, meta: Optional[dict] = None) -> RunRecord:
+    def run(self) -> RunRecord:
         cfg = self.config
         n_steps = int(round(cfg.t_end / self.dt))
-        if cfg.snapshot_times is None:
-            snap_times = list(np.linspace(0.0, n_steps * self.dt, 41))
-        else:
-            snap_times = sorted(float(t) for t in cfg.snapshot_times)
-        snap_idx = sorted({min(int(round(t / self.dt)), n_steps) for t in snap_times})
+        pending = {min(int(round(float(t) / self.dt)), n_steps)
+                   for t in cfg.snapshot_times}
         times, snaps = [], []
         track_t, track_x = [], []
         front_level = cfg.front_level if cfg.front_level is not None else self.level / 2.0
@@ -356,7 +334,6 @@ class _BaseSim:
                     track_t.append(self.t)
                     track_x.append(pos)
 
-        pending = set(snap_idx)
         record(0)
         for k in range(1, n_steps + 1):
             self.step()
@@ -366,11 +343,13 @@ class _BaseSim:
                          level=self.level, dt=self.dt,
                          warnings={"history_clamped": self.buffer.clamp_warnings,
                                    "band_violation": self.band_violation},
-                         meta=meta or {})
+                         kind=self.kind)
 
 
 class DelaySim(_BaseSim):
     """State-dependent-delay dynamics for a model specification."""
+
+    kind = "delay"
 
     def __init__(self, model: ModelSpec, config: SimConfig):
         self.model = model
@@ -390,6 +369,8 @@ class DelaySim(_BaseSim):
 
 class ComparisonSim(_BaseSim):
     """Fixed-delay quadratic comparison dynamics inside its invariant band."""
+
+    kind = "comparison"
 
     def __init__(self, params: ComparisonParams, config: SimConfig):
         self.params = params
@@ -423,16 +404,15 @@ class ComparisonSim(_BaseSim):
         np.maximum(0.0, self.u, out=self.u)
 
 
-def run(config: SimConfig, model: ModelSpec, meta: Optional[dict] = None) -> RunRecord:
+def run(config: SimConfig, model: ModelSpec) -> RunRecord:
     """Execute a state-dependent-delay run; deterministic for a fixed config."""
-    return DelaySim(model, config).run(meta=meta)
+    return DelaySim(model, config).run()
 
 
-def simulate_comparison(params: ComparisonParams, config: SimConfig,
-                        meta: Optional[dict] = None) -> RunRecord:
+def simulate_comparison(params: ComparisonParams, config: SimConfig) -> RunRecord:
     """Run the fixed-delay comparison system from the config's initial datum
     and history."""
-    return ComparisonSim(params, config).run(meta=meta)
+    return ComparisonSim(params, config).run()
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +435,8 @@ def front_position(x: np.ndarray, u: np.ndarray, level: float) -> Optional[float
         if k < n - 1 and u[k + 1] < level:
             return _crossing(x, u, level, k)
     s = u - level
-    sign_change = np.nonzero(s[:-1] * s[1:] <= 0)[0]
+    with np.errstate(over="ignore"):         # an overflow keeps its sign as inf
+        sign_change = np.nonzero(s[:-1] * s[1:] <= 0)[0]
     sign_change = sign_change[(s[sign_change] != 0) | (s[sign_change + 1] != 0)]
     if sign_change.size == 0:
         return None

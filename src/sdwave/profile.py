@@ -26,8 +26,8 @@ import numpy as np
 
 from . import _kernels as kernels
 from .bounds import UpperSolution, build_envelopes, build_lower
-from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
-                         choose_beta, critical_speed, decay_roots)
+from .dispersion import (CharacteristicContext, KernelRates, RootPair,
+                         SpeedResult, choose_beta, critical_speed, decay_roots)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
 from .model import (MONOTONE_SET, RELAXED_SET, SHARED_SET, HypothesisReport,
                     ModelSpec, _bisect_root, equilibrium, lag_factor,
@@ -51,10 +51,6 @@ class ProfileGrid:
     @property
     def h(self) -> float:
         return float(self.xi[1] - self.xi[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.xi.shape[0])
 
     def interp(self, x):
         return np.interp(x, self.xi, self.values,
@@ -543,7 +539,7 @@ class _EnvelopeFront:
 
 def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
            speed: SpeedResult, hypotheses: HypothesisReport,
-           note: str = "") -> WaveSolution:
+           note: str = "", roots: Optional[RootPair] = None) -> WaveSolution:
     """Wave profile for a supercritical speed, iterated in a sandwich.
 
     Only the sandwich depends on the mode.  A monotone birth gets the
@@ -555,6 +551,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     so convergence rests on the residual alone.  `speed` is the model's
     threshold speed and `hypotheses` its `validate_hypotheses` report: the
     shared set A1-A3 and B must hold, and B1-B4 or C1-C3 for the mode.
+    `roots` are the decay roots at c, if the caller already has them.
     """
     mode = "monotone" if monotone else "nonmonotone"
     failed = hypotheses.failures(SHARED_SET)
@@ -572,7 +569,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
             f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
             "profile exists; measure the front with simulate then frontspeed "
             "(or sweep) instead")
-    roots = decay_roots(c, ctx)
+    if roots is None:
+        roots = decay_roots(c, ctx)
     K = equilibrium(model)
     if monotone:
         level, anchor = K, K / 2.0
@@ -585,10 +583,10 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
                                h=config.h, left_width=config.left_width,
                                right_width=config.right_width)
         # the envelopes share b'(0), and the lower model d and the delay,
-        # so both equations have the model's threshold speed
+        # so both equations have the model's threshold speed and decay roots
         aux = _solve(aux_model, c, aux_cfg, True, speed,
                      validate_hypotheses(aux_model),
-                     note="lower-envelope wavefront")
+                     note="lower-envelope wavefront", roots=roots)
         level, anchor = pair.level, pair.k / 4.0
         lower = _EnvelopeFront(aux, roots.lambda1, pair.k)
         rate = _approach_rate(aux_model, c, pair.k)

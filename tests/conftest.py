@@ -67,6 +67,11 @@ def closed_form_bounds(c, m, level=None):
             bounds.build_lower(roots, m))
 
 
+def step_datum(loc, low, high):
+    """The initial step: `high` at x <= loc, `low` beyond it."""
+    return lambda x: np.where(x <= loc, float(high), float(low))
+
+
 def bisect(f, lo, hi, n=200):
     """Plain bisection oracle, independent of the library's root solvers."""
     flo, fhi = f(lo), f(hi)

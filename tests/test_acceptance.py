@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import step_datum
 from sdwave import bounds, dispersion, model, pdesim, profile
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "delay_sensitivity_golden.json"
@@ -171,8 +172,8 @@ def test_criterion_07_front_speed_matches_threshold(ricker2, ricker2_cstar):
     runs = {}
     for nx, dt in ((2000, 0.04), (4000, 0.02)):
         cfg = pdesim.SimConfig(x_min=-50.0, x_max=350.0, nx=nx, t_end=t_end,
-                               dt=dt, initial=("step", 0.0, 0.0, K),
-                               history="frozen", front_level=K / 2.0)
+                               dt=dt, initial=step_datum(0.0, 0.0, K),
+                               snapshot_times=[], front_level=K / 2.0)
         record = pdesim.run(cfg, ricker2)
         speed, stderr = pdesim.front_speed(record.track)
         runs[nx] = (speed, stderr)
@@ -212,7 +213,7 @@ def test_criterion_08_comparison_spreading():
         cfg = pdesim.SimConfig(
             x_min=-340.0, x_max=340.0, nx=3400, t_end=t_end, dt=0.05,
             initial=lambda x: np.where(np.abs(x) < 5.0, params.plateau, 0.0),
-            history="frozen")
+            snapshot_times=list(np.linspace(0.0, t_end, 41)))
         record = pdesim.simulate_comparison(params, cfg)
         lo, hi = pdesim.spreading_probe(record, 0.9 * c_comp)
         assert abs(lo - params.plateau) <= 0.02 * params.plateau, (m_lag, lo)
@@ -225,7 +226,7 @@ def test_criterion_08_comparison_spreading():
     pair = []
     for u0 in (lower0, upper0):
         cfg = pdesim.SimConfig(x_min=-60.0, x_max=60.0, nx=601, t_end=10.0,
-                               initial=u0.copy(), history="frozen",
+                               initial=lambda x, u0=u0: u0.copy(),
                                snapshot_times=list(np.linspace(0.0, 10.0, 41)))
         pair.append(pdesim.simulate_comparison(
             pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5), cfg))

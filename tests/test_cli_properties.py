@@ -1,7 +1,8 @@
-"""Property test: any speed given to `speed` or `envelope` ends in an exit
-code of 0-4, with a one-line message on stderr when it is not 0, and never in
-a traceback or a numpy warning.  Runs in process through `cli.main`, one case
-at a time."""
+"""Property tests: any speed given to `speed` or `envelope`, and any step or
+bump datum under a frozen or translated history given to `simulate`, ends in
+an exit code of 0-4, with a one-line message on stderr when it is not 0, and
+never in a traceback or a numpy warning.  Runs in process through `cli.main`,
+one case at a time."""
 import contextlib
 import io
 import warnings
@@ -53,6 +54,52 @@ def test_any_speed_ends_with_an_exit_code_and_a_message(configs, command,
     argv = ["--config", str(configs[critical]), "--json", command]
     if c is not None:
         argv.append(f"--c={c!r}")     # '=' keeps '-inf' from reading as a flag
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert isinstance(code, int) and 0 <= code <= 4
+    if code != 0:
+        assert len(err.getvalue().strip().splitlines()) == 1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def sim_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("datum")
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(kind=st.sampled_from(["step", "bump"]),
+       history=st.sampled_from(["frozen", "translate"]),
+       location=finite, width=finite, low=finite, height=finite, speed=finite)
+@example(kind="step", history="frozen", location=0.0, width=0.0, low=0.0,
+         height=1e200, speed=0.0)
+@example(kind="bump", history="translate", location=0.0, width=1e308,
+         low=0.0, height=-1e308, speed=-1.7e308)
+@example(kind="step", history="translate", location=-1e308, width=0.0,
+         low=3.35e153, height=0.0, speed=1.7e308)
+def test_any_datum_and_history_end_with_an_exit_code_and_a_message(
+        sim_dir, kind, history, location, width, low, height, speed):
+    # `simulate` on a tiny grid, from every initial datum and history the
+    # CLI reads; `low` is the step's value beyond its location
+    if kind == "step":
+        datum = (f"initial.location = {location!r}\ninitial.low = {low!r}\n"
+                 f"initial.high = {height!r}\n")
+    else:
+        datum = (f"initial.center = {location!r}\ninitial.width = {width!r}\n"
+                 f"initial.height = {height!r}\n")
+    if history == "translate":
+        datum += f"history.speed = {speed!r}\n"
+    cfg = sim_dir / "sim.cfg"
+    cfg.write_text(MODEL + "[pde]\nx_min = -5\nx_max = 5\nnx = 16\nt_end = 0.5\n"
+                   f"snapshot_count = 3\ninitial.kind = {kind}\n"
+                   f"history.kind = {history}\n" + datum)
+    argv = ["--config", str(cfg), "simulate", "--out-dir", str(sim_dir / "run")]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

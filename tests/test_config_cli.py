@@ -688,6 +688,21 @@ class TestSweepCommand:
         assert "[pde] initial.high" in row["error"]
         assert math.isnan(row["measured_speed"])
 
+    def test_overflowing_c_factor_fails_the_row_in_one_line(self, tmp_path, capsys):
+        # 1e200 c* is checked like every other speed, before the decay-root
+        # solver could see it overflow to inf and nan
+        text = (SWEEP_TEXT.replace("c_factor = 1.3", "c_factor = 1e200")
+                .replace("p = 2.0, 2.4", "p = 2.0")
+                .replace("m = 0.1, 0.3", "m = 0.1"))
+        p = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
+        assert run_cli(["--config", p, "sweep"]) == 1
+        row, = json.loads((tmp_path / "out" / "sweep.json").read_text())[
+            "results"]["rows"]
+        assert row["error"].startswith("[sweep] c_factor times c* must be a "
+                                       "finite positive speed of at most ")
+        assert "\n" not in row["error"] and "nan" not in row["error"]
+        assert capsys.readouterr().err == "config error: every sweep row failed\n"
+
     def test_empty_grid_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[sweep]\np = 2.0\nm =\nM = 0.6\n")
         assert run_cli(["--config", p, "sweep"]) == 1

@@ -131,7 +131,8 @@ def test_tridiagonal_against_dense():
 def test_factored_simulator_matrix_against_dense(boundary):
     # the simulator's backward-Euler matrices, factored once and reused
     cfg = pdesim.SimConfig(x_min=-10.0, x_max=10.0, nx=80, t_end=1.0, dt=0.05,
-                           boundary=boundary, initial=np.zeros(80))
+                           boundary=boundary, initial=np.zeros_like,
+                           snapshot_times=[])
     sim = pdesim.ComparisonSim(pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0), cfg)
     r = sim.dt / sim.dx**2
     n = cfg.nx

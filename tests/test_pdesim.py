@@ -1,28 +1,45 @@
 import numpy as np
 import pytest
 
-from sdwave import model, pdesim
+from conftest import step_datum
+from sdwave import cli, model, pdesim
 from sdwave.errors import ModelInvalidError, SdwaveError
+
+
+RICKER2 = """\
+[model]
+d = 1.0
+birth.kind = ricker
+birth.p = 2.0
+delay.kind = saturating_rational
+delay.m = 0.2
+delay.M = 0.7
+"""
+
+
+def snapshots(t_end, n=41):
+    return list(np.linspace(0.0, t_end, n))
 
 
 def small_config(**over):
     base = dict(x_min=-30.0, x_max=30.0, nx=301, t_end=2.0,
-                initial=("step", 0.0, 0.0, 1.0), history="frozen")
+                initial=step_datum(0.0, 0.0, 1.0))
     base.update(over)
+    base.setdefault("snapshot_times", snapshots(base["t_end"]))
     return pdesim.SimConfig(**base)
 
 
 class TestStepping:
     def test_equilibrium_is_fixed(self, ricker2):
         K = model.equilibrium(ricker2)
-        cfg = small_config(initial=np.full(301, K), t_end=1.0)
+        cfg = small_config(initial=lambda x: np.full_like(x, K), t_end=1.0)
         sim = pdesim.DelaySim(ricker2, cfg)
         for _ in range(10):
             sim.step()
             assert np.max(np.abs(sim.u - K)) < 1e-12
 
     def test_zero_stays_zero(self, ricker2):
-        cfg = small_config(initial=np.zeros(301), t_end=1.0)
+        cfg = small_config(initial=np.zeros_like, t_end=1.0)
         sim = pdesim.DelaySim(ricker2, cfg)
         for _ in range(10):
             sim.step()
@@ -35,7 +52,8 @@ class TestStepping:
         u0 = 0.3 * np.exp(-0.25 * x**2)
         dt = 1e-3
         cfg = pdesim.SimConfig(x_min=-20.0, x_max=20.0, nx=161, t_end=1.0,
-                               dt=dt, initial=u0.copy(), history="frozen")
+                               dt=dt, initial=lambda x: u0.copy(),
+                               snapshot_times=[])
         sim = pdesim.DelaySim(kpp, cfg)
         n = int(round(1.0 / dt))
         for _ in range(n):
@@ -52,7 +70,7 @@ class TestStepping:
 
     def test_band_preserved(self, ricker2):
         K = model.equilibrium(ricker2)
-        cfg = small_config(initial=("step", 0.0, 0.0, K), t_end=3.0)
+        cfg = small_config(initial=step_datum(0.0, 0.0, K), t_end=3.0)
         record = pdesim.run(cfg, ricker2)
         assert record.warnings["band_violation"] <= 1e-8
         for u in record.snapshots:
@@ -72,39 +90,47 @@ class TestSetUp:
         assert calls == [301]
         np.testing.assert_array_equal(sim.u, 0.5 + 0.4 * np.tanh(sim.x))
 
-    def test_frozen_history_is_translation_at_speed_zero(self, ricker2):
-        # both runs reach back before t = 0 (the lags are at most M = 0.7
-        # and 0.5), where the history answers
-        def datum(x):
-            return 0.5 + 0.4 * np.tanh(x)
+    @pytest.mark.parametrize("value", [1e200, -1e200, np.nan, np.inf])
+    def test_datum_beyond_the_ceiling_is_rejected(self, ricker2, value):
+        datum = step_datum(0.0, 0.0, value)
+        with pytest.raises(ModelInvalidError, match="initial datum must be finite"):
+            pdesim.DelaySim(ricker2, small_config(initial=datum))
+        ceiling = step_datum(0.0, 0.0, pdesim.DATUM_CEILING)
+        assert pdesim.DelaySim(ricker2, small_config(initial=ceiling)).level > 1e153
 
-        params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5)
-        runs = {}
-        for history in ("frozen", ("translate", 0.0)):
-            cfg = small_config(initial=datum, history=history, t_end=1.0,
-                               dt=0.05)
-            runs[history, "delay"] = pdesim.run(cfg, ricker2)
-            runs[history, "comparison"] = pdesim.simulate_comparison(params, cfg)
-        for kind in ("delay", "comparison"):
-            frozen = runs["frozen", kind]
-            moved = runs[("translate", 0.0), kind]
-            assert frozen.times == moved.times and len(frozen.times) == 21
-            for a, b in zip(frozen.snapshots, moved.snapshots):
-                assert a.tobytes() == b.tobytes()
+    def test_frozen_history_is_translation_at_speed_zero(self, tmp_path):
+        # the CLI reads both spellings; the run reaches back before t = 0
+        # (the lag is at most M = 0.7), where the history answers
+        files = {}
+        for name, history in (("frozen", "history.kind = frozen\n"),
+                              ("translate", "history.kind = translate\n"
+                                            "history.speed = 0\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(RICKER2 + "[pde]\nx_min = -30\nx_max = 30\nnx = 301\n"
+                           "t_end = 1\ndt = 0.05\ninitial.kind = step\n"
+                           "initial.location = 0.5\ninitial.low = 0.1\n" + history)
+            out = tmp_path / name
+            assert cli.main(["--config", str(cfg), "simulate",
+                             "--out-dir", str(out)]) == 0
+            files[name] = {f.name: f.read_bytes() for f in out.iterdir()
+                           if f.name != "report.json"}
+        assert len(files["frozen"]) == 22        # 21 distinct steps + run.json
+        assert files["frozen"] == files["translate"]
 
 
 class TestRun:
     def test_front_advances_monotonically(self, ricker2):
         K = model.equilibrium(ricker2)
         cfg = pdesim.SimConfig(x_min=-30.0, x_max=90.0, nx=601, t_end=15.0,
-                               initial=("step", 0.0, 0.0, K), history="frozen")
+                               initial=step_datum(0.0, 0.0, K),
+                               snapshot_times=snapshots(15.0))
         record = pdesim.run(cfg, ricker2)
         assert record.track.times.shape[0] > 100
         assert np.all(np.diff(record.track.positions) > -1e-9)
         assert record.track.positions[-1] > record.track.positions[0] + 5.0
 
     def test_zero_run_stays_zero(self, ricker2):
-        cfg = small_config(initial=np.zeros(301), t_end=1.0)
+        cfg = small_config(initial=np.zeros_like, t_end=1.0)
         record = pdesim.run(cfg, ricker2)
         for u in record.snapshots:
             assert np.max(np.abs(u)) == 0.0
@@ -115,10 +141,10 @@ class TestRun:
         K = model.equilibrium(ricker2)
         cfg = pdesim.SimConfig(
             x_min=-60.0, x_max=110.0, nx=1700, t_end=20.0,
-            initial=lambda x: prof.interp(x),
-            history=("translate", c),
-            boundary="dirichlet", dirichlet=(0.0, K))
-        record = pdesim.run(cfg, ricker2, meta={"probe": "traveling form"})
+            initial=lambda x: prof.interp(x), snapshot_times=snapshots(20.0),
+            history_speed=c, boundary="dirichlet", dirichlet=(0.0, K))
+        record = pdesim.run(cfg, ricker2)
+        assert record.kind == "delay"
         worst = 0.0
         for t, u in zip(record.times, record.snapshots):
             expected = prof.interp(record.x + c * t)
@@ -214,6 +240,14 @@ class TestFrontMeasurements:
         x = np.linspace(0.0, 1.0, 11)
         assert pdesim.front_position(x, np.zeros(11), 0.5) is None
 
+    def test_front_position_at_an_extreme_level_overflows_silently(self):
+        # (u - level)^2 overflows to inf, which keeps the pair's sign
+        x = np.linspace(0.0, 1.0, 11)
+        with np.errstate(over="raise"):
+            assert pdesim.front_position(x, np.zeros(11), -1e308) is None
+            u = np.linspace(-1.5e308, -0.5e308, 11)
+            assert pdesim.front_position(x, u, -1e308) == pytest.approx(0.5)
+
     def test_front_position_shifts_with_profile(self, ricker2_solution):
         prof = ricker2_solution.profile
         x = np.linspace(-40.0, 40.0, 801)
@@ -240,7 +274,8 @@ class TestFrontMeasurements:
     def test_kpp_pulled_front_speed(self, kpp):
         K = model.equilibrium(kpp)
         cfg = pdesim.SimConfig(x_min=-40.0, x_max=260.0, nx=1500, t_end=60.0,
-                               initial=("step", 0.0, 0.0, K), history="frozen")
+                               initial=step_datum(0.0, 0.0, K),
+                               snapshot_times=snapshots(60.0))
         record = pdesim.run(cfg, kpp)
         speed, _ = pdesim.front_speed(record.track)
         assert abs(speed - 2.0) / 2.0 <= 0.05
@@ -249,14 +284,16 @@ class TestFrontMeasurements:
 class TestComparisonSystem:
     def test_plateau_is_stationary(self):
         params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5)
-        cfg = small_config(initial=np.full(301, params.plateau), t_end=1.0)
+        cfg = small_config(initial=lambda x: np.full_like(x, params.plateau),
+                           t_end=1.0)
         record = pdesim.simulate_comparison(params, cfg)
+        assert record.kind == "comparison"
         for u in record.snapshots:
             assert np.max(np.abs(u - params.plateau)) < 1e-10
 
     def test_rejects_history_outside_band(self):
         params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5)
-        cfg = small_config(initial=np.full(301, 2.0 * params.plateau))
+        cfg = small_config(initial=lambda x: np.full_like(x, 2.0 * params.plateau))
         with pytest.raises(ModelInvalidError):
             pdesim.ComparisonSim(params, cfg)
 
@@ -267,8 +304,8 @@ class TestComparisonSystem:
         high = np.minimum(lowd + 0.4 * np.exp(-0.05 * x**2), params.plateau)
         snaps = {}
         for name, u0 in (("low", lowd), ("high", high)):
-            cfg = small_config(initial=u0.copy(), t_end=5.0,
-                               snapshot_times=list(np.linspace(0, 5.0, 26)))
+            cfg = small_config(initial=lambda x, u0=u0: u0.copy(), t_end=5.0,
+                               snapshot_times=snapshots(5.0, 26))
             snaps[name] = pdesim.simulate_comparison(params, cfg)
         for ul, uh in zip(snaps["low"].snapshots, snaps["high"].snapshots):
             assert np.max(ul - uh) <= 1e-8
@@ -278,7 +315,7 @@ class TestComparisonSystem:
         cfg = pdesim.SimConfig(x_min=-100.0, x_max=100.0, nx=1001, t_end=40.0,
                                initial=lambda x: np.where(np.abs(x) < 5.0,
                                                           params.plateau, 0.0),
-                               history="frozen")
+                               snapshot_times=snapshots(40.0))
         record = pdesim.simulate_comparison(params, cfg)
         lo, hi = pdesim.spreading_probe(record, 0.7 * 2.0)
         assert abs(lo - params.plateau) <= 0.02 * params.plateau
@@ -289,7 +326,8 @@ class TestComparisonSystem:
 
     def test_probe_on_constant_plateau(self):
         params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.0)
-        cfg = small_config(initial=np.full(301, params.plateau), t_end=2.0)
+        cfg = small_config(initial=lambda x: np.full_like(x, params.plateau),
+                           t_end=2.0)
         record = pdesim.simulate_comparison(params, cfg)
         lo, hi = pdesim.spreading_probe(record, 1.0)
         assert lo == pytest.approx(params.plateau, abs=1e-10)
@@ -302,8 +340,8 @@ class TestHistoryBuffer:
         outs = {}
         for se in (1, 4):
             cfg = pdesim.SimConfig(x_min=-30.0, x_max=50.0, nx=401, t_end=5.0,
-                                   dt=0.01, initial=("step", 0.0, 0.0, K),
-                                   history="frozen", store_every=se)
+                                   dt=0.01, initial=step_datum(0.0, 0.0, K),
+                                   snapshot_times=[], store_every=se)
             sim = pdesim.DelaySim(ricker2, cfg)
             for _ in range(int(round(5.0 / sim.dt))):
                 sim.step()
@@ -311,7 +349,7 @@ class TestHistoryBuffer:
         assert np.max(np.abs(outs[1] - outs[4])) < 1e-4
 
     def test_eviction_keeps_window(self, ricker2):
-        cfg = small_config(t_end=3.0, initial=("step", 0.0, 0.0, 0.5), dt=0.05)
+        cfg = small_config(t_end=3.0, initial=step_datum(0.0, 0.0, 0.5), dt=0.05)
         sim = pdesim.DelaySim(ricker2, cfg)
         for _ in range(60):
             sim.step()
@@ -428,7 +466,7 @@ def split_history_values(sim, td):
 def test_history_values_before_and_after_the_initial_window(ricker2):
     # td spans the reaction's range [t - M - dt, t]: before t = M + dt some
     # points reach back past 0 and come from the history function
-    cfg = small_config(t_end=2.0, dt=0.05, history=("translate", 1.3),
+    cfg = small_config(t_end=2.0, dt=0.05, history_speed=1.3,
                        initial=lambda x: 0.5 + 0.4 * np.tanh(x))
     sim = pdesim.DelaySim(ricker2, cfg)
     rng = np.random.default_rng(3)

@@ -686,11 +686,17 @@ def test_nonmonotone_solve_checks_each_model_once(ricker3, ricker3_cstar,
 
 
 def test_monotone_solve_solves_the_decay_roots_once(ricker2, ricker2_cstar,
+                                                    ricker3, ricker3_cstar,
                                                     monkeypatch):
-    # every decay_roots call, whichever module calls it, builds one RootPair
+    # every decay_roots call, whichever module calls it, builds one RootPair;
+    # the nonmonotone solve hands its roots to the lower-envelope solve
     roots = _count_calls(monkeypatch, dispersion, "RootPair")
-    profile.solve(ricker2, 1.3 * ricker2_cstar, profile.SolverConfig(h=0.02))
-    assert len(roots) == 1
+    for m, c_star, mode in ((ricker2, ricker2_cstar, "monotone"),
+                            (ricker3, ricker3_cstar, "nonmonotone")):
+        roots.clear()
+        sol = profile.solve(m, 1.3 * c_star, profile.SolverConfig(h=0.02))
+        assert sol.mode == mode
+        assert len(roots) == 1
 
 
 def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
