@@ -44,9 +44,10 @@ def _bisect_root(f, lo: float, hi: float) -> float:
     """Root of the scalar f on [lo, hi], where f changes sign, by bisection.
 
     Halves the bracket until it is narrower than 1e-16 relative to its
-    midpoint (absolute below 1), or until the midpoint rounds onto an end:
-    every later midpoint would be that same float.  Any finite bracket is
-    narrower than 2^1025, so the width stop comes within 1,100 halvings.
+    midpoint, or until the midpoint rounds onto an end: every later midpoint
+    would be that same float.  Any finite bracket is narrower than 2^1025
+    and floats are at least 2^-1074 apart, so one of the two stops comes
+    within 2,100 halvings.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -56,12 +57,12 @@ def _bisect_root(f, lo: float, hi: float) -> float:
         return hi
     if flo * fhi > 0:
         raise NoRootsError("root bracket does not change sign")
-    for _ in range(1100):
+    for _ in range(2100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
         fm = f(mid)
-        if fm == 0.0 or hi - lo < 1e-16 * max(1.0, abs(mid)):
+        if fm == 0.0 or hi - lo < 1e-16 * abs(mid):
             return mid
         if flo * fm < 0:
             hi = mid

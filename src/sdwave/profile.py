@@ -66,7 +66,6 @@ class SolverConfig:
     h: Optional[float] = None
     left_width: Optional[float] = None
     right_width: Optional[float] = None
-    initial_shift: float = 0.0
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -367,22 +366,23 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
              config: SolverConfig, monotone: bool) -> _IterationResult:
     """The clamped, phase-anchored fixed-point iteration of F in the sandwich.
 
-    A monotone iteration projects every iterate onto nondecreasing profiles
-    and holds the right limit at right_state; a nonmonotone one takes the
-    right limit from the iterate's last value.
+    A monotone iteration projects every iterate onto nondecreasing profiles,
+    holds the right limit at right_state, and anchors the phase exactly
+    once it stalls; a nonmonotone one takes the right limit from the
+    iterate's last value and anchors by whole cells throughout.
     """
     h = float(xi[1] - xi[0])
     shift = 0.0
-    lo = lower_fn(xi + shift)
-    hi = upper_fn(xi + shift)
-    v = upper_fn(xi + config.initial_shift)
+    lo = lower_fn(xi)
+    hi = upper_fn(xi)
+    v = hi.copy()
     scratch = np.empty_like(v)    # work array for reductions and the sub-cell shift
     trace = []
     clamp_excess = 0.0
     omega = config.damping
     anchored = True
-    # set when the translation mode stalls the iteration: the first iteration
-    # that anchors the phase exactly instead of by whole cells
+    # set when the translation mode stalls a monotone iteration: the first
+    # iteration that anchors the phase exactly instead of by whole cells
     exact_from = None
     # Anderson mixing accelerates the whole-cell phase of the undamped step
     # only: a damped step would keep part of each mixed iterate's grid-scale
@@ -429,8 +429,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                 hi = upper_fn(xi + shift)
             if exact:
                 _clamp(new, lo, hi)
-                if monotone:
-                    _project_monotone(new)
+                _project_monotone(new)
         np.subtract(new, v, out=residual_now)
         diff = float(np.abs(residual_now, out=scratch).max())
         trace.append(diff)
@@ -443,9 +442,11 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                                     trace=trace, clamp_excess=clamp_excess,
                                     exact_anchor_from=exact_from,
                                     anderson_steps=anderson_steps)
-        # near the threshold speed the phase mode is almost neutral and the
-        # integer-cell anchor cannot damp it; plateau triggers exact anchoring
-        if (exact_from is None and it >= 150 and diff < 1e-3
+        # near the threshold speed the phase mode of the order-preserving
+        # iteration is almost neutral and the integer-cell anchor cannot damp
+        # it; plateau triggers exact anchoring.  A nonmonotone iteration has
+        # no such structure and keeps whole-cell anchoring to the end
+        if (monotone and exact_from is None and it >= 150 and diff < 1e-3
                 and trace[-1] > 0.5 * trace[-51]):
             exact_from = it + 1
             anderson = None
@@ -469,16 +470,13 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                     _project_monotone(v)
         # in the slow regime of the order-preserving iteration the error is
         # dominated by one geometric mode: extrapolate it away now and then.
-        # Only there: its linearisation is a positive operator, so that mode
-        # is real (Krein-Rutman) and the ratio r below estimates it.  The
-        # nonmonotone iteration has no such guarantee, and there the jump
-        # costs iterations.  Gate on a strictly decreasing window so
-        # noise near the floor cannot be amplified; the clamp keeps the step
-        # safe either way.  Exact anchoring starts after iteration 150, so
-        # the window is full, and a strictly decreasing window of sup-norms
-        # starts above 0.
-        if (monotone and exact_from is not None and it % 25 == 0
-                and diff > config.tol):
+        # Its linearisation is a positive operator, so that mode is real
+        # (Krein-Rutman) and the ratio r below estimates it.  Gate on a
+        # strictly decreasing window so noise near the floor cannot be
+        # amplified; the clamp keeps the step safe either way.  Exact
+        # anchoring starts after iteration 150, so the window is full, and a
+        # strictly decreasing window of sup-norms starts above 0.
+        if exact_from is not None and it % 25 == 0 and diff > config.tol:
             window = np.asarray(trace[-26:])
             if np.all(np.diff(window) < 0.0):
                 r = (window[-1] / window[0]) ** (1.0 / 25.0)

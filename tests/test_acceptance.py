@@ -262,6 +262,19 @@ def test_criterion_10_near_critical_solve(ricker2):
                  f"{sol.residual_sup:.2e}, phase pinned at the half level")
 
 
+def test_strongly_nonmonotone_solve_converges():
+    # Ricker p=8 at 2c*: a nonmonotone solve anchors by whole cells to the
+    # end and converges within the default budget (4,298 iterations, about
+    # 5 s); exact anchoring does not converge here within 10,000
+    m = model.ModelSpec(d=1.0, birth=model.RickerBirth(8.0),
+                        delay=model.RationalDelay(0.2, 0.7))
+    sr = dispersion.critical_speed(dispersion.CharacteristicContext.from_model(m))
+    sol = profile.solve(m, 2.0 * sr.c_star, profile.SolverConfig(h=0.02), sr)
+    assert sol.mode == "nonmonotone"
+    assert sol.exact_anchor_from is None
+    assert sol.iterations < profile.SolverConfig().max_iters
+
+
 def test_criterion_11_delay_sensitivity_regression():
     tails = {}
     for T in (0.0, 0.1, 0.3, 0.5):

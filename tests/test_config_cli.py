@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -57,6 +58,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             config.load_config(p)
         assert run_cli(["--config", p, "speed"]) == 1
+
+    def test_solver_config_fields_are_the_profile_keys(self, tmp_path):
+        # library surface = CLI surface: every solver option is a [profile]
+        # key, and the CLI hands each one over; c, critical and c_factor
+        # pick the speed instead
+        keys = set(config.SCHEMA["profile"]) - {"c", "critical", "c_factor"}
+        fields = {f.name for f in dataclasses.fields(profile.SolverConfig)}
+        assert fields == keys
+        values = {"tol": 1e-9, "max_iters": 123, "damping": 0.5,
+                  "phase_level": 0.3, "h": 0.05, "left_width": 30.0,
+                  "right_width": 40.0}
+        text = BASE_MODEL + "[profile]\n" + "".join(
+            f"{key} = {value!r}\n" for key, value in values.items())
+        sc = cli._solver_config(config.load_config(write_cfg(tmp_path, text)))
+        assert {key: getattr(sc, key) for key in fields} == values
 
     def test_unknown_section_rejected(self, tmp_path):
         p = write_cfg(tmp_path, BASE_MODEL + "[mystery]\nx = 1\n")

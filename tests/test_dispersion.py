@@ -268,6 +268,16 @@ def test_huge_growth_with_lag(bp0, lag0, c_star):
     assert abs(sr.char_residual) <= 1e-14 * scale
 
 
+def test_small_threshold_is_resolved_relative():
+    # c* is about 1.9e-6 here: the bisection's width stop is relative, so
+    # a small root meets char = 0 as closely as one of order 1
+    sr = dispersion.critical_speed(ctx_of(1.0, 2.0, 1e6))
+    assert sr.c_star == pytest.approx(1.8989823576e-6, rel=1e-9)
+    decay = 2.0 * math.exp(-sr.lambda_star * 1e6 * sr.c_star)
+    scale = sr.lambda_star * (sr.lambda_star + sr.c_star) + 1.0 + decay
+    assert abs(sr.char_residual) <= 1e-14 * scale
+
+
 def test_huge_brackets_stop_on_ulp_floor():
     # lambda_hi is about 3e15 here, where floats are 0.5 apart: the
     # bisections end once their brackets reach adjacent floats

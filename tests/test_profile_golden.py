@@ -3,17 +3,17 @@
 Four small `profile` runs write their CSVs through `cli.main`; the sha256 of
 every CSV, and the exact text of the sidecar's solver figures, must match
 `data/profile_digest_golden.json`.  The runs cover the plain monotone path,
-the nonmonotone path twice (damped by an explicit `damping = 0.5`, where
-exact phase anchoring engages and no step is mixed, and at the default
-undamped step, where whole-cell anchoring suffices; neither takes the
-geometric extrapolation), and a near-critical solve at a coarse grid, where
-exact anchoring and the extrapolation run under the monotone projection.
-Every undamped whole-cell phase, the lower-envelope solve of the damped band
-included, takes Anderson-mixed steps.  A change to the iteration engine or
-the convolution kernel that moves one bit fails here.  Each profile is then
-re-checked by `verify`, whose invariants are pinned too, and `envelope` runs
-on the monotone (p=2) and nonmonotone (p=3) birth, whose two CSVs (birth
-envelopes and closed-form profile bounds) are pinned by their sha256.  Set
+the nonmonotone path twice (damped by an explicit `damping = 0.5`, where no
+step is mixed, and at the default undamped step; both anchor by whole cells
+throughout, as every nonmonotone solve does), and a near-critical solve at a
+coarse grid, where exact anchoring and the geometric extrapolation run
+under the monotone projection.  Every undamped whole-cell phase, the
+lower-envelope solve of the damped band included, takes Anderson-mixed
+steps.  A change to the iteration engine or the convolution kernel that
+moves one bit fails here.  Each profile is then re-checked by `verify`,
+whose invariants are pinned too, and `envelope` runs on the monotone (p=2)
+and nonmonotone (p=3) birth, whose two CSVs (birth envelopes and
+closed-form profile bounds) are pinned by their sha256.  Set
 SDWAVE_REGENERATE_GOLDEN=1 to rewrite the golden file.
 """
 import hashlib
@@ -45,12 +45,12 @@ RUNS = {
     # monotone iteration with whole-cell anchoring only, Anderson-mixed:
     # 77 iterations (235 unmixed)
     "monotone": (ricker(2.0) + "[profile]\nh = 0.05\nc_factor = 1.2\n", []),
-    # nonmonotone band damped by 0.5, so never mixed, with exact anchoring
-    # from iteration 418 and no extrapolation: 913 iterations
+    # nonmonotone band damped by 0.5, so never mixed, with whole-cell
+    # anchoring only: 987 iterations
     "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n"
                     "damping = 0.5\n", []),
-    # the same band at the default undamped step: whole-cell anchoring only,
-    # Anderson-mixed: 125 iterations (522 unmixed)
+    # the same band at the default undamped step, Anderson-mixed: 125
+    # iterations (522 unmixed)
     "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
                          []),
     # near-critical surrogate: a mixed whole-cell phase, then exact anchoring
@@ -130,8 +130,9 @@ def test_profile_outputs_byte_identical(outputs, envelope_digests):
 
 
 def test_report_names_exact_anchoring_iteration(outputs):
-    # the plateau trigger fires after iterations 417 and 177 respectively
-    want = {"monotone": None, "nonmonotone": 418, "nonmonotone_auto": None,
+    # the plateau trigger fires after iteration 177 of the near-critical
+    # solve; it never fires on a nonmonotone solve
+    want = {"monotone": None, "nonmonotone": None, "nonmonotone_auto": None,
             "critical": 178}
     for label, (_, report, _) in outputs.items():
         results = report["results"]
@@ -141,17 +142,19 @@ def test_report_names_exact_anchoring_iteration(outputs):
 
 
 def test_nonmonotone_band_reaches_its_fixed_point(outputs):
-    # without the geometric jump the damped band solve ends at a true fixed
-    # point of F: |F(v) - v| is 3.7e-8 (2.5e-7 with the jump)
+    # anchored by whole cells throughout, the damped band solve ends at a
+    # true fixed point of F: |F(v) - v| is 2.0e-8
     _, report, _ = outputs["nonmonotone"]
     assert report["invariants"]["f_consistency"] <= 1e-7
 
 
 def test_undamped_band_reaches_a_closer_fixed_point(outputs):
     # the default undamped step ends nearer a fixed point of F than damping
-    # by 0.5 does: |F(v) - v| is 8.0e-9 against 3.7e-8
-    _, report, _ = outputs["nonmonotone_auto"]
-    assert report["invariants"]["f_consistency"] <= 2e-8
+    # by 0.5 does: |F(v) - v| is 8.0e-9 against 2.0e-8
+    undamped = outputs["nonmonotone_auto"][1]["invariants"]["f_consistency"]
+    damped = outputs["nonmonotone"][1]["invariants"]["f_consistency"]
+    assert undamped <= 2e-8
+    assert undamped < damped
 
 
 def test_mixing_cuts_whole_cell_iterations(outputs):
