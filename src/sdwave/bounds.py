@@ -2,10 +2,11 @@
 
 The upper profile caps an exponential leading edge at the target level; the
 lower profile subtracts a faster exponential and truncates at zero.  Both
-satisfy the wave differential inequality away from their single kink, which
-`verify_upper` / `verify_lower` certify on kink-excluded grids using exact
-derivatives.  For nonmonotone birth functions the running-extrema envelopes
-and their equilibria (k, level) sandwich the problem.
+satisfy the wave differential inequality away from their single kink; the
+tests check it on kink-excluded grids with the exact derivatives of the
+closed forms, and no command does.  For nonmonotone birth functions the
+running-extrema envelopes and their equilibria (k, level) sandwich the
+problem.
 """
 from __future__ import annotations
 
@@ -38,18 +39,6 @@ class UpperSolution:
         out = np.minimum(np.exp(np.minimum(self.lam1 * xi, 700.0)), self.level)
         return _scalar_or_array(out)
 
-    def d1(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        exp_branch = self.lam1 * xi < math.log(self.level)
-        out = np.where(exp_branch, self.lam1 * np.exp(self.lam1 * xi), 0.0)
-        return _scalar_or_array(out)
-
-    def d2(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        exp_branch = self.lam1 * xi < math.log(self.level)
-        out = np.where(exp_branch, self.lam1**2 * np.exp(self.lam1 * xi), 0.0)
-        return _scalar_or_array(out)
-
 
 class LowerSolution:
     """xi -> max(exp(lam1 xi) - q exp(eta lam1 xi), 0); positive left of xi0.
@@ -63,7 +52,6 @@ class LowerSolution:
         self.eta = float(eta)
         self.q = float(q)
         self.xi0 = -math.log(q) / ((eta - 1.0) * lam1)
-        self.kinks = [self.xi0]
 
     def _branch(self, xi):
         return np.exp(self.lam1 * xi) - self.q * np.exp(self.eta * self.lam1 * xi)
@@ -75,24 +63,6 @@ class LowerSolution:
         left = xi < self.xi0
         out = np.zeros(xi.shape)
         out[left] = np.maximum(self._branch(xi[left]), 0.0)
-        return _scalar_or_array(out)
-
-    def d1(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        lam, eta, q = self.lam1, self.eta, self.q
-        out = np.where(xi < self.xi0,
-                       lam * np.exp(lam * np.minimum(xi, self.xi0))
-                       - q * eta * lam * np.exp(eta * lam * np.minimum(xi, self.xi0)),
-                       0.0)
-        return _scalar_or_array(out)
-
-    def d2(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        lam, eta, q = self.lam1, self.eta, self.q
-        out = np.where(xi < self.xi0,
-                       lam**2 * np.exp(lam * np.minimum(xi, self.xi0))
-                       - q * (eta * lam)**2 * np.exp(eta * lam * np.minimum(xi, self.xi0)),
-                       0.0)
         return _scalar_or_array(out)
 
 
@@ -115,42 +85,6 @@ def build_lower(roots: RootPair, model: ModelSpec) -> LowerSolution:
     bp0 = model.birth.derivative_at_zero
     q = (3.0 * lam1 * bp0 + L) / depth + 1.0 + K
     return LowerSolution(lam1=lam1, eta=eta, q=q)
-
-
-# ---------------------------------------------------------------------------
-# differential-inequality verification
-
-def wave_inequality_residuals(prof, c: float, model: ModelSpec, grid):
-    """phi'' - c phi' - d phi + b(phi(xi - c tau(phi(xi)))) at the grid points."""
-    xi = np.asarray(grid, dtype=float)
-    vals = prof.value(xi)
-    delayed = prof.value(xi - c * model.delay.tau(vals))
-    return (prof.d2(xi) - c * prof.d1(xi) - model.d * vals
-            + model.birth.value(delayed))
-
-
-def verify_upper(prof, c: float, model: ModelSpec, grid) -> float:
-    """Max of the wave residual on the grid (<= tolerance for an upper solution)."""
-    return float(np.max(wave_inequality_residuals(prof, c, model, grid)))
-
-
-def verify_lower(prof, c: float, model: ModelSpec, grid) -> float:
-    """Min of the wave residual on the grid (>= -tolerance for a lower solution)."""
-    return float(np.min(wave_inequality_residuals(prof, c, model, grid)))
-
-
-def kink_excluded_grid(lo: float, hi: float, n: int, kinks, radius: float | None = None):
-    """Uniform grid minus the points within the exclusion radius of any kink.
-
-    Default radius is two grid cells.
-    """
-    xi = np.linspace(lo, hi, n)
-    if radius is None:
-        radius = 2.0 * (hi - lo) / (n - 1)
-    keep = np.ones(n, dtype=bool)
-    for t in kinks:
-        keep &= np.abs(xi - t) > radius
-    return xi[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
     roots_rows, beta_rows = [], []
     for c in speeds:
         rp = dispersion.decay_roots(c, ctx)
-        kr = dispersion.choose_beta(c, model, range_end=K, ctx=ctx, speed=sr)
+        kr = dispersion.choose_beta(c, model, range_end=K, speed=sr)
         roots_rows.append({"c": c, "lambda1": rp.lambda1, "lambda2": rp.lambda2})
         beta_rows.append({"c": c, "beta": kr.beta,
                           "gamma1": kr.gamma1, "gamma2": kr.gamma2})

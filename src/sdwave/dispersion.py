@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelInvalidError, NoRootsError
-from .model import (ModelSpec, _bisect_root, _scalar_or_array, equilibrium,
-                    lag_factor)
+from .model import ModelSpec, _bisect_root, _scalar_or_array, lag_factor
 
 ROOT_RESIDUAL_TOL = 1e-12
 # Bound on S = d + b'(0).  The speed bracket ends at 2 sqrt(S) + 1, where
@@ -183,9 +182,8 @@ def kernel_rates(c: float, beta: float) -> KernelRates:
                        beta=beta, c=c)
 
 
-def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
-                ctx: CharacteristicContext | None = None,
-                speed: SpeedResult | None = None) -> KernelRates:
+def choose_beta(c: float, model: ModelSpec, range_end: float,
+                speed: SpeedResult) -> KernelRates:
     """Kernel rates at speed c with a beta meeting every solver constraint.
 
     With A = lag_factor(model, range_end): beta exceeds (by 1%) the largest
@@ -203,15 +201,10 @@ def choose_beta(c: float, model: ModelSpec, range_end: float | None = None,
 
     The iteration's sandwich and the membership certificate assume these
     bounds, so the solvers take their rates from here only.  `speed` is the
-    threshold speed of `ctx`; it is computed when absent.
+    model's threshold speed.
     """
-    if ctx is None:
-        ctx = CharacteristicContext.from_model(model)
-    if range_end is None:
-        range_end = equilibrium(model)
     A = lag_factor(model, range_end)
-    sr = speed if speed is not None else critical_speed(ctx)
-    L1 = L_BOUND_INFLATION * sr.c_star * sr.lambda_star
+    L1 = L_BOUND_INFLATION * speed.c_star * speed.lambda_star
     try:
         beta = BETA_SAFETY * max(
             model.d * A + (A * c) ** 2 / 4.0,

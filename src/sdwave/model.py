@@ -368,28 +368,11 @@ class HypothesisReport:
         """Record `id`: it holds unless the witness of a violation is given."""
         self.entries.append(HypothesisCheck(id, witness is None, witness))
 
-    def _entry(self, id: str) -> HypothesisCheck:
-        return {e.id: e for e in self.entries}[id]   # KeyError if unchecked
-
-    def holds(self, id: str) -> bool:
-        return self._entry(id).holds
-
-    def witness(self, id: str):
-        return self._entry(id).witness
-
     def failures(self, ids) -> str:
         """'id: violated inequality' of each failed check among ids, joined
         by '; ', or '' when all of them hold."""
         return "; ".join(f"{e.id}: {e.witness[1]}" for e in self.entries
                          if e.id in ids and not e.holds)
-
-    def as_dict(self) -> dict:
-        return {
-            e.id: {"holds": e.holds,
-                   "witness": None if e.witness is None else
-                   {"u": e.witness[0], "violated": e.witness[1]}}
-            for e in self.entries
-        }
 
 
 def _check(rep: HypothesisReport, id: str, u, bad, describe) -> None:

@@ -161,10 +161,6 @@ class HistoryBuffer:
     def oldest(self) -> float:
         return float(self._times[self.start])
 
-    @property
-    def newest(self) -> float:
-        return float(self._times[(self.start + self.count - 1) % self.cap])
-
     def lookup_pointwise(self, td: np.ndarray) -> np.ndarray:
         """Per-point temporal interpolation; td must be >= oldest snapshot."""
         if self.count == 1:

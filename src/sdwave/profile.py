@@ -153,7 +153,7 @@ def residual(phi: ProfileGrid, c: float, model: ModelSpec):
 
 def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
                      shift: float, level: float, upper, lower,
-                     require_monotone: bool = True,
+                     require_monotone: bool,
                      sandwich_tol: float = 1e-8) -> MembershipReport:
     """Check the solution-set conditions: sandwich, monotonicity, Lipschitz bound.
 
@@ -233,6 +233,7 @@ def _make_xi(h: float, left: float, right: float) -> np.ndarray:
 class _IterationResult:
     values: np.ndarray
     shift: float
+    right_limit: float            # the limit the iteration held the profile at
     iterations: int
     trace: list = field(default_factory=list)
     clamp_excess: float = 0.0
@@ -384,6 +385,12 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
     # set when the translation mode stalls a monotone iteration: the first
     # iteration that anchors the phase exactly instead of by whole cells
     exact_from = None
+
+    def held_limit(w):
+        # the right limit the iteration holds: right_state for a monotone
+        # front, the iterate's last value for a nonmonotone one
+        return right_state if monotone else float(w[-1])
+
     # Anderson mixing accelerates the whole-cell phase of the undamped step
     # only: a damped step would keep part of each mixed iterate's grid-scale
     # roughness, and in the exact phase mixing reaches the clamp stall
@@ -392,8 +399,8 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
     residual_now = scratch if anderson is None else np.empty_like(v)
     anderson_steps = 0
     for it in range(1, config.max_iters + 1):
-        right_limit = right_state if monotone else float(v[-1])
-        phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=right_limit)
+        phi = ProfileGrid(xi=xi, values=v, left_limit=0.0,
+                          right_limit=held_limit(v))
         new = apply_F(phi, model, rates)
         if omega != 1.0:          # (1 - omega) v + omega F(v), in F(v)'s buffer
             kept = (1.0 - omega) * v
@@ -411,7 +418,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
             # whole cells outside the dead zone; once exact, every whole cell
             # and then the sub-cell rest
             exact = exact_from is not None
-            right_fill = right_state if monotone else float(new[-1])
+            right_fill = held_limit(new)
             if exact or abs(xa) > ANCHOR_DEAD_ZONE * h:
                 cells = int(round(xa / h))
             if cells != 0:
@@ -438,7 +445,8 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                 f"non-finite iterate at iteration {it} "
                 f"(sup-difference {diff:.3e})", trace=trace)
         if diff <= config.tol and anchored:
-            return _IterationResult(values=new, shift=shift, iterations=it,
+            return _IterationResult(values=new, shift=shift,
+                                    right_limit=held_limit(new), iterations=it,
                                     trace=trace, clamp_excess=clamp_excess,
                                     exact_anchor_from=exact_from,
                                     anderson_steps=anderson_steps)
@@ -497,19 +505,19 @@ class _EnvelopeFront:
     """Lower bound of the nonmonotone sandwich: the lower-envelope wavefront
     translated back to its unit-amplitude canonical frame.
 
-    In the frame recorded by the auxiliary solve's anchor shift the clamp
-    already guarantees that the front's nodes sit below exp(lam1 * xi) capped
-    at its own plateau, so the translated front is an admissible lower bound
-    without any amplitude fitting.  A corrective shift absorbs tiny
-    leading-edge rate mismatch when the envelope is tabulated rather than
-    closed form, and keeps the linear interpolant under the exponential
-    between nodes too, where a sub-cell phase shift evaluates it.
+    `prof` and `shift` are the auxiliary solve's profile and anchor shift.
+    In the frame that shift records, the clamp already guarantees that the
+    front's nodes sit below exp(lam1 * xi) capped at its own plateau, so the
+    translated front is an admissible lower bound without any amplitude
+    fitting.  A corrective shift absorbs tiny leading-edge rate mismatch when
+    the envelope is tabulated rather than closed form, and keeps the linear
+    interpolant under the exponential between nodes too, where a sub-cell
+    phase shift evaluates it.
     """
 
-    def __init__(self, aux: WaveSolution, lam1: float, k: float):
-        prof = aux.profile
+    def __init__(self, prof: ProfileGrid, shift: float, lam1: float, k: float):
         v, xi = prof.values, prof.xi
-        base = aux.shift
+        base = shift
         pos = (v > 0.0) & (v < 0.5 * k)
         if np.count_nonzero(pos) >= 3:
             excess = np.log(v[pos]) - lam1 * (xi[pos] + base)
@@ -577,20 +585,18 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     else:
         pair = build_envelopes(model)
         aux_model = pair.lower_model(model)
-        aux_cfg = SolverConfig(tol=config.tol, max_iters=config.max_iters,
-                               h=config.h, left_width=config.left_width,
-                               right_width=config.right_width)
+        aux_cfg = replace(config, damping=1.0, phase_level=None)
         # the envelopes share b'(0), and the lower model d and the delay,
         # so both equations have the model's threshold speed and decay roots
         aux = _solve(aux_model, c, aux_cfg, True, speed,
                      validate_hypotheses(aux_model),
                      note="lower-envelope wavefront", roots=roots)
         level, anchor = pair.level, pair.k / 4.0
-        lower = _EnvelopeFront(aux, roots.lambda1, pair.k)
+        lower = _EnvelopeFront(aux.profile, aux.shift, roots.lambda1, pair.k)
         rate = _approach_rate(aux_model, c, pair.k)
         note = (note + "; " if note else "") + "sandwiched between birth-envelope fronts"
     upper = UpperSolution(lam1=roots.lambda1, level=level)
-    rates = choose_beta(c, model, range_end=level, ctx=ctx, speed=speed)
+    rates = choose_beta(c, model, range_end=level, speed=speed)
     if config.phase_level is not None:
         anchor = config.phase_level
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
@@ -626,7 +632,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         shift += xa
     if res.exact_anchor_from is not None:
         note = (note + "; " if note else "") + "exact phase anchoring engaged"
-    phi = ProfileGrid(xi=xi, values=v, left_limit=0.0, right_limit=K)
+    phi = ProfileGrid(xi=xi, values=v, left_limit=0.0,
+                      right_limit=res.right_limit)
     res_sup, _ = residual(phi, c, model)
     f_cons = float(np.max(np.abs(apply_F(phi, model, rates) - v)))
     mem = gamma_membership(phi, c, rates.beta, model, shift=shift, level=level,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,13 @@ def ricker2_ctx(ricker2):
 
 
 @pytest.fixture(scope="session")
-def ricker2_cstar(ricker2_ctx):
-    return dispersion.critical_speed(ricker2_ctx).c_star
+def ricker2_speed(ricker2_ctx):
+    return dispersion.critical_speed(ricker2_ctx)
+
+
+@pytest.fixture(scope="session")
+def ricker2_cstar(ricker2_speed):
+    return ricker2_speed.c_star
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +72,44 @@ def closed_form_bounds(c, m, level=None):
         level = model.equilibrium(m)
     return (bounds.UpperSolution(roots.lambda1, level),
             bounds.build_lower(roots, m))
+
+
+def bound_derivatives(bound, xi):
+    """(phi', phi'') of a closed-form bound at xi, exact off its kink: from
+    (lam1, level) for the upper bound, from (lam1, eta, q) for the lower."""
+    xi = np.asarray(xi, dtype=float)
+    lam = bound.lam1
+    if isinstance(bound, bounds.UpperSolution):
+        exp_branch = lam * xi < math.log(bound.level)
+        return (np.where(exp_branch, lam * np.exp(lam * xi), 0.0),
+                np.where(exp_branch, lam**2 * np.exp(lam * xi), 0.0))
+    eta, q = bound.eta, bound.q
+    left = xi < bound.xi0
+    x = np.minimum(xi, bound.xi0)
+    return (np.where(left, lam * np.exp(lam * x)
+                     - q * eta * lam * np.exp(eta * lam * x), 0.0),
+            np.where(left, lam**2 * np.exp(lam * x)
+                     - q * (eta * lam)**2 * np.exp(eta * lam * x), 0.0))
+
+
+def wave_inequality_residuals(bound, c, m, xi):
+    """phi'' - c phi' - d phi + b(phi(xi - c tau(phi(xi)))) at the points xi:
+    at most 0 for an upper solution, at least 0 for a lower one."""
+    xi = np.asarray(xi, dtype=float)
+    vals = bound.value(xi)
+    delayed = bound.value(xi - c * m.delay.tau(vals))
+    d1, d2 = bound_derivatives(bound, xi)
+    return d2 - c * d1 - m.d * vals + m.birth.value(delayed)
+
+
+def kink_excluded_grid(lo, hi, n, kinks):
+    """n uniform points on [lo, hi] minus those within two cells of a kink."""
+    xi = np.linspace(lo, hi, n)
+    radius = 2.0 * (hi - lo) / (n - 1)
+    keep = np.ones(n, dtype=bool)
+    for t in kinks:
+        keep &= np.abs(xi - t) > radius
+    return xi[keep]
 
 
 def step_datum(loc, low, high):

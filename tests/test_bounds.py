@@ -5,7 +5,8 @@ import pytest
 
 from sdwave import bounds, dispersion, model, profile
 from sdwave.errors import NoRootsError
-from conftest import bisect, closed_form_bounds
+from conftest import (bisect, bound_derivatives, closed_form_bounds,
+                      kink_excluded_grid, wave_inequality_residuals)
 
 
 def test_upper_solution_branches():
@@ -118,43 +119,60 @@ def test_lower_rejects_near_threshold(ricker2):
                            ricker2)
 
 
-def _grids_for(prof, lo, hi, n=2000):
-    return bounds.kink_excluded_grid(lo, hi, n, prof.kinks)
+def _upper_grid(up):
+    return kink_excluded_grid(-60.0, 60.0, 2000, up.kinks)
+
+
+def _lower_grid(low):
+    return kink_excluded_grid(low.xi0 - 60.0, low.xi0 + 20.0, 2000, [low.xi0])
 
 
 class TestDifferentialInequalities:
+    def test_exact_derivatives_match_central_differences(self, ricker2,
+                                                         ricker2_cstar):
+        # the closed forms' derivatives that the inequalities are taken with
+        up, low = closed_form_bounds(1.2 * ricker2_cstar, ricker2)
+        h = 1e-4
+        for bound, grid in ((up, _upper_grid(up)), (low, _lower_grid(low))):
+            d1, d2 = bound_derivatives(bound, grid)
+            ahead, here, behind = (bound.value(grid + s) for s in (h, 0.0, -h))
+            scale = 1.0 + np.abs(here)
+            assert np.max(np.abs(d1 - (ahead - behind) / (2 * h)) / scale) < 1e-6
+            assert np.max(np.abs(d2 - (ahead - 2 * here + behind) / h**2)
+                          / scale) < 1e-5
+
     def test_upper_plateau_value_is_zero(self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
         up, _ = closed_form_bounds(c, ricker2)
         kink = up.kinks[0]
         far = np.array([kink + c * ricker2.delay.M + 5.0, kink + 40.0])
-        res = bounds.wave_inequality_residuals(up, c, ricker2, far)
+        res = wave_inequality_residuals(up, c, ricker2, far)
         assert np.max(np.abs(res)) < 1e-12
 
     def test_upper_inequality_monotone_model(self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
         up, _ = closed_form_bounds(c, ricker2)
-        grid = _grids_for(up, -60.0, 60.0)
-        assert bounds.verify_upper(up, c, ricker2, grid) <= 1e-8
+        res = wave_inequality_residuals(up, c, ricker2, _upper_grid(up))
+        assert np.max(res) <= 1e-8
 
     def test_lower_inequality_monotone_model(self, ricker2, ricker2_cstar):
         c = 1.2 * ricker2_cstar
         _, low = closed_form_bounds(c, ricker2)
-        grid = _grids_for(low, low.xi0 - 60.0, low.xi0 + 20.0)
-        assert bounds.verify_lower(low, c, ricker2, grid) >= -1e-8
+        res = wave_inequality_residuals(low, c, ricker2, _lower_grid(low))
+        assert np.min(res) >= -1e-8
 
     def test_upper_inequality_nonmonotone_model(self, ricker3, ricker3_cstar):
         c = 1.2 * ricker3_cstar
         pair = bounds.build_envelopes(ricker3)
         up, _ = closed_form_bounds(c, ricker3, level=pair.level)
-        grid = _grids_for(up, -60.0, 60.0)
-        assert bounds.verify_upper(up, c, ricker3, grid) <= 1e-8
+        res = wave_inequality_residuals(up, c, ricker3, _upper_grid(up))
+        assert np.max(res) <= 1e-8
 
     def test_lower_inequality_nonmonotone_model(self, ricker3, ricker3_cstar):
         c = 1.2 * ricker3_cstar
         _, low = closed_form_bounds(c, ricker3)
-        grid = _grids_for(low, low.xi0 - 60.0, low.xi0 + 20.0)
-        assert bounds.verify_lower(low, c, ricker3, grid) >= -1e-8
+        res = wave_inequality_residuals(low, c, ricker3, _lower_grid(low))
+        assert np.min(res) >= -1e-8
 
     def test_truncation_branch_residual_vanishes_where_delayed_is_zero(
             self, ricker2, ricker2_cstar):
@@ -162,7 +180,7 @@ class TestDifferentialInequalities:
         _, low = closed_form_bounds(c, ricker2)
         # right of the kink by more than the largest lag: residual is b(0) = 0
         xi = np.array([low.xi0 + c * ricker2.delay.M + 1.0])
-        res = bounds.wave_inequality_residuals(low, c, ricker2, xi)
+        res = wave_inequality_residuals(low, c, ricker2, xi)
         assert res[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_lower_slack_decay_rate(self, ricker2, ricker2_cstar):
@@ -170,7 +188,7 @@ class TestDifferentialInequalities:
         c = 1.2 * ricker2_cstar
         _, low = closed_form_bounds(c, ricker2)
         xi = np.linspace(low.xi0 - 40.0, low.xi0 - 30.0, 400)
-        slack = bounds.wave_inequality_residuals(low, c, ricker2, xi)
+        slack = wave_inequality_residuals(low, c, ricker2, xi)
         assert np.all(slack > 0)
         rate = np.polyfit(xi, np.log(slack), 1)[0]
         assert rate == pytest.approx(low.eta * low.lam1, rel=0.02)

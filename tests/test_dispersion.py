@@ -144,25 +144,29 @@ class TestChooseBeta:
     def test_floor_terms_constant_delay(self):
         m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
                             delay=model.ConstantDelay(0.0))
-        kr = dispersion.choose_beta(2.5, m)
+        sr = dispersion.critical_speed(
+            dispersion.CharacteristicContext.from_model(m))
+        kr = dispersion.choose_beta(2.5, m, range_end=model.equilibrium(m),
+                                    speed=sr)
         assert kr.beta >= 2.02  # 1.01 * (d + 1) at the very least
         assert kr.beta > m.d
 
-    def test_vieta_identities(self, ricker2, ricker2_cstar):
+    def test_vieta_identities(self, ricker2, ricker2_speed):
         K = model.equilibrium(ricker2)
-        for c in (1.1 * ricker2_cstar, 1.7 * ricker2_cstar):
-            kr = dispersion.choose_beta(c, ricker2, range_end=K)
+        for c in (1.1 * ricker2_speed.c_star, 1.7 * ricker2_speed.c_star):
+            kr = dispersion.choose_beta(c, ricker2, range_end=K,
+                                        speed=ricker2_speed)
             assert kr.gamma1 * kr.gamma2 == pytest.approx(-kr.beta, abs=1e-12 * kr.beta)
             assert kr.gamma1 + kr.gamma2 == pytest.approx(c, abs=1e-12)
             assert kr.gamma2 - kr.gamma1 == pytest.approx(
                 math.sqrt(c * c + 4.0 * kr.beta), rel=1e-14)
 
-    def test_beta_formula_floor(self, ricker2, ricker2_cstar):
+    def test_beta_formula_floor(self, ricker2, ricker2_speed):
         K = model.equilibrium(ricker2)
         T = ricker2.delay.slope_sup()
         A = 1.0 + 2.0 * K * T
-        c = 1.2 * ricker2_cstar
-        kr = dispersion.choose_beta(c, ricker2, range_end=K)
+        c = 1.2 * ricker2_speed.c_star
+        kr = dispersion.choose_beta(c, ricker2, range_end=K, speed=ricker2_speed)
         assert kr.beta >= 1.01 * (ricker2.d * A + (A * c) ** 2 / 4.0) - 1e-12
         assert kr.beta >= 1.01 * (((A * c) ** 2 + 4.0 * ricker2.d) / 4.0) - 1e-12
 
@@ -207,12 +211,12 @@ def test_root_bounds_equal_dense_scan(m):
     A = model.lag_factor(m, K)
     for factor in (1.2, 2.0):
         c = factor * sr.c_star
-        kr = dispersion.choose_beta(c, m, range_end=K, ctx=ctx, speed=sr)
+        kr = dispersion.choose_beta(c, m, range_end=K, speed=sr)
         floor = dispersion.BETA_SAFETY * 3.0 * closed_cl * A
         assert kr.beta >= floor * (1.0 - 1e-15)
 
 
-def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_cstar, monkeypatch):
+def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_speed, monkeypatch):
     calls = []
     original = dispersion.decay_roots
 
@@ -221,21 +225,10 @@ def test_choose_beta_solves_few_decay_roots(ricker2, ricker2_cstar, monkeypatch)
         return original(c, ctx)
 
     monkeypatch.setattr(dispersion, "decay_roots", counting)
-    dispersion.choose_beta(1.2 * ricker2_cstar, ricker2)
+    dispersion.choose_beta(1.2 * ricker2_speed.c_star, ricker2,
+                           range_end=model.equilibrium(ricker2),
+                           speed=ricker2_speed)
     assert calls == []    # the root bound is the closed form c* lambda*
-
-
-def test_choose_beta_reuses_given_speed(ricker2, ricker2_ctx, ricker2_cstar,
-                                        monkeypatch):
-    sr = dispersion.critical_speed(ricker2_ctx)
-    expected = dispersion.choose_beta(1.2 * ricker2_cstar, ricker2)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("critical_speed recomputed")
-
-    monkeypatch.setattr(dispersion, "critical_speed", forbidden)
-    got = dispersion.choose_beta(1.2 * ricker2_cstar, ricker2, speed=sr)
-    assert got == expected
 
 
 def test_scalar_loops_are_capped():

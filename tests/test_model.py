@@ -122,6 +122,11 @@ def test_sup_delay_slope():
 ALL_IDS = model.SHARED_SET + model.MONOTONE_SET + model.RELAXED_SET
 
 
+def checks(rep):
+    """id -> check of every entry of a hypothesis report, in order."""
+    return {e.id: e for e in rep.entries}
+
+
 class TestHypothesisValidation:
     def test_monotone_set_holds_for_p2(self, ricker2):
         rep = model.validate_hypotheses(ricker2)
@@ -130,8 +135,9 @@ class TestHypothesisValidation:
 
     def test_p3_fails_monotone_with_witness_above_one(self, ricker3):
         rep = model.validate_hypotheses(ricker3)
-        assert not rep.holds("B3")
-        u, desc = rep.witness("B3")
+        b3 = checks(rep)["B3"]
+        assert not b3.holds
+        u, desc = b3.witness
         assert u > 1.0
         assert "b'" in desc
         assert rep.failures(model.MONOTONE_SET) == f"B3: {desc}"
@@ -144,8 +150,9 @@ class TestHypothesisValidation:
         m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
                             delay=model.RationalDelay(0.2, 1.4))
         rep = model.validate_hypotheses(m)
-        assert not rep.holds("A2")
-        u, desc = rep.witness("A2")
+        a2 = checks(rep)["A2"]
+        assert not a2.holds
+        u, desc = a2.witness
         assert u == pytest.approx(0.0, abs=1e-6)
         assert "1.2" in desc
 
@@ -158,7 +165,7 @@ class TestHypothesisValidation:
                                 delay=model.RationalDelay(0.1, 0.6))
             rep = model.validate_hypotheses(m)
             assert rep.failures(model.SHARED_SET + model.MONOTONE_SET) == "", (
-                d, ratio, rep.as_dict())
+                d, ratio, rep.failures(ALL_IDS))
 
 
 def _table(u, b):
@@ -192,7 +199,8 @@ def _convex_birth():
 
 
 def _fails(u, violated):
-    return {"holds": False, "witness": {"u": u, "violated": violated}}
+    """The witness of a failed check."""
+    return (u, violated)
 
 
 NO_EQUILIBRIUM = _fails(0.0, "no positive equilibrium")
@@ -202,7 +210,7 @@ FALLING_LIMIT = _fails(0.0, "limit 0.2 below tau(0) = 0.7")
 DIP = _fails(0.5029, "b(u) <= d*u inside (0, K) at u=0.5029")
 RECROSS = _fails(2.0008, "b(u) outside (0, d*u) above K at u=2.0008")
 
-# the failing entries of one model's `as_dict()`, exactly: the checks both
+# the witnesses of one model's failed checks, exactly: the checks both
 # solvers need, and the monotone and relaxed sets; every other entry holds
 FAILING_ENTRIES = {
     "steep lag": (lambda: model.RickerBirth(2.0),
@@ -244,13 +252,13 @@ def test_failing_hypotheses_report_exact_witnesses(name, solver):
     birth, delay, expected = FAILING_ENTRIES[name]
     m = model.ModelSpec(d=1.0, birth=birth(), delay=delay())
     rep = model.validate_hypotheses(m)
-    entries = rep.as_dict()
+    entries = checks(rep)
     assert list(entries) == list(ALL_IDS)
-    assert {id: e for id, e in entries.items() if not e["holds"]} == expected
+    assert all((e.witness is None) == e.holds for e in rep.entries)
+    assert {id: e.witness for id, e in entries.items() if not e.holds} == expected
     ids = model.SHARED_SET + SOLVER_SETS[solver]
     assert rep.failures(ids) == "; ".join(
-        f"{id}: {expected[id]['witness']['violated']}"
-        for id in ids if id in expected)
+        f"{id}: {expected[id][1]}" for id in ids if id in expected)
 
 
 class TestModelInvariants:

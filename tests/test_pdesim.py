@@ -389,9 +389,10 @@ class TestHistoryLookup:
                 np.testing.assert_array_equal(buf.lookup_pointwise(np.full(nx, t)), u)
                 continue
             wrapped += buf.start + buf.count > buf.cap
-            # the live window, its two ends and points past the newest snapshot
-            td = rng.uniform(buf.oldest, buf.newest + 0.2 * spacing, nx)
-            td[:3] = buf.oldest, buf.newest, buf.newest + 0.5 * spacing
+            # the live window, its two ends and points past the newest
+            # snapshot, the one just appended at t
+            td = rng.uniform(buf.oldest, t + 0.2 * spacing, nx)
+            td[:3] = buf.oldest, t, t + 0.5 * spacing
             want, extra = naive_pointwise(live, spacing, td)
             np.testing.assert_array_equal(buf.lookup_pointwise(td), want)
             clamped += extra
@@ -420,12 +421,12 @@ class TestHistoryLookup:
             wrapped += buf.start + buf.count > buf.cap
             dead = (np.arange(buf.cap) - buf.start) % buf.cap >= buf.count
             buf._snaps[dead] = np.nan
-            inside = rng.uniform(buf.oldest, buf.newest - 1e-6, nx)
+            inside = rng.uniform(buf.oldest, t - 1e-6, nx)   # t: the newest
             inside[0] = buf.oldest
             below, onto, past = inside.copy(), inside.copy(), inside.copy()
             below[1] = buf.oldest - 0.3 * spacing
-            onto[1] = buf.newest
-            past[1] = buf.newest + 0.25 * spacing
+            onto[1] = t
+            past[1] = t + 0.25 * spacing
             for td, fast in ((inside, True), (below, False), (onto, False),
                              (past, False)):
                 rel = (td - buf.oldest) / buf.spacing

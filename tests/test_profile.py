@@ -19,10 +19,10 @@ def make_grid(xi_lo, xi_hi, h, fn, left, right):
 
 
 @pytest.fixture(scope="module")
-def setup2(ricker2, ricker2_cstar):
-    c = 1.2 * ricker2_cstar
+def setup2(ricker2, ricker2_speed):
+    c = 1.2 * ricker2_speed.c_star
     K = model.equilibrium(ricker2)
-    rates = dispersion.choose_beta(c, ricker2, range_end=K)
+    rates = dispersion.choose_beta(c, ricker2, range_end=K, speed=ricker2_speed)
     up, low = closed_form_bounds(c, ricker2)
     return ricker2, c, K, rates, up, low
 
@@ -96,7 +96,7 @@ class TestOperatorF:
         m, c, K, rates, up, low = setup2
         h = 0.01
         xi = np.arange(-60.0, 60.0, h)
-        kinks = up.kinks + low.kinks
+        kinks = up.kinks + [low.xi0]
         mask = np.ones(xi.shape, dtype=bool)
         for t in kinks:
             mask &= np.abs(xi - t) > 2 * h
@@ -525,7 +525,8 @@ class TestGammaMembership:
         g = profile.ProfileGrid(xi=xi, values=up.value(xi), left_limit=0.0,
                                 right_limit=K)
         rep = profile.gamma_membership(g, c, rates.beta, m, shift=0.0,
-                                       level=K, upper=up, lower=low)
+                                       level=K, upper=up, lower=low,
+                                       require_monotone=True)
         assert rep.member
 
     def test_steepened_profile_fails_lipschitz(self, setup2, ricker2_solution):
@@ -537,7 +538,8 @@ class TestGammaMembership:
             right_limit=base.right_limit)
         rep = profile.gamma_membership(squeezed, c, rates.beta, m,
                                        shift=ricker2_solution.shift,
-                                       level=K, upper=up, lower=low)
+                                       level=K, upper=up, lower=low,
+                                       require_monotone=True)
         assert not rep.lipschitz_ok
         mild = profile.ProfileGrid(
             xi=base.xi / 10.0, values=base.values, left_limit=0.0,
@@ -597,8 +599,7 @@ def test_normalized_front_stays_under_the_exponential_between_nodes():
     xi = np.arange(-30.0, 10.0 + 0.5 * h, h)
     grid = profile.ProfileGrid(xi=xi, values=np.minimum(np.exp(lam1 * xi), k),
                                left_limit=0.0, right_limit=k)
-    aux = type("Aux", (), {"profile": grid, "shift": 0.0})
-    lower = profile._EnvelopeFront(aux, lam1, k)
+    lower = profile._EnvelopeFront(grid, 0.0, lam1, k)
     x = np.linspace(-29.0, -2.0, 100_001)
     assert np.all(lower.value(x) <= np.exp(lam1 * x))
 
@@ -614,6 +615,23 @@ class TestNonmonotoneSolve:
         assert sol.residual_sup <= 1e-3
         assert sol.membership.sandwich_ok
         assert sol.membership.lipschitz_ok
+
+    def test_f_consistency_uses_the_right_limit_the_iteration_held(
+            self, ricker3, ricker3_cstar):
+        # a short right width leaves the last node well below K; the
+        # nonmonotone iteration holds the right limit at that node, so F's
+        # fixed point is measured against it, not against K
+        sol = profile.solve(ricker3, 1.2 * ricker3_cstar,
+                            profile.SolverConfig(h=0.02, right_width=4.0))
+        v = sol.profile.values
+        assert sol.mode == "nonmonotone"
+        assert model.equilibrium(ricker3) - v[-1] > 0.1
+        assert sol.profile.right_limit == v[-1]
+        own = profile.ProfileGrid(xi=sol.profile.xi, values=v, left_limit=0.0,
+                                  right_limit=float(v[-1]))
+        rates = dispersion.kernel_rates(sol.c, sol.beta)
+        assert sol.f_consistency == np.max(
+            np.abs(profile.apply_F(own, ricker3, rates) - v))
 
     def test_monotone_birth_reduces_to_monotone_solver(self, ricker2,
                                                        ricker2_ctx):

@@ -1,14 +1,17 @@
 """Checks on the checkout itself, not on the library."""
+import ast
 import importlib.util
 import inspect
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sdwave"
 
 needs_git = pytest.mark.skipif(
     shutil.which("git") is None or not (ROOT / ".git").exists(),
@@ -29,6 +32,28 @@ def test_no_tracked_file_is_ignored():
 def test_no_generated_sources_tracked():
     # the kernels are plain Python: no C, extension source or binary in git
     assert git_ls_files("src/*.c", "src/*.pyx", "src/*.so") == ""
+
+
+def _references(node):
+    """How often each name appears as a name or an attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_function_in_src_is_named_elsewhere_in_src():
+    # src/ holds only what a command runs: a function or method that only
+    # the tests reach belongs in the tests.  Names are matched without
+    # scopes, so this cannot prove that a call happens; it catches every
+    # function that nothing in src/ names outside its own body
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    refs = sum((_references(tree) for tree in trees), Counter())
+    unreferenced = [
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and refs[node.name] == _references(node)[node.name]]
+    assert unreferenced == []
 
 
 # the public functions the benchmark's per-layer metrics are named after
