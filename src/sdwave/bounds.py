@@ -6,7 +6,8 @@ satisfy the wave differential inequality away from their single kink; the
 tests check it on kink-excluded grids with the exact derivatives of the
 closed forms, and no command does.  For nonmonotone birth functions the
 running-extrema envelopes and their equilibria (k, level) sandwich the
-problem.
+problem: `sandwich` builds the bounds of the envelope equations, which for
+a monotone birth are its own.
 """
 from __future__ import annotations
 
@@ -183,6 +184,18 @@ class EnvelopePair:
 
     def lower_model(self, model: ModelSpec) -> ModelSpec:
         return ModelSpec(d=model.d, birth=self.lower, delay=model.delay)
+
+
+def sandwich(model: ModelSpec, roots: RootPair) -> tuple:
+    """(upper, lower, pair) at the speed of `roots`, `pair` the envelopes:
+    the exponential capped at the upper-envelope equilibrium, and the lower
+    solution of the lower-envelope equation, whose birth lies under the
+    model's (S. Ma, J. Differential Equations 237 (2007)).  A monotone
+    birth is its own envelope, k = level = K: these are its own bounds.
+    """
+    pair = build_envelopes(model)
+    return (UpperSolution(roots.lambda1, pair.level),
+            build_lower(roots, pair.lower_model(model)), pair)
 
 
 def build_envelopes(model: ModelSpec) -> EnvelopePair:

@@ -182,26 +182,25 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
         meta = json.loads(sidecar.read_text())["results"]
         c, beta, shift, recorded = (float(meta[key]) for key in
                                     ("c", "beta", "phase_shift", "residual_sup"))
+        mode = meta["mode"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"sidecar report {sidecar} lacks a usable value: {exc}")
+    if mode not in ("monotone", "nonmonotone"):
+        raise ConfigError(f"sidecar report {sidecar} names an unknown mode {mode!r}")
     cols = reporting.read_csv(csv_path)
     if set(cols) != {"xi", "phi"}:
         raise ConfigError(f"{csv_path}: expected header 'xi,phi'")
     xi, values = cols["xi"], cols["phi"]
-    K = equilibrium(model)
     grid = profile.ProfileGrid(xi=xi, values=values, left_limit=0.0,
                                right_limit=float(values[-1]))
     res_sup, res_arr = profile.residual(grid, c, model)
-    monotone = meta.get("mode", "monotone") == "monotone"
-    level = K if monotone else bounds.build_envelopes(model).level
-    # the closed-form sandwich at the recorded speed, for either mode
+    # the solve's sandwich at the recorded speed
     roots = dispersion.decay_roots(
         c, dispersion.CharacteristicContext.from_model(model))
+    upper, lower, pair = bounds.sandwich(model, roots)
     mem = profile.gamma_membership(
-        grid, c, beta, model, shift=shift, level=level,
-        upper=bounds.UpperSolution(roots.lambda1, level),
-        lower=bounds.build_lower(roots, model), require_monotone=monotone,
-        sandwich_tol=1e-6)
+        grid, c, beta, model, shift=shift, level=pair.level, upper=upper,
+        lower=lower, require_monotone=mode == "monotone", sandwich_tol=1e-6)
     tol = max(2.0 * recorded, 1e-9)
     failures = {}
     if res_sup > tol:
@@ -228,12 +227,10 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
 def cmd_envelope(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
     model.validate()
-    pair = bounds.build_envelopes(model)
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c)
     roots = dispersion.decay_roots(
         c, dispersion.CharacteristicContext.from_model(model))
-    low = bounds.build_lower(roots, model)
-    up = bounds.UpperSolution(roots.lambda1, pair.level)
+    up, low, pair = bounds.sandwich(model, roots)
     rep.results = {"kcal": pair.level, "k": pair.k, "c": c,
                    "eta": low.eta, "q": low.q, "c_star": sr.c_star}
     out_dir = _out_dir(cfg, args)

@@ -149,13 +149,12 @@ def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
             f"characteristic function has no positive roots at c={c:.12g} "
             "(speed at or below the threshold)")
     lam1 = _bisect_root(lambda x: char_value(x, c, ctx), 0.0, lam_min)
+    # S = d + b'(0): char(lambda_hi) > lambda_hi (lambda_hi - c) - d >= 4S - d
+    # > 0, but in floats lambda_hi rounds onto c once c > ~1e16 sqrt(S); then
+    # char(2 lambda_hi) > 2 lambda_hi^2 - d > 0, so one doubling suffices
     hi = _lambda_hi(c, ctx)
-    expansions = 0
-    while char_value(hi, c, ctx) <= 0.0:
+    if char_value(hi, c, ctx) <= 0.0:
         hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            raise NoRootsError("upper decay root bracket expansion failed")
     lam2 = _bisect_root(lambda x: char_value(x, c, ctx), lam_min, hi)
     lam1 = _newton_polish(lam1, c, ctx)
     lam2 = _newton_polish(lam2, c, ctx)

@@ -2,9 +2,9 @@
 
 The second-order wave equation is recast through the two-sided exponential
 resolvent kernel; its fixed points are wave profiles.  One solve serves
-monotone and nonmonotone birth functions alike: only the sandwich differs,
-closed-form bounds for a monotone birth and birth-envelope fronts for a
-nonmonotone one.  `solve` checks the model's hypotheses once: B1-B4 pick
+monotone and nonmonotone birth functions alike, in one closed-form
+sandwich: the bounds of the birth-envelope equations, which for a monotone
+birth are its own.  `solve` checks the model's hypotheses once: B1-B4 pick
 the monotone solver, else C1-C3 must hold, and a failure of A1-A3 or B,
 which both need, is reported as such.  Iteration starts from the upper
 profile, clamps each iterate into the (phase-shifted) sandwich, and
@@ -25,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as kernels
-from .bounds import UpperSolution, build_envelopes, build_lower
-from .dispersion import (CharacteristicContext, KernelRates, RootPair,
-                         SpeedResult, choose_beta, critical_speed, decay_roots)
+from .bounds import sandwich
+from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
+                         choose_beta, critical_speed, decay_roots)
 from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
 from .model import (MONOTONE_SET, RELAXED_SET, SHARED_SET, HypothesisReport,
                     ModelSpec, _bisect_root, equilibrium, lag_factor,
@@ -501,63 +501,18 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
 # ---------------------------------------------------------------------------
 # public solvers
 
-class _EnvelopeFront:
-    """Lower bound of the nonmonotone sandwich: the lower-envelope wavefront
-    translated back to its unit-amplitude canonical frame.
-
-    `prof` and `shift` are the auxiliary solve's profile and anchor shift.
-    In the frame that shift records, the clamp already guarantees that the
-    front's nodes sit below exp(lam1 * xi) capped at its own plateau, so the
-    translated front is an admissible lower bound without any amplitude
-    fitting.  A corrective shift absorbs tiny leading-edge rate mismatch when
-    the envelope is tabulated rather than closed form, and keeps the linear
-    interpolant under the exponential between nodes too, where a sub-cell
-    phase shift evaluates it.
-    """
-
-    def __init__(self, prof: ProfileGrid, shift: float, lam1: float, k: float):
-        v, xi = prof.values, prof.xi
-        base = shift
-        pos = (v > 0.0) & (v < 0.5 * k)
-        if np.count_nonzero(pos) >= 3:
-            excess = np.log(v[pos]) - lam1 * (xi[pos] + base)
-            # between two nodes the linear interpolant can rise above the
-            # convex exponential although both nodes lie below it;
-            # log L(x) - lam1 x is concave on a cell, with its maximum where
-            # L = slope / lam1
-            a, b = v[:-1], v[1:]
-            t = (b - a) / (prof.h * lam1)
-            inner = pos[:-1] & pos[1:] & (t > a) & (t < b)
-            if inner.any():
-                peak = xi[:-1][inner] + (t[inner] - a[inner]) / (lam1 * t[inner])
-                excess = np.concatenate([excess,
-                                         np.log(t[inner]) - lam1 * (peak + base)])
-            overshoot = float(np.max(excess))
-            if overshoot > 0.0:
-                base += overshoot / lam1 * (1.0 + 1e-12)
-        self.base, self.xi, self.values = base, xi, v
-        self.right = float(v[-1])
-
-    def value(self, x):
-        return np.interp(np.asarray(x, dtype=float) - self.base, self.xi,
-                         self.values, left=0.0, right=self.right)
-
-
 def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
            speed: SpeedResult, hypotheses: HypothesisReport,
-           note: str = "", roots: Optional[RootPair] = None) -> WaveSolution:
-    """Wave profile for a supercritical speed, iterated in a sandwich.
+           note: str = "") -> WaveSolution:
+    """Wave profile for a supercritical speed, iterated in `bounds.sandwich`.
 
-    Only the sandwich depends on the mode.  A monotone birth gets the
-    closed-form bounds at its equilibrium K and the order-preserving
-    iteration.  A nonmonotone one is sandwiched between the computed
-    wavefront of its lower-envelope equation, translated so its leading edge
-    matches the unit-amplitude exponential, and the same exponential capped
-    at the upper-envelope equilibrium; its iteration is not order preserving,
-    so convergence rests on the residual alone.  `speed` is the model's
-    threshold speed and `hypotheses` its `validate_hypotheses` report: the
-    shared set A1-A3 and B must hold, and B1-B4 or C1-C3 for the mode.
-    `roots` are the decay roots at c, if the caller already has them.
+    Only the anchor, K/2 or k/4, and the iteration depend on the mode: the
+    monotone one preserves order, the nonmonotone one does not, so its
+    convergence rests on the residual alone, and its lower bound needs the
+    lower-envelope model's A1-A3, B and B1-B4.  The profile's ends must reach
+    0 and the band [k, level] (K for a monotone birth).  `speed` is the
+    model's threshold speed and `hypotheses` its `validate_hypotheses`
+    report: A1-A3, B and B1-B4 or C1-C3 for the mode must hold.
     """
     mode = "monotone" if monotone else "nonmonotone"
     failed = hypotheses.failures(SHARED_SET)
@@ -575,28 +530,20 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
             f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
             "profile exists; measure the front with simulate then frontspeed "
             "(or sweep) instead")
-    if roots is None:
-        roots = decay_roots(c, ctx)
+    roots = decay_roots(c, ctx)
+    upper, lower, pair = sandwich(model, roots)
+    lower_model = pair.lower_model(model)
     K = equilibrium(model)
-    if monotone:
-        level, anchor = K, K / 2.0
-        lower = build_lower(roots, model)
-        rate = _approach_rate(model, c, K)
-    else:
-        pair = build_envelopes(model)
-        aux_model = pair.lower_model(model)
-        aux_cfg = replace(config, damping=1.0, phase_level=None)
-        # the envelopes share b'(0), and the lower model d and the delay,
-        # so both equations have the model's threshold speed and decay roots
-        aux = _solve(aux_model, c, aux_cfg, True, speed,
-                     validate_hypotheses(aux_model),
-                     note="lower-envelope wavefront", roots=roots)
-        level, anchor = pair.level, pair.k / 4.0
-        lower = _EnvelopeFront(aux.profile, aux.shift, roots.lambda1, pair.k)
-        rate = _approach_rate(aux_model, c, pair.k)
-        note = (note + "; " if note else "") + "sandwiched between birth-envelope fronts"
-    upper = UpperSolution(lam1=roots.lambda1, level=level)
-    rates = choose_beta(c, model, range_end=level, speed=speed)
+    anchor = K / 2.0 if monotone else pair.k / 4.0
+    if not monotone:
+        failed = validate_hypotheses(lower_model).failures(SHARED_SET + MONOTONE_SET)
+        if failed:
+            raise ModelInvalidError(
+                "the lower bound needs A1-A3, B and B1-B4 of the lower-envelope "
+                f"model; failed: {failed}")
+        note = (note + "; " if note else "") + "sandwiched between birth-envelope bounds"
+    rate = _approach_rate(lower_model, c, pair.k)
+    rates = choose_beta(c, model, range_end=pair.level, speed=speed)
     if config.phase_level is not None:
         anchor = config.phase_level
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
@@ -606,10 +553,11 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
                        config, monotone)
         widths.append(f"{left:g}/{right:g}")
-        # only a monotone front has known limits to check the domain against
+        # the right end's distance to [k, level]: |v - K| when k = level = K
         left_ok = abs(res.values[0]) <= BOUNDARY_FRACTION * K
-        right_ok = abs(res.values[-1] - K) <= BOUNDARY_FRACTION * K
-        if not monotone or left_ok and right_ok:
+        right_ok = (max(pair.k - res.values[-1], res.values[-1] - pair.level)
+                    <= BOUNDARY_FRACTION * K)
+        if left_ok and right_ok:
             break
         if len(widths) == 3:
             ends = [end for end, ok in (("left", left_ok), ("right", right_ok))
@@ -622,7 +570,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
             left *= 2.0
         if not right_ok:
             right *= 2.0
-        note = (note + " " if note else "") + "domain doubled after boundary check"
+        note = (note + "; " if note else "") + "domain doubled after boundary check"
 
     # relabel so the anchor crossing sits exactly at 0, then certify
     v, shift = res.values, res.shift
@@ -636,8 +584,9 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
                       right_limit=res.right_limit)
     res_sup, _ = residual(phi, c, model)
     f_cons = float(np.max(np.abs(apply_F(phi, model, rates) - v)))
-    mem = gamma_membership(phi, c, rates.beta, model, shift=shift, level=level,
-                           upper=upper, lower=lower, require_monotone=monotone)
+    mem = gamma_membership(phi, c, rates.beta, model, shift=shift,
+                           level=pair.level, upper=upper, lower=lower,
+                           require_monotone=monotone)
     return WaveSolution(
         profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
         trace=res.trace, beta=rates.beta, lambda1=roots.lambda1,

@@ -269,3 +269,32 @@ def test_bound_ordering_pointwise(ricker2, ricker2_cstar):
     assert np.all(lo_vals <= hi_vals + 1e-15)
     inner = (xi > low.xi0 - 20.0) & (xi < low.xi0 - 0.1)
     assert np.all(lo_vals[inner] < hi_vals[inner])
+
+
+@pytest.mark.parametrize("p", [3.0, 6.0])
+@pytest.mark.parametrize("factor", [1.2, 2.0])
+def test_sandwich_bounds_its_envelope_equations(p, factor):
+    # both solvers iterate in bounds.sandwich: the upper bound is an upper
+    # solution of the upper-envelope equation and the lower bound a lower
+    # solution of the lower-envelope equation, each residual taken relative
+    # to the bound's value as criterion 6 does, the lower one on its positive
+    # window; and the lower bound lies under the upper one
+    m = model.ModelSpec(d=1.0, birth=model.RickerBirth(p),
+                        delay=model.RationalDelay(0.2, 0.7))
+    ctx = dispersion.CharacteristicContext.from_model(m)
+    c = factor * dispersion.critical_speed(ctx).c_star
+    up, low, pair = bounds.sandwich(m, dispersion.decay_roots(c, ctx))
+    assert up.level == pair.level
+    upper_model = model.ModelSpec(d=m.d, birth=pair.upper, delay=m.delay)
+    grid_up = kink_excluded_grid(-60.0, 60.0, 2000, up.kinks)
+    vu = wave_inequality_residuals(up, c, upper_model, grid_up) / up.value(grid_up)
+    assert np.max(vu) <= 1e-12
+    grid_lo = kink_excluded_grid(low.xi0 - 60.0, low.xi0 + 20.0, 2000, [low.xi0])
+    lo_vals = low.value(grid_lo)
+    window = lo_vals > 0.0
+    assert window.sum() > 1000
+    vl = wave_inequality_residuals(low, c, pair.lower_model(m),
+                                   grid_lo[window]) / lo_vals[window]
+    assert np.min(vl) >= 0.0
+    xi = np.linspace(low.xi0 - 60.0, up.kinks[0] + 20.0, 20_001)
+    assert np.all(low.value(xi) <= up.value(xi))

@@ -247,6 +247,38 @@ class TestProfileVerifyCommands:
         assert sidecar["results"]["mode"] == "nonmonotone"
         assert run_cli(["--config", p, "verify", "--profile", out]) == 0
 
+    @pytest.mark.parametrize("mode", [None, "banded"], ids=["missing", "unknown"])
+    def test_verify_requires_a_known_mode(self, profile_run, capsys, tmp_path,
+                                          mode):
+        # the sidecar's mode picks the membership check: without it, or with
+        # a mode no solver writes, verify names the sidecar instead of guessing
+        cfg_path, out, _ = profile_run
+        copy = tmp_path / "old.csv"
+        copy.write_bytes(out.read_bytes())
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        if mode is None:
+            del sidecar["results"]["mode"]
+        else:
+            sidecar["results"]["mode"] = mode
+        copy.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert run_cli(["--config", cfg_path, "verify", "--profile", copy]) == 1
+        err = capsys.readouterr().err
+        assert str(copy.with_suffix(".json")) in err and "mode" in err
+        assert err.count("\n") == 1
+
+    def test_nonmonotone_right_end_is_checked(self, tmp_path, capsys):
+        # a right width of 4 cuts the band short of [k, level]: the closed-form
+        # lower bound is 0 there, so only the end check stops the run, at
+        # right widths 4, 8 and 16
+        text = DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
+        p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\nright_width = 4\n")
+        assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
+                        "profile"]) == 4
+        err = capsys.readouterr().err
+        assert "the right end" in err and "left end" not in err
+        widths = err.strip().rsplit("widths ", 1)[1].split(", ")
+        assert [w.split("/")[1] for w in widths] == ["4", "8", "16"]
+
     def test_sidecar_report_fields(self, profile_run):
         _, out, _ = profile_run
         rep = json.loads(out.with_suffix(".json").read_text())
@@ -390,6 +422,33 @@ class TestEnvelopeCommand:
         out_dir = tmp_path / "envout"  # [output] dir resolves next to the config
         assert (out_dir / "envelopes.csv").exists()
         assert (out_dir / "profile_bounds.csv").exists()
+
+
+    def test_profile_bounds_are_the_solves_sandwich(self, tmp_path,
+                                                    monkeypatch):
+        # envelope writes the bounds the profile solve at the same speed
+        # iterates in: for the nonmonotone birth, the lower solution of its
+        # lower-envelope equation under the upper-envelope exponential
+        text = DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
+        p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\n"
+                      "\n[output]\ndir = envout\n")
+        built, sandwich = [], profile.sandwich
+
+        def recording(*args):
+            built.append(sandwich(*args))
+            return built[-1]
+
+        monkeypatch.setattr(profile, "sandwich", recording)
+        assert run_cli(["--config", p, "--out", tmp_path / "wave.csv",
+                        "profile"]) == 0
+        assert run_cli(["--config", p, "envelope"]) == 0
+        (up, low, pair), = built
+        assert pair.lower.kind == "envelope_lower"
+        cols = reporting.read_csv(tmp_path / "envout" / "profile_bounds.csv")
+        xi = cols["xi"]
+        for col, bound in (("phi_upper", up), ("phi_lower", low)):
+            want = bound.value(xi)
+            assert np.max(np.abs(cols[col] - want)) <= 1e-12 * np.max(want), col
 
 
 SIM_SECTION = """
@@ -614,7 +673,7 @@ class TestMalformedCsv:
             bad.write_text(text.format(x="xi", u="phi"))
             bad.with_suffix(".json").write_text(json.dumps({"results": {
                 "c": 2.0, "beta": 5.0, "phase_shift": 0.0,
-                "residual_sup": 1e-5}}))
+                "residual_sup": 1e-5, "mode": "monotone"}}))
             cfg = write_cfg(tmp_path, DELAYED_MODEL)
             return ["--config", cfg, "verify", "--profile", bad], bad
         if command == "simulate":

@@ -590,20 +590,6 @@ class TestCriticalSolve:
         assert abs(sol.profile.xi[0] + left) < h
 
 
-def test_normalized_front_stays_under_the_exponential_between_nodes():
-    # nodes on exp(lam1 xi), capped: every node is admissible, but the
-    # linear interpolant between two of them lies above the convex
-    # exponential by up to (lam1 h)^2 / 8 of it, and a sub-cell phase shift
-    # evaluates the lower bound there
-    lam1, k, h = 1.3, 1.0, 0.1
-    xi = np.arange(-30.0, 10.0 + 0.5 * h, h)
-    grid = profile.ProfileGrid(xi=xi, values=np.minimum(np.exp(lam1 * xi), k),
-                               left_limit=0.0, right_limit=k)
-    lower = profile._EnvelopeFront(grid, 0.0, lam1, k)
-    x = np.linspace(-29.0, -2.0, 100_001)
-    assert np.all(lower.value(x) <= np.exp(lam1 * x))
-
-
 class TestNonmonotoneSolve:
     def test_band_and_residual(self, ricker3, ricker3_solution):
         sol = ricker3_solution
@@ -618,14 +604,15 @@ class TestNonmonotoneSolve:
 
     def test_f_consistency_uses_the_right_limit_the_iteration_held(
             self, ricker3, ricker3_cstar):
-        # a short right width leaves the last node well below K; the
-        # nonmonotone iteration holds the right limit at that node, so F's
-        # fixed point is measured against it, not against K
+        # a short right width (10, doubled once to 20) leaves the last node
+        # inside the band [k, level] but 6e-4 below K; the nonmonotone
+        # iteration holds the right limit at that node, so F's fixed point is
+        # measured against it, not against K
         sol = profile.solve(ricker3, 1.2 * ricker3_cstar,
-                            profile.SolverConfig(h=0.02, right_width=4.0))
+                            profile.SolverConfig(h=0.02, right_width=10.0))
         v = sol.profile.values
         assert sol.mode == "nonmonotone"
-        assert model.equilibrium(ricker3) - v[-1] > 0.1
+        assert model.equilibrium(ricker3) - v[-1] > 1e-4
         assert sol.profile.right_limit == v[-1]
         own = profile.ProfileGrid(xi=sol.profile.xi, values=v, left_limit=0.0,
                                   right_limit=float(v[-1]))
@@ -667,7 +654,14 @@ class TestNonmonotoneSolve:
         assert sol.mode == "nonmonotone"
         assert sol.residual_sup <= 1e-3
         assert sol.membership.member
-        assert sol.iterations == ref.iterations
+        # the lower bound depends on the gap coefficient L, 3.0091 for the
+        # table (its b''(0) is a finite difference) against 3.0300, so the
+        # iteration counts may differ; the profiles agree on their common grid
+        lo = max(sol.profile.xi[0], ref.profile.xi[0])
+        hi = min(sol.profile.xi[-1], ref.profile.xi[-1])
+        xi = np.linspace(lo, hi, 4001)
+        gap = np.max(np.abs(sol.profile.interp(xi) - ref.profile.interp(xi)))
+        assert gap <= 1e-5
 
     def test_residual_refines(self, ricker3, ricker3_cstar, ricker3_solution):
         fine = profile.solve(
@@ -700,7 +694,8 @@ def test_hypotheses_checked_once_per_solve(ricker2, ricker2_cstar, monkeypatch):
 
 def test_nonmonotone_solve_checks_each_model_once(ricker3, ricker3_cstar,
                                                   monkeypatch):
-    # the model itself, then its lower-envelope model for the aux solve
+    # the model itself, then its lower-envelope model, whose hypotheses make
+    # the closed-form lower bound a lower solution
     calls = _count_calls(monkeypatch, profile, "validate_hypotheses")
     sol = profile.solve(ricker3, 1.3 * ricker3_cstar,
                         profile.SolverConfig(h=0.02))
@@ -714,7 +709,7 @@ def test_monotone_solve_solves_the_decay_roots_once(ricker2, ricker2_cstar,
                                                     ricker3, ricker3_cstar,
                                                     monkeypatch):
     # every decay_roots call, whichever module calls it, builds one RootPair;
-    # the nonmonotone solve hands its roots to the lower-envelope solve
+    # the nonmonotone solve builds both envelope bounds from the same roots
     roots = _count_calls(monkeypatch, dispersion, "RootPair")
     for m, c_star, mode in ((ricker2, ricker2_cstar, "monotone"),
                             (ricker3, ricker3_cstar, "nonmonotone")):
@@ -757,7 +752,8 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
 def test_nonmonotone_solve_hands_its_speed_to_the_lower_envelope(
         ricker3, monkeypatch):
     # the envelopes share b'(0) with the birth, and the lower-envelope model
-    # shares d and the delay, so one threshold speed serves both solves
+    # shares d and the delay, so the model's threshold speed and decay roots
+    # serve its lower-envelope bound: one solve, and no second c* solve
     sr = dispersion.critical_speed(
         dispersion.CharacteristicContext.from_model(ricker3))
     calls, speeds = [], []
@@ -779,4 +775,4 @@ def test_nonmonotone_solve_hands_its_speed_to_the_lower_envelope(
                         speed=sr)
     assert sol.mode == "nonmonotone"
     assert calls == []
-    assert len(speeds) == 2 and all(s is sr for s in speeds)
+    assert len(speeds) == 1 and speeds[0] is sr
