@@ -15,9 +15,12 @@ the total time.  `_resolve_speed` alone decides `profile`/`envelope` speeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -483,14 +486,36 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
     return row
 
 
+def _timed_row(cfg: RunConfig, point: tuple) -> tuple:
+    """(`_sweep_row`'s row, its seconds), timed in the process that ran it."""
+    t0 = time.perf_counter()
+    row = _sweep_row(cfg, *point)
+    return row, time.perf_counter() - t0
+
+
 def cmd_sweep(cfg: RunConfig, args, rep: reporting.Report) -> None:
+    import concurrent.futures
+    import multiprocessing
+
     sec = cfg.section("sweep")
     ps = sec.get("p") or []
     ms = sec.get("m") or []
     Ms = sec.get("M") or []
     if not ps or not ms or not Ms:
         raise ConfigError("sweep needs nonempty p, m, and M lists")
-    rows = [_sweep_row(cfg, p, m, M) for p in ps for m in ms for M in Ms]
+    grid = [(p, m, M) for p in ps for m in ms for M in Ms]
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    workers = min(len(grid), cores)
+    # forked workers start with the parent's modules loaded, where spawned
+    # ones would import numpy and sdwave again (about 0.2 s each), and leave
+    # no server process behind, as forkserver would; map keeps grid order
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        done = list(pool.map(functools.partial(_timed_row, cfg), grid))
+    rows = [row for row, _ in done]
     out_dir = _out_dir(cfg, args)
     path = out_dir / "sweep.csv"
     keys = ("p", "m", "M", "c_star", "measured_speed", "residual_sup")
@@ -498,6 +523,7 @@ def cmd_sweep(cfg: RunConfig, args, rep: reporting.Report) -> None:
                         [[float(r[k]) for r in rows] for k in keys])
     n_fail = sum(1 for r in rows if r["error"])
     rep.results = {"rows": rows, "csv": str(path)}
+    rep.timings.update(rows=[seconds for _, seconds in done], workers=workers)
     _emit(rep, args, [f"swept {len(rows)} rows ({n_fail} failed), wrote {path}"],
           out_dir / "sweep.json")
     if n_fail == len(rows):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -781,6 +782,68 @@ class TestSweepCommand:
     def test_empty_grid_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[sweep]\np = 2.0\nm =\nM = 0.6\n")
         assert run_cli(["--config", p, "sweep"]) == 1
+
+
+POOL_GRID = [(p, m, 0.6) for p in (2.0, 0.5, 2.4) for m in (0.1, 0.3)]
+
+
+@pytest.fixture(scope="module")
+def pooled_sweep(tmp_path_factory):
+    """A 3 x 2 sweep, more rows than workers, whose p = 0.5 rows fail and
+    which leaves no worker behind: (config, sweep.csv bytes, sweep.json
+    report)."""
+    tmp_path = tmp_path_factory.mktemp("pool")
+    text = SWEEP_TEXT.replace("p = 2.0, 2.4", "p = 2.0, 0.5, 2.4")
+    p = write_cfg(tmp_path, text + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert run_cli(["--config", p, "sweep"]) == 0
+    assert multiprocessing.active_children() == []
+    return (config.load_config(p), (tmp_path / "out" / "sweep.csv").read_bytes(),
+            json.loads((tmp_path / "out" / "sweep.json").read_text()))
+
+
+class TestSweepPool:
+    """Sweep rows run in forked worker processes and change no output."""
+
+    def test_rows_and_csv_match_serial_rows(self, pooled_sweep, tmp_path):
+        cfg, csv_bytes, report = pooled_sweep
+        serial = [cli._sweep_row(cfg, *point) for point in POOL_GRID]
+        keys = ("p", "m", "M", "c_star", "measured_speed", "residual_sup")
+        reporting.write_csv(tmp_path / "serial.csv", ",".join(keys),
+                            [[float(r[k]) for r in serial] for k in keys])
+        assert csv_bytes == (tmp_path / "serial.csv").read_bytes()
+        rows = report["results"]["rows"]
+        assert reporting.dumps(rows) == reporting.dumps(serial)
+        assert [(r["p"], r["m"], r["M"]) for r in rows] == POOL_GRID
+        low = "growth at zero must exceed the death rate: b'(0)=0.5 <= d=1.0"
+        assert [r["error"] for r in rows] == ["", "", low, low, "", ""]
+
+    def test_report_times_each_row_and_counts_workers(self, pooled_sweep):
+        _, _, report = pooled_sweep
+        assert set(report["results"]) == {"rows", "csv"}
+        timings = report["timings"]
+        assert set(timings) == {"rows", "workers", "total"}
+        assert len(timings["rows"]) == len(POOL_GRID)
+        assert all(isinstance(s, float) and s >= 0.0 for s in timings["rows"])
+        assert timings["workers"] == min(len(POOL_GRID),
+                                         len(os.sched_getaffinity(0)))
+
+    def test_no_worker_outlives_a_sweep_whose_rows_all_fail(self, tmp_path, capsys):
+        text = SWEEP_TEXT.replace("p = 2.0, 2.4", "p = 0.5")
+        p = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
+        assert run_cli(["--config", p, "sweep"]) == 1
+        assert capsys.readouterr().err == "config error: every sweep row failed\n"
+        assert multiprocessing.active_children() == []
+
+    def test_an_unexpected_row_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        # the workers are forked after the patch, so every row raises it
+        def broken_run(*args, **kwargs):
+            raise RuntimeError("simulator broke")
+
+        monkeypatch.setattr(cli.pdesim, "run", broken_run)
+        p = write_cfg(tmp_path, SWEEP_TEXT + "\n[output]\ndir = out\n")
+        with pytest.raises(RuntimeError, match="simulator broke"):
+            run_cli(["--config", p, "sweep"])
+        assert multiprocessing.active_children() == []
 
 
 def test_readme_example_config_runs(tmp_path, monkeypatch):

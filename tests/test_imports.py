@@ -6,9 +6,10 @@ filter loop of `scipy.signal` and LAPACK's tridiagonal pair of
 profile solve, `simulate` and `compare` on a Ricker model import no scipy
 module at all: none of `scipy.signal`, `scipy.linalg`, `scipy.optimize` or
 `scipy.interpolate`.  Only a tabulated birth imports `scipy.interpolate`.
-The simulator loads none of the profile route's modules.  Every check runs
-in a fresh interpreter, since this test process may already hold the
-modules.
+The simulator loads none of the profile route's modules, and only `sweep`
+loads the process pool (`multiprocessing`, `concurrent.futures`).  Every
+check runs in a fresh interpreter, since this test process may already hold
+the modules.
 """
 import json
 import math
@@ -70,6 +71,16 @@ snapshot_count = 3
 probe_speed_fraction = 0.6
 """
 
+SWEEP_SECTION = """
+[sweep]
+p = 2.0
+m = 0.2
+M = 0.7
+x_max = 40
+nx = 101
+t_end = 8
+"""
+
 
 def run_fresh(code, cwd):
     """Run code in a fresh interpreter with sdwave on its path; its JSON line."""
@@ -83,29 +94,33 @@ def run_fresh(code, cwd):
 
 
 def test_cli_set_up_and_speed_skip_heavy_scipy(tmp_path):
-    (tmp_path / "r2.cfg").write_text(RICKER_CONFIG + SIM_SECTION)
+    # nor does any command but sweep load the process pool's modules
+    (tmp_path / "r2.cfg").write_text(
+        RICKER_CONFIG + SIM_SECTION + SWEEP_SECTION)
     code = f"""
 import contextlib, io, json, sys
 import sdwave.cli
 from sdwave.config import build_model, load_config
-scipy = lambda: sorted(m for m in sys.modules
-                       if m == "scipy" or m.startswith("scipy."))
+loaded = lambda: sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy.")
+                        or m in ("multiprocessing", "concurrent.futures"))
 model = build_model(load_config("r2.cfg"))
-out = {{"setup": scipy()}}
+out = {{"setup": loaded()}}
 for command, args in (("speed", []), ("profile", []),
                       ("simulate", ["--out-dir", "sim"]),
-                      ("compare", ["--out-dir", "cmp"])):
+                      ("compare", ["--out-dir", "cmp"]), ("sweep", [])):
     with contextlib.redirect_stdout(io.StringIO()):
         out[command + "_code"] = sdwave.cli.main(
             ["--config", "r2.cfg", command, *args])
-    out[command] = scipy()
+    out[command] = loaded()
 print(json.dumps(out))
 """
     got = run_fresh(code, tmp_path)
     assert got == {"setup": [], "speed_code": 0, "speed": [],
                    "profile_code": 0, "profile": [],
                    "simulate_code": 0, "simulate": [],
-                   "compare_code": 0, "compare": []}
+                   "compare_code": 0, "compare": [], "sweep_code": 0,
+                   "sweep": ["concurrent.futures", "multiprocessing"]}
 
 
 def test_lazy_imports_load_at_first_use(tmp_path):
