@@ -40,9 +40,8 @@ EXIT_NONCONV = 4
 
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
-    kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping",
-                                        "phase_level", "h", "left_width",
-                                        "right_width")
+    kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping", "h",
+                                        "left_width", "right_width")
               if key in sec}
     try:
         return profile.SolverConfig(**kwargs)
@@ -58,6 +57,14 @@ def _checked_speed(c, source: str, ctx) -> float:
         raise ConfigError(f"{source} must be a finite positive speed of at most "
                           f"{top:.4g}, not {c!r}")
     return c
+
+
+def _checked_size(n: int, least: int, where: str) -> int:
+    """A grid size from the config, checked before anything is allocated."""
+    if not least <= n <= profile.MAX_GRID_POINTS:
+        raise ConfigError(f"{where} must lie in [{least}, "
+                          f"{profile.MAX_GRID_POINTS:,}], not {n}")
+    return n
 
 
 def _resolve_speed(cfg: RunConfig, model, explicit_c=None, critical=False):
@@ -261,6 +268,7 @@ def _sim_config_from(cfg: RunConfig, section: str,
     sec = cfg.section(section)
     x_min, x_max, nx, t_end = (cfg.require(section, key)
                                for key in ("x_min", "x_max", "nx", "t_end"))
+    _checked_size(nx, 8, f"[{section}] nx")
 
     kind = sec.get("initial.kind", "step")
     if kind == "step":
@@ -303,18 +311,16 @@ def _sim_config_from(cfg: RunConfig, section: str,
             raise ConfigError("history.kind = translate requires history.speed")
     else:
         raise ConfigError(f"unknown history.kind {hkind!r}")
-    n_snap = sec.get("snapshot_count", 41)
-    if n_snap < 2:
-        raise ConfigError(f"[{section}] snapshot_count must be >= 2, not {n_snap}")
+    # times round to steps, so no run needs more than one snapshot a step
+    n_snap = _checked_size(sec.get("snapshot_count", 41), 2,
+                           f"[{section}] snapshot_count")
     return pdesim.SimConfig(
         x_min=x_min, x_max=x_max, nx=nx, t_end=t_end, dt=sec.get("dt"),
         boundary=sec.get("boundary", "neumann"),
         dirichlet=(sec.get("dirichlet_left", 0.0), sec.get("dirichlet_right", 0.0)),
         initial=initial, history_speed=history_speed,
         snapshot_times=list(np.linspace(0.0, t_end, n_snap)),
-        store_every=sec.get("store_every", 1),
-        track_every=sec.get("track_every", 1),
-        level=sec.get("level"), front_level=sec.get("front_level"))
+        front_level=sec.get("front_level"))
 
 
 def _persist_run(record: pdesim.RunRecord, out_dir: Path) -> dict:
@@ -503,6 +509,8 @@ def cmd_sweep(cfg: RunConfig, args, rep: reporting.Report) -> None:
     Ms = sec.get("M") or []
     if not ps or not ms or not Ms:
         raise ConfigError("sweep needs nonempty p, m, and M lists")
+    if "nx" in sec:
+        _checked_size(sec["nx"], 8, "[sweep] nx")
     grid = [(p, m, M) for p in ps for m in ms for M in Ms]
     try:
         cores = len(os.sched_getaffinity(0))

@@ -38,15 +38,13 @@ SCHEMA = {
     },
     "profile": {
         "c": "f", "critical": "b", "c_factor": "f", "h": "f", "tol": "f",
-        "max_iters": "i", "damping": "f", "phase_level": "f",
-        "left_width": "f", "right_width": "f",
+        "max_iters": "i", "damping": "f", "left_width": "f", "right_width": "f",
     },
     "pde": {
         "x_min": "f", "x_max": "f", "nx": "i", "t_end": "f", "dt": "f",
         "boundary": "s", "dirichlet_left": "f", "dirichlet_right": "f",
         **INITIAL_DATUM, "history.kind": "s", "history.speed": "f",
-        "snapshot_count": "i", "store_every": "i", "track_every": "i",
-        "front_level": "f", "level": "f",
+        "snapshot_count": "i", "front_level": "f",
     },
     "comparison": {
         "D1": "f", "D2": "f", "D3": "f", "m": "f",

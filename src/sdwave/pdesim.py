@@ -63,9 +63,6 @@ class SimConfig:
     boundary: str = "neumann"                  # or "dirichlet"
     dirichlet: tuple = (0.0, 0.0)
     history_speed: float = 0.0                 # u(x, s < 0) = u(x + speed s, 0)
-    store_every: int = 1
-    track_every: int = 1
-    level: Optional[float] = None
     front_level: Optional[float] = None
 
     def validate(self, m: float, reaction_scale: float) -> float:
@@ -90,10 +87,6 @@ class SimConfig:
                 f"dt={dt:g} exceeds the reaction stability budget {budget:g}")
         if m > 0 and dt > m * (1 + 1e-12):
             raise ModelInvalidError(f"dt={dt:g} exceeds the shortest lag {m:g}")
-        if self.store_every < 1:
-            raise ModelInvalidError("store_every must be >= 1")
-        if self.track_every < 1:
-            raise ModelInvalidError("track_every must be >= 1")
         return dt
 
 
@@ -121,7 +114,7 @@ class RunRecord:
 class HistoryBuffer:
     """Ring of (t, snapshot) pairs spanning at least [t - window, t].
 
-    Snapshots are stored every `store_every` steps, so spacing is uniform;
+    A snapshot is stored every step, so spacing is uniform;
     lookups interpolate linearly in time at fixed x.  Times ahead of the
     newest snapshot fall back to it (counted as warnings); times before the
     first snapshot are the caller's history function's job.
@@ -239,11 +232,11 @@ class _BaseSim:
         # factored (and LAPACK loaded) before the ring is allocated:
         # the other order peaks about 1% higher in resident memory
         self._setup_matrix()
-        window = max_lag + 2.0 * self.dt + 2.0 * self.dt * config.store_every
-        self.buffer = HistoryBuffer(config.nx, self.dt * config.store_every,
-                                    window)
+        # the lag, 2 dt of lookup slack and two ring spacings of dt, summed
+        # in this order: max_lag + 4.0 * dt can round to another cutoff
+        window = max_lag + 2.0 * self.dt + 2.0 * self.dt
+        self.buffer = HistoryBuffer(config.nx, self.dt, window)
         self.buffer.append(0.0, self.u)
-        self._steps_done = 0
         # the history at s < 0: the datum translated by speed * s, held at its
         # end values beyond the grid; a step replaces self.u rather than
         # writing into it, so u0 stays the datum
@@ -296,7 +289,6 @@ class _BaseSim:
             rhs[0], rhs[-1] = self.config.dirichlet
         self.u = kernels.solve_tridiagonal(*self._factors, rhs)
         self.t += self.dt
-        self._steps_done += 1
         self._post_step()
         # one max/min pair gives sup|u| and both band excesses exactly:
         # rounding is monotone, so max(u - level) == max(u) - level
@@ -307,9 +299,8 @@ class _BaseSim:
                 f"instability detected at t={self.t:.6g}: sup|u|={sup:.3g} "
                 f"exceeds 10x level {self.level:.3g}")
         self.band_violation = max(self.band_violation, hi - self.level, -lo)
-        if self._steps_done % self.config.store_every == 0:
-            self.buffer.evict(self.t + self.dt)
-            self.buffer.append(self.t, self.u)
+        self.buffer.evict(self.t + self.dt)
+        self.buffer.append(self.t, self.u)
 
     def run(self) -> RunRecord:
         cfg = self.config
@@ -324,11 +315,10 @@ class _BaseSim:
             if step_no in pending:
                 times.append(self.t)
                 snaps.append(self.u.copy())
-            if step_no % cfg.track_every == 0:
-                pos = front_position(self.x, self.u, front_level)
-                if pos is not None:
-                    track_t.append(self.t)
-                    track_x.append(pos)
+            pos = front_position(self.x, self.u, front_level)
+            if pos is not None:
+                track_t.append(self.t)
+                track_x.append(pos)
 
         record(0)
         for k in range(1, n_steps + 1):
@@ -353,8 +343,7 @@ class DelaySim(_BaseSim):
         scale = max(model.d, model.birth.derivative_at_zero)
         super().__init__(config, m_lag=model.delay.m, max_lag=model.delay.M,
                          reaction_scale=scale)
-        self.level = config.level if config.level is not None else max(
-            peak / model.d, peak, float(np.max(self.u)))
+        self.level = max(peak / model.d, peak, float(np.max(self.u)))
 
     def reaction(self) -> np.ndarray:
         td = self.t - self.model.delay.tau(self.u)

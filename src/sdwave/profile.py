@@ -28,7 +28,7 @@ from . import _kernels as kernels
 from .bounds import sandwich
 from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
                          choose_beta, critical_speed, decay_roots)
-from .errors import ModelInvalidError, NonconvergenceError, NoRootsError
+from .errors import ConfigError, ModelInvalidError, NonconvergenceError, NoRootsError
 from .model import (MONOTONE_SET, RELAXED_SET, SHARED_SET, HypothesisReport,
                     ModelSpec, _bisect_root, equilibrium, lag_factor,
                     validate_hypotheses)
@@ -37,6 +37,7 @@ NEAR_CRITICAL_OFFSET = 1e-6
 BOUNDARY_FRACTION = 1e-3     # required decay of the profile at the grid ends
 ANCHOR_DEAD_ZONE = 0.75      # cells; hysteresis against one-cell flapping
 ANDERSON_DEPTH = 5           # mixed differences kept in the whole-cell phase
+MAX_GRID_POINTS = 10**6      # the most points a config may ask of any grid
 
 
 @dataclass
@@ -62,7 +63,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 10_000
     damping: float = 1.0
-    phase_level: Optional[float] = None
     h: Optional[float] = None
     left_width: Optional[float] = None
     right_width: Optional[float] = None
@@ -72,6 +72,8 @@ class SolverConfig:
             raise ModelInvalidError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ModelInvalidError("damping must lie in (0, 1]")
+        if self.max_iters < 1:
+            raise ModelInvalidError("max_iters must be at least 1")
 
 
 @dataclass
@@ -222,8 +224,11 @@ def _grid_geometry(config: SolverConfig, lam1: float, lam2: float,
 
 
 def _make_xi(h: float, left: float, right: float) -> np.ndarray:
-    n = int(round((left + right) / h)) + 1
-    return -left + h * np.arange(n)
+    cells = (left + right) / h if h > 0.0 else -1.0
+    if not 8 <= cells + 1 <= MAX_GRID_POINTS:      # checked before allocating
+        raise ConfigError(f"[profile] h = {h:g} gives {cells + 1:.4g} grid points on "
+                          f"widths {left:g}/{right:g}, not 8 to {MAX_GRID_POINTS:,}")
+    return -left + h * np.arange(int(round(cells)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +549,6 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         note = (note + "; " if note else "") + "sandwiched between birth-envelope bounds"
     rate = _approach_rate(lower_model, c, pair.k)
     rates = choose_beta(c, model, range_end=pair.level, speed=speed)
-    if config.phase_level is not None:
-        anchor = config.phase_level
     h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
     widths = []
     while True:

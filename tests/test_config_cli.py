@@ -44,16 +44,22 @@ def run_cli(args):
 
 
 class TestConfigParsing:
-    # the last four were options of the dispersion and profile layers;
-    # a config that still sets one fails like any other unknown key
+    # all but the first were options of the dispersion, profile and
+    # simulator layers; a config that still sets one fails like any other
+    # unknown key
     @pytest.mark.parametrize("extra,key", [
         ("typo_key = 3\n", "typo_key"),
         ("[dispersion]\nexponent = lambda_m\n", "exponent"),
         ("[dispersion]\ntol = 1e-12\n", "tol"),
         ("[profile]\nbeta = 5\n", "beta"),
         ("[profile]\nmode = auto\n", "mode"),
+        ("[profile]\nphase_level = 0.3\n", "phase_level"),
+        ("[pde]\nstore_every = 3\n", "store_every"),
+        ("[pde]\ntrack_every = 2\n", "track_every"),
+        ("[pde]\nlevel = 1.0\n", "level"),
     ], ids=["typo_key", "dispersion.exponent", "dispersion.tol", "profile.beta",
-            "profile.mode"])
+            "profile.mode", "profile.phase_level", "pde.store_every",
+            "pde.track_every", "pde.level"])
     def test_unknown_key_rejected(self, tmp_path, extra, key):
         p = write_cfg(tmp_path, BASE_MODEL + extra)
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -67,9 +73,8 @@ class TestConfigParsing:
         keys = set(config.SCHEMA["profile"]) - {"c", "critical", "c_factor"}
         fields = {f.name for f in dataclasses.fields(profile.SolverConfig)}
         assert fields == keys
-        values = {"tol": 1e-9, "max_iters": 123, "damping": 0.5,
-                  "phase_level": 0.3, "h": 0.05, "left_width": 30.0,
-                  "right_width": 40.0}
+        values = {"tol": 1e-9, "max_iters": 123, "damping": 0.5, "h": 0.05,
+                  "left_width": 30.0, "right_width": 40.0}
         text = BASE_MODEL + "[profile]\n" + "".join(
             f"{key} = {value!r}\n" for key, value in values.items())
         sc = cli._solver_config(config.load_config(write_cfg(tmp_path, text)))
@@ -512,8 +517,6 @@ class TestSimulateCommands:
         assert rep["results"]["samples"] >= 10
 
     @pytest.mark.parametrize("command, key, value, code", [
-        ("simulate", "track_every", 0, 2),
-        ("simulate", "track_every", -1, 2),
         ("simulate", "snapshot_count", 0, 1),
         ("simulate", "snapshot_count", -3, 1),
         ("simulate", "snapshot_count", 1, 1),
@@ -844,6 +847,71 @@ class TestSweepPool:
         with pytest.raises(RuntimeError, match="simulator broke"):
             run_cli(["--config", p, "sweep"])
         assert multiprocessing.active_children() == []
+
+
+def set_key(text, section, key, value):
+    """`text` with `key = value` as the only `key` of `[section]`."""
+    lines, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line.strip()[1:-1]
+        if not (current == section and line.startswith(f"{key} =")):
+            lines.append(line)
+        if line.strip() == f"[{section}]":
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGridSizes:
+    """A grid size from the config is checked before anything is allocated.
+
+    Without the check each of these values ends in a traceback: from numpy,
+    "array is too big" for the two counts and an allocation of 1.46 EiB for
+    h = 1e-15, and a division by zero or an empty grid for h <= 0.
+    """
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("simulate", "pde", "nx", 4611686018427387904),
+        ("simulate", "pde", "snapshot_count", 4611686018427387904),
+        ("compare", "comparison", "nx", 4611686018427387904),
+        ("compare", "comparison", "snapshot_count", 4611686018427387904),
+        ("sweep", "sweep", "nx", 4611686018427387904),
+        ("profile", "profile", "h", 1e-15),
+        ("profile", "profile", "h", 0),
+        ("profile", "profile", "h", -0.01),
+    ])
+    def test_out_of_range_size_exits_1_naming_the_key(self, tmp_path, capsys,
+                                                      command, section, key,
+                                                      value):
+        text = {"simulate": DELAYED_MODEL + SIM_SECTION,
+                "compare": BASE_MODEL + COMPARISON_SECTION,
+                "sweep": SWEEP_TEXT,
+                "profile": DELAYED_MODEL + "[profile]\nh = 0.02\n"}[command]
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, set_key(text, section, key, value)
+                      + f"[output]\ndir = {out}\n")
+        assert run_cli(["--config", p, command]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"[{section}] {key}" in err
+        assert "1,000,000" in err
+        assert not out.exists()
+
+    def test_the_profile_grid_is_checked_after_a_domain_doubling(
+            self, ricker3, ricker3_cstar, monkeypatch):
+        # right width 4 misses the band, so the solve doubles it to 8: a
+        # bound between the two grids' 2,974 and 3,174 points stops it there
+        monkeypatch.setattr(profile, "MAX_GRID_POINTS", 3100)
+        with pytest.raises(ConfigError, match=r"\[profile\] h = 0.02 gives 3174 "
+                                              r"grid points on widths [\d.]+/8, "
+                                              r"not 8 to 3,100"):
+            profile.solve(ricker3, 1.2 * ricker3_cstar,
+                          profile.SolverConfig(h=0.02, right_width=4.0))
+
+    def test_max_iters_below_1_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, DELAYED_MODEL + "[profile]\nmax_iters = 0\n")
+        assert run_cli(["--config", p, "--out", tmp_path / "p.csv", "profile"]) == 2
+        assert capsys.readouterr().err == (
+            "model error: [profile] max_iters must be at least 1\n")
 
 
 def test_readme_example_config_runs(tmp_path, monkeypatch):

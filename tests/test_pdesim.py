@@ -335,19 +335,6 @@ class TestComparisonSystem:
 
 
 class TestHistoryBuffer:
-    def test_granularity_insensitivity(self, ricker2):
-        K = model.equilibrium(ricker2)
-        outs = {}
-        for se in (1, 4):
-            cfg = pdesim.SimConfig(x_min=-30.0, x_max=50.0, nx=401, t_end=5.0,
-                                   dt=0.01, initial=step_datum(0.0, 0.0, K),
-                                   snapshot_times=[], store_every=se)
-            sim = pdesim.DelaySim(ricker2, cfg)
-            for _ in range(int(round(5.0 / sim.dt))):
-                sim.step()
-            outs[se] = sim.u
-        assert np.max(np.abs(outs[1] - outs[4])) < 1e-4
-
     def test_eviction_keeps_window(self, ricker2):
         cfg = small_config(t_end=3.0, initial=step_datum(0.0, 0.0, 0.5), dt=0.05)
         sim = pdesim.DelaySim(ricker2, cfg)

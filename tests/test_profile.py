@@ -622,22 +622,27 @@ class TestNonmonotoneSolve:
 
     def test_monotone_birth_reduces_to_monotone_solver(self, ricker2,
                                                        ricker2_ctx):
-        # both routes converge toward the same fixed point; run them deep
+        # both iterations, in one sandwich on one grid and anchored at the
+        # same level K/2, converge toward the same fixed point; run them deep
         # enough that the stopping slack (tol/(1-rho)) sits under 10x the
         # default tolerance
         sr = dispersion.critical_speed(ricker2_ctx)
         c = 1.2 * sr.c_star
         K = model.equilibrium(ricker2)
-        alt = profile._solve(
-            ricker2, c, profile.SolverConfig(h=0.01, damping=0.5, tol=2e-10,
-                                             phase_level=K / 2.0),
-            monotone=False, speed=sr,
-            hypotheses=model.validate_hypotheses(ricker2))
-        ref = profile.solve(ricker2, c, profile.SolverConfig(h=0.01, tol=2e-10),
-                            sr)
-        xi = np.linspace(-25.0, 25.0, 1001)
-        diff = np.max(np.abs(alt.profile.interp(xi) - ref.profile.interp(xi)))
-        assert diff <= 1e-7
+        roots = dispersion.decay_roots(c, ricker2_ctx)
+        upper, lower, pair = bounds.sandwich(ricker2, roots)
+        rates = dispersion.choose_beta(c, ricker2, range_end=pair.level, speed=sr)
+        xi = profile._make_xi(*profile._grid_geometry(
+            profile.SolverConfig(h=0.01), roots.lambda1, roots.lambda2,
+            profile._approach_rate(ricker2, c, pair.k)))
+        runs = {monotone: profile._iterate(
+                    xi, ricker2, rates, upper.value, lower.value, K / 2.0, K,
+                    profile.SolverConfig(tol=2e-10, damping=1.0 if monotone else 0.5),
+                    monotone)
+                for monotone in (False, True)}
+        alt, ref = runs[False], runs[True]
+        assert alt.shift == ref.shift
+        assert np.max(np.abs(alt.values - ref.values)) <= 1e-7
 
     def test_tabulated_birth_solves_like_closed_form(self, ricker3, ricker3_cstar):
         # the same Ricker p=3 birth sampled on a table: its tabulated

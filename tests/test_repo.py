@@ -2,6 +2,7 @@
 import ast
 import importlib.util
 import inspect
+import re
 import shutil
 import subprocess
 import sys
@@ -106,3 +107,20 @@ def test_hypothesis_reports_under_the_warning_filters(tmp_path):
          str(probe)],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_readme_names_every_config_key():
+    # the README's key reference has one row per key (a row may name
+    # several sections and keys) and names no key the schema lacks
+    from sdwave.config import SCHEMA
+
+    text = (ROOT / "README.md").read_text()
+    table = text.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for row in table.splitlines():
+        cells = row.split("|")
+        if len(cells) > 3 and "`" in cells[1]:
+            sections = re.findall(r"`\[(\w+)\]`", cells[1])
+            keys = re.findall(r"`([^`]+)`", cells[2])
+            documented |= {(s, k) for s in sections for k in keys}
+    assert documented == {(s, k) for s in SCHEMA for k in SCHEMA[s]}

@@ -43,14 +43,12 @@ initial.high = equilibrium
 history.kind = frozen
 """),
     # translated history and Dirichlet ends (the left one at the equilibrium
-    # ln 2), with a coarser history ring
+    # ln 2)
     "simulate_dirichlet": ("simulate", DELAYED_MODEL + "[pde]\n" + SMALL_GRID + """\
 dt = 0.01
 boundary = dirichlet
 dirichlet_left = 0.6931471805599453
 dirichlet_right = 0.0
-store_every = 3
-track_every = 2
 initial.kind = step
 initial.location = 5
 initial.high = equilibrium
