@@ -22,13 +22,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import ModelInvalidError, SchemeError, SdwaveError
+from .errors import ConfigError, ModelInvalidError, SchemeError, SdwaveError
 from .model import ModelSpec, birth_peak
 
 COMPARISON_BAND_TOL = 1e-6
 # the largest |u(x, 0)|: it keeps the reaction's products and the squared
 # distances of the front scan finite
 DATUM_CEILING = 0.25 * math.sqrt(np.finfo(float).max)
+# the most values the history ring may hold, rows times nx: 800 MB of
+# floats, the simulator's counterpart of profile.MAX_GRID_POINTS
+MAX_HISTORY_VALUES = 10**8
 
 
 @dataclass
@@ -218,6 +221,17 @@ class _BaseSim:
                  reaction_scale: float):
         self.config = config
         self.dt = config.validate(m_lag, reaction_scale)
+        # the lag, 2 dt of lookup slack and two ring spacings of dt, summed
+        # in this order: max_lag + 4.0 * dt can round to another cutoff
+        window = max_lag + 2.0 * self.dt + 2.0 * self.dt
+        steps = window / self.dt      # the ring's rows are ceil(steps) + 6
+        values = ((math.ceil(steps) + 6) * config.nx
+                  if steps <= MAX_HISTORY_VALUES else math.inf)
+        if values > MAX_HISTORY_VALUES:              # checked before allocating
+            raise ConfigError(
+                f"nx = {config.nx} at dt = {self.dt:g} needs a history ring of "
+                f"{values:.4g} values, more than {MAX_HISTORY_VALUES:,}; "
+                "lower nx or raise dt")
         self.x = np.linspace(config.x_min, config.x_max, config.nx)
         self.dx = float(self.x[1] - self.x[0])
         self.u = u0 = np.asarray(config.initial(self.x), dtype=float)
@@ -232,9 +246,6 @@ class _BaseSim:
         # factored (and LAPACK loaded) before the ring is allocated:
         # the other order peaks about 1% higher in resident memory
         self._setup_matrix()
-        # the lag, 2 dt of lookup slack and two ring spacings of dt, summed
-        # in this order: max_lag + 4.0 * dt can round to another cutoff
-        window = max_lag + 2.0 * self.dt + 2.0 * self.dt
         self.buffer = HistoryBuffer(config.nx, self.dt, window)
         self.buffer.append(0.0, self.u)
         # the history at s < 0: the datum translated by speed * s, held at its

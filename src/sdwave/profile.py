@@ -208,7 +208,7 @@ def _approach_rate(model: ModelSpec, c: float, state: float) -> float:
 
 
 def _grid_geometry(config: SolverConfig, lam1: float, lam2: float,
-                   rate: float) -> tuple:
+                   rate: float, monotone: bool) -> tuple:
     h = config.h if config.h is not None else 0.01 * min(1.0, 1.0 / lam2)
     gap = lam2 - lam1
     if config.left_width is not None:
@@ -219,7 +219,11 @@ def _grid_geometry(config: SolverConfig, lam1: float, lam2: float,
     if config.right_width is not None:
         right = config.right_width
     else:
-        right = min(max(40.0 / rate, 20.0), 400.0)
+        # a monotone front approaches K as exp(-rate xi), so 20/rate leaves a
+        # tail of exp(-20) K, below tol; a nonmonotone solve keeps 40/rate
+        # until perfbench's band oracle, which reads the grid's right half,
+        # reads a fixed xi window instead
+        right = min(max((20.0 if monotone else 40.0) / rate, 20.0), 400.0)
     return float(h), float(left), float(right)
 
 
@@ -549,7 +553,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         note = (note + "; " if note else "") + "sandwiched between birth-envelope bounds"
     rate = _approach_rate(lower_model, c, pair.k)
     rates = choose_beta(c, model, range_end=pair.level, speed=speed)
-    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate)
+    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate,
+                                    monotone)
     widths = []
     while True:
         xi = _make_xi(h, left, right)

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -894,6 +895,33 @@ class TestGridSizes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"[{section}] {key}" in err
         assert "1,000,000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", DELAYED_MODEL + SIM_SECTION),
+        # the comparison ring spans the lag m, which the section sets to 0
+        ("compare", BASE_MODEL + set_key(COMPARISON_SECTION, "comparison",
+                                         "m", 0.5)),
+    ])
+    def test_oversized_history_ring_exits_1_naming_nx_and_dt(
+            self, tmp_path, capsys, command, text):
+        # nx = 900,000 is inside the grid bound, but at the default dt = dx^2
+        # the ring would hold about 1e14 values; the check comes before any
+        # grid-length array, so the run allocates less than one of them
+        section = "pde" if command == "simulate" else "comparison"
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, set_key(text, section, "nx", 900_000)
+                      + f"[output]\ndir = {out}\n")
+        tracemalloc.start()
+        try:
+            assert run_cli(["--config", p, command]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "nx = 900000 at dt = " in err and "100,000,000" in err
+        assert peak < 8 * 900_000
         assert not out.exists()
 
     def test_the_profile_grid_is_checked_after_a_domain_doubling(

@@ -326,6 +326,53 @@ class TestApproachRate:
             assert rate == pytest.approx(self.closed_form(c), rel=1e-14)
 
 
+class TestRightWidth:
+    """A monotone grid ends 20/rate right of its anchor, a nonmonotone one
+    40/rate, where rate is the approach rate to the right-end state."""
+
+    @pytest.mark.parametrize("factor", [1.2, 2.0])
+    def test_monotone_cut_leaves_the_wave_unchanged(self, ricker2, ricker2_speed,
+                                                    factor):
+        c = factor * ricker2_speed.c_star
+        K = model.equilibrium(ricker2)
+        right = 20.0 / profile._approach_rate(ricker2, c, K)
+        assert 20.0 < right < 200.0                 # neither floor nor cap
+        cut, wide = (profile.solve(ricker2, c,
+                                   profile.SolverConfig(h=0.02, right_width=width),
+                                   speed=ricker2_speed)
+                     for width in (None, 2.0 * right))
+        assert wide.profile.xi.size - cut.profile.xi.size == round(right / 0.02)
+        assert cut.iterations == wide.iterations
+        assert cut.residual_sup == pytest.approx(wide.residual_sup, rel=1e-3)
+        assert cut.f_consistency == pytest.approx(wide.f_consistency, rel=1e-3)
+        # both are relabelled so the anchor crossing sits at 0.  On the front
+        # the profiles agree to rounding (1.4e-13 at 1.2 c*); at the cut
+        # grid's right end they differ by the tail it holds at K, which is
+        # K exp(-20) at most (3.1e-10 at 1.2 c*)
+        xi, v = cut.profile.xi, cut.profile.values
+        gap = np.abs(wide.profile.interp(xi) - v)
+        assert np.max(gap[(xi >= -8.0) & (xi <= 12.0)]) <= 1e-10
+        assert np.max(gap) <= K * math.exp(-20.0)
+
+    def test_nonmonotone_solve_keeps_40_over_rate(self, ricker3, ricker3_cstar):
+        # perfbench's band oracle (`Profiles.check`) reads the nonmonotone
+        # profile on the grid's right half, xi >= (xi[0] + xi[-1]) / 2; at
+        # 20/rate that midpoint falls on the front and the oracle fails
+        c = 1.2 * ricker3_cstar
+        config = profile.SolverConfig(h=0.02)
+        sol = profile.solve(ricker3, c, config)
+        assert sol.mode == "nonmonotone"
+        assert "domain doubled" not in sol.note
+        roots = dispersion.decay_roots(
+            c, dispersion.CharacteristicContext.from_model(ricker3))
+        _, _, pair = bounds.sandwich(ricker3, roots)
+        rate = profile._approach_rate(pair.lower_model(ricker3), c, pair.k)
+        _, left, _ = profile._grid_geometry(config, roots.lambda1, roots.lambda2,
+                                            rate, monotone=False)
+        span = sol.profile.xi[-1] - sol.profile.xi[0]
+        assert span == pytest.approx(left + 40.0 / rate, abs=0.02)
+
+
 class TestIterationHelpers:
     """The engine's in-place helpers equal the numpy calls they replace, bit
     for bit."""
@@ -634,7 +681,7 @@ class TestNonmonotoneSolve:
         rates = dispersion.choose_beta(c, ricker2, range_end=pair.level, speed=sr)
         xi = profile._make_xi(*profile._grid_geometry(
             profile.SolverConfig(h=0.01), roots.lambda1, roots.lambda2,
-            profile._approach_rate(ricker2, c, pair.k)))
+            profile._approach_rate(ricker2, c, pair.k), monotone=True))
         runs = {monotone: profile._iterate(
                     xi, ricker2, rates, upper.value, lower.value, K / 2.0, K,
                     profile.SolverConfig(tol=2e-10, damping=1.0 if monotone else 0.5),

@@ -56,9 +56,8 @@ RUNS = {
     "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
                          []),
     # near-critical surrogate: a mixed whole-cell phase, then exact anchoring
-    # from iteration 178 and the 25-iteration extrapolation under the
-    # monotone projection (it fires at 225, 350, 375 and 450): 455
-    # iterations (1,774 unmixed)
+    # from iteration 177 and the 25-iteration extrapolation under the
+    # monotone projection (it fires at 225): 232 iterations (1,774 unmixed)
     "critical": (ricker(2.0) + "[profile]\nh = 0.1\n", ["--critical"]),
 }
 
@@ -135,10 +134,10 @@ def test_profile_outputs_byte_identical(outputs, envelope_digests):
 
 
 def test_report_names_exact_anchoring_iteration(outputs):
-    # the plateau trigger fires after iteration 177 of the near-critical
+    # the plateau trigger fires after iteration 176 of the near-critical
     # solve; it never fires on a nonmonotone solve
     want = {"monotone": None, "nonmonotone": None, "nonmonotone_auto": None,
-            "critical": 178}
+            "critical": 177}
     for label, (_, report, _) in outputs.items():
         results = report["results"]
         assert results["exact_anchor_from"] == want[label], label
