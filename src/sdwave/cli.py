@@ -40,8 +40,7 @@ EXIT_NONCONV = 4
 
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
-    kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping", "h",
-                                        "left_width", "right_width")
+    kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping", "h")
               if key in sec}
     try:
         return profile.SolverConfig(**kwargs)

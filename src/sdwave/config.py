@@ -38,7 +38,7 @@ SCHEMA = {
     },
     "profile": {
         "c": "f", "critical": "b", "c_factor": "f", "h": "f", "tol": "f",
-        "max_iters": "i", "damping": "f", "left_width": "f", "right_width": "f",
+        "max_iters": "i", "damping": "f",
     },
     "pde": {
         "x_min": "f", "x_max": "f", "nx": "i", "t_end": "f", "dt": "f",

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ModelInvalidError, NoRootsError
 from .model import ModelSpec, _bisect_root, _scalar_or_array, lag_factor
 
-ROOT_RESIDUAL_TOL = 1e-12
 # Bound on S = d + b'(0).  The speed bracket ends at 2 sqrt(S) + 1, where
 # lambda_hi is at most 4 sqrt(S) + 1, so lam^2 stays below about 16 S.
 MAX_RATE_SUM = 1e300
@@ -156,23 +155,9 @@ def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
     if char_value(hi, c, ctx) <= 0.0:
         hi *= 2.0
     lam2 = _bisect_root(lambda x: char_value(x, c, ctx), lam_min, hi)
-    lam1 = _newton_polish(lam1, c, ctx)
-    lam2 = _newton_polish(lam2, c, ctx)
     if not (0.0 < lam1 < lam2):
         raise NoRootsError(f"root ordering failed: {lam1}, {lam2}")
     return RootPair(lambda1=lam1, lambda2=lam2, c=c)
-
-
-def _newton_polish(lam: float, c: float, ctx: CharacteristicContext) -> float:
-    for _ in range(100):
-        val = char_value(lam, c, ctx)
-        if abs(val) <= ROOT_RESIDUAL_TOL:
-            break
-        slope = _char_slope(lam, c, ctx)
-        if slope == 0.0:
-            break
-        lam -= val / slope
-    return lam
 
 
 def kernel_rates(c: float, beta: float) -> KernelRates:

@@ -64,8 +64,6 @@ class SolverConfig:
     max_iters: int = 10_000
     damping: float = 1.0
     h: Optional[float] = None
-    left_width: Optional[float] = None
-    right_width: Optional[float] = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -207,32 +205,35 @@ def _approach_rate(model: ModelSpec, c: float, state: float) -> float:
     return -_bisect_root(g, mu0, 0.0)
 
 
-def _grid_geometry(config: SolverConfig, lam1: float, lam2: float,
+def _grid_geometry(h: Optional[float], lam1: float, lam2: float,
                    rate: float, monotone: bool) -> tuple:
-    h = config.h if config.h is not None else 0.01 * min(1.0, 1.0 / lam2)
+    """(h, left, right) of the profile grid, its size checked: h as given or,
+    when None, the default 0.01 min(1, 1/lam2); the widths from the decay
+    rates at either end."""
+    default = h is None
+    h = 0.01 * min(1.0, 1.0 / lam2) if default else h
     gap = lam2 - lam1
-    if config.left_width is not None:
-        left = config.left_width
-    else:
-        left = max(40.0 / lam1, 40.0 / gap, 20.0)
-        left = min(left, max(160.0 / lam1, 120.0))  # near-critical cap
-    if config.right_width is not None:
-        right = config.right_width
-    else:
-        # a monotone front approaches K as exp(-rate xi), so 20/rate leaves a
-        # tail of exp(-20) K, below tol; a nonmonotone solve keeps 40/rate
-        # until perfbench's band oracle, which reads the grid's right half,
-        # reads a fixed xi window instead
-        right = min(max((20.0 if monotone else 40.0) / rate, 20.0), 400.0)
+    left = max(40.0 / lam1, 40.0 / gap, 20.0)
+    left = min(left, max(160.0 / lam1, 120.0))  # near-critical cap
+    # a monotone front approaches K as exp(-rate xi), so 20/rate leaves a
+    # tail of exp(-20) K, below tol; a nonmonotone solve keeps 40/rate
+    # until perfbench's band oracle, which reads the grid's right half,
+    # reads a fixed xi window instead
+    right = min(max((20.0 if monotone else 40.0) / rate, 20.0), 400.0)
+    cells = (left + right) / h if h > 0.0 else -1.0
+    if not 8 <= cells + 1 <= MAX_GRID_POINTS:      # checked before allocating
+        size = (f"gives {cells + 1:.4g} grid points on widths {left:g}/{right:g}, "
+                f"not 8 to {MAX_GRID_POINTS:,}")
+        if default:
+            raise ConfigError(f"the default [profile] h = 0.01 min(1, 1/lambda2) = "
+                              f"{h:g} at lambda2 = {lam2:g} {size}; set [profile] h "
+                              "to a coarser step")
+        raise ConfigError(f"[profile] h = {h:g} {size}")
     return float(h), float(left), float(right)
 
 
 def _make_xi(h: float, left: float, right: float) -> np.ndarray:
-    cells = (left + right) / h if h > 0.0 else -1.0
-    if not 8 <= cells + 1 <= MAX_GRID_POINTS:      # checked before allocating
-        raise ConfigError(f"[profile] h = {h:g} gives {cells + 1:.4g} grid points on "
-                          f"widths {left:g}/{right:g}, not 8 to {MAX_GRID_POINTS:,}")
-    return -left + h * np.arange(int(round(cells)) + 1)
+    return -left + h * np.arange(int(round((left + right) / h)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -553,32 +554,22 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         note = (note + "; " if note else "") + "sandwiched between birth-envelope bounds"
     rate = _approach_rate(lower_model, c, pair.k)
     rates = choose_beta(c, model, range_end=pair.level, speed=speed)
-    h, left, right = _grid_geometry(config, roots.lambda1, roots.lambda2, rate,
-                                    monotone)
-    widths = []
-    while True:
-        xi = _make_xi(h, left, right)
-        res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
-                       config, monotone)
-        widths.append(f"{left:g}/{right:g}")
-        # the right end's distance to [k, level]: |v - K| when k = level = K
-        left_ok = abs(res.values[0]) <= BOUNDARY_FRACTION * K
-        right_ok = (max(pair.k - res.values[-1], res.values[-1] - pair.level)
-                    <= BOUNDARY_FRACTION * K)
-        if left_ok and right_ok:
-            break
-        if len(widths) == 3:
-            ends = [end for end, ok in (("left", left_ok), ("right", right_ok))
-                    if not ok]
-            raise NonconvergenceError(
-                f"the {' and '.join(ends)} end of the profile misses its limit "
-                f"by more than {BOUNDARY_FRACTION:g} K at left/right widths "
-                f"{', '.join(widths)}", trace=res.trace)
-        if not left_ok:
-            left *= 2.0
-        if not right_ok:
-            right *= 2.0
-        note = (note + "; " if note else "") + "domain doubled after boundary check"
+    h, left, right = _grid_geometry(config.h, roots.lambda1, roots.lambda2,
+                                    rate, monotone)
+    xi = _make_xi(h, left, right)
+    res = _iterate(xi, model, rates, upper.value, lower.value, anchor, K,
+                   config, monotone)
+    # the right end's distance to [k, level]: |v - K| when k = level = K;
+    # a NaN distance misses too
+    ends = [end for end, miss in (
+        ("left", abs(res.values[0])),
+        ("right", max(pair.k - res.values[-1], res.values[-1] - pair.level)))
+        if not miss <= BOUNDARY_FRACTION * K]
+    if ends:
+        raise NonconvergenceError(
+            f"the {' and '.join(ends)} end of the profile misses its limit by "
+            f"more than {BOUNDARY_FRACTION:g} K at left/right widths "
+            f"{left:g}/{right:g}", trace=res.trace)
 
     # relabel so the anchor crossing sits exactly at 0, then certify
     v, shift = res.values, res.shift
@@ -619,8 +610,7 @@ def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
     `speed` is the model's threshold speed, if the caller already has it.
     Near the threshold, c <= near_critical_speed, the leading-edge decay
     degenerates: the tolerance is tightened and the budget doubled.  The
-    grid is the one any speed gets: the capped default left width, or
-    `left_width` as given.
+    grid is the one any speed gets, with the capped left width.
     """
     config = config or SolverConfig()
     if speed is None:

@@ -62,6 +62,21 @@ def ricker3_solution(ricker3, ricker3_cstar):
     return profile.solve(ricker3, 1.2 * ricker3_cstar, cfg)
 
 
+GRID_GEOMETRY = profile._grid_geometry
+
+
+def widths(monkeypatch, left=None, right=None):
+    """Substitute the profile grid's left and/or right width: the solver's
+    own geometry with only the widths given replaced, h and the size check
+    as it computes them.  A later call replaces an earlier one."""
+    def geometry(*args, **kwargs):
+        h, own_left, own_right = GRID_GEOMETRY(*args, **kwargs)
+        return (h, own_left if left is None else float(left),
+                own_right if right is None else float(right))
+
+    monkeypatch.setattr(profile, "_grid_geometry", geometry)
+
+
 def closed_form_bounds(c, m, level=None):
     """(upper, lower): the closed-form sandwich of model m at speed c, built
     as the solvers build it from one decay-root solve; the upper bound's

@@ -39,9 +39,8 @@ def p2_setup(ricker2, ricker2_speed):
     up = bounds.UpperSolution(roots.lambda1, K)
     low = bounds.build_lower(roots, ricker2)
     rate = profile._approach_rate(ricker2, c, K)
-    h, left, right = profile._grid_geometry(profile.SolverConfig(h=0.01),
-                                            roots.lambda1, roots.lambda2, rate,
-                                            monotone=True)
+    h, left, right = profile._grid_geometry(0.01, roots.lambda1, roots.lambda2,
+                                            rate, monotone=True)
     xi = profile._make_xi(h, left, right)
     return dict(model=ricker2, c=c, K=K, rates=rates, up=up, low=low, xi=xi, h=h)
 

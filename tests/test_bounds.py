@@ -77,8 +77,7 @@ class TestLowerValueBitwise:
         low = bounds.build_lower(roots, ricker2)
         rate = profile._approach_rate(ricker2, c, model.equilibrium(ricker2))
         h, left, right = profile._grid_geometry(
-            profile.SolverConfig(h=0.02), roots.lambda1, roots.lambda2, rate,
-            monotone=True)
+            0.02, roots.lambda1, roots.lambda2, rate, monotone=True)
         xi = profile._make_xi(h, left, right)   # as solve at the surrogate
         assert low.xi0 < xi[0]
         got = low.value(xi)

@@ -13,6 +13,7 @@ import pytest
 
 from sdwave import cli, config, dispersion, model, profile, reporting
 from sdwave.errors import ConfigError
+from conftest import widths
 
 BASE_MODEL = """\
 [model]
@@ -58,9 +59,12 @@ class TestConfigParsing:
         ("[pde]\nstore_every = 3\n", "store_every"),
         ("[pde]\ntrack_every = 2\n", "track_every"),
         ("[pde]\nlevel = 1.0\n", "level"),
+        ("[profile]\nleft_width = 30\n", "left_width"),
+        ("[profile]\nright_width = 40\n", "right_width"),
     ], ids=["typo_key", "dispersion.exponent", "dispersion.tol", "profile.beta",
             "profile.mode", "profile.phase_level", "pde.store_every",
-            "pde.track_every", "pde.level"])
+            "pde.track_every", "pde.level", "profile.left_width",
+            "profile.right_width"])
     def test_unknown_key_rejected(self, tmp_path, extra, key):
         p = write_cfg(tmp_path, BASE_MODEL + extra)
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -74,8 +78,7 @@ class TestConfigParsing:
         keys = set(config.SCHEMA["profile"]) - {"c", "critical", "c_factor"}
         fields = {f.name for f in dataclasses.fields(profile.SolverConfig)}
         assert fields == keys
-        values = {"tol": 1e-9, "max_iters": 123, "damping": 0.5, "h": 0.05,
-                  "left_width": 30.0, "right_width": 40.0}
+        values = {"tol": 1e-9, "max_iters": 123, "damping": 0.5, "h": 0.05}
         text = BASE_MODEL + "[profile]\n" + "".join(
             f"{key} = {value!r}\n" for key, value in values.items())
         sc = cli._solver_config(config.load_config(write_cfg(tmp_path, text)))
@@ -273,18 +276,19 @@ class TestProfileVerifyCommands:
         assert str(copy.with_suffix(".json")) in err and "mode" in err
         assert err.count("\n") == 1
 
-    def test_nonmonotone_right_end_is_checked(self, tmp_path, capsys):
+    def test_nonmonotone_right_end_is_checked(self, tmp_path, capsys,
+                                              monkeypatch):
         # a right width of 4 cuts the band short of [k, level]: the closed-form
-        # lower bound is 0 there, so only the end check stops the run, at
-        # right widths 4, 8 and 16
+        # lower bound is 0 there, so only the end check stops the run
+        widths(monkeypatch, right=4.0)
         text = DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
-        p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\nright_width = 4\n")
+        p = write_cfg(tmp_path, text + "\n[profile]\nh = 0.02\n")
         assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
                         "profile"]) == 4
         err = capsys.readouterr().err
         assert "the right end" in err and "left end" not in err
-        widths = err.strip().rsplit("widths ", 1)[1].split(", ")
-        assert [w.split("/")[1] for w in widths] == ["4", "8", "16"]
+        pair = err.strip().rsplit("widths ", 1)[1]
+        assert "," not in pair and pair.split("/")[1] == "4"
 
     def test_sidecar_report_fields(self, profile_run):
         _, out, _ = profile_run
@@ -924,16 +928,21 @@ class TestGridSizes:
         assert peak < 8 * 900_000
         assert not out.exists()
 
-    def test_the_profile_grid_is_checked_after_a_domain_doubling(
-            self, ricker3, ricker3_cstar, monkeypatch):
-        # right width 4 misses the band, so the solve doubles it to 8: a
-        # bound between the two grids' 2,974 and 3,174 points stops it there
-        monkeypatch.setattr(profile, "MAX_GRID_POINTS", 3100)
-        with pytest.raises(ConfigError, match=r"\[profile\] h = 0.02 gives 3174 "
-                                              r"grid points on widths [\d.]+/8, "
-                                              r"not 8 to 3,100"):
-            profile.solve(ricker3, 1.2 * ricker3_cstar,
-                          profile.SolverConfig(h=0.02, right_width=4.0))
+    def test_a_default_h_too_fine_is_named_as_the_default(self, tmp_path,
+                                                           capsys):
+        # at ten times c* the default h = 0.01 min(1, 1/lambda2) is 6.7e-4
+        # while the left width is 813: the message says the step is the
+        # default, from which lambda2, and which key sets it
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, DELAYED_MODEL + "[profile]\nc_factor = 10\n"
+                      + f"[output]\ndir = {out}\n")
+        assert run_cli(["--config", p, "profile"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1,000,000" in err
+        assert ("the default [profile] h = 0.01 min(1, 1/lambda2) = 0.00067044 "
+                "at lambda2 = 14.9156 gives 1.809e+06 grid points") in err
+        assert err.strip().endswith("; set [profile] h to a coarser step")
+        assert not out.exists()
 
     def test_max_iters_below_1_exits_2(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + "[profile]\nmax_iters = 0\n")

@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from sdwave import bounds, dispersion, model, profile
 from sdwave.errors import ModelInvalidError, NonconvergenceError, NoRootsError
-from conftest import closed_form_bounds
+from conftest import closed_form_bounds, widths
 
 
 def make_grid(xi_lo, xi_hi, h, fn, left, right):
@@ -177,7 +177,7 @@ class TestMonotoneSolve:
                             dispersion.kernel_rates(sol.c, sol.beta))
         assert np.max(np.abs(F - sol.profile.values)) <= 2e-8
 
-    def test_translation_covariance(self, ricker2, ricker2_cstar):
+    def test_translation_covariance(self, ricker2, ricker2_cstar, monkeypatch):
         # left widths 10.5 cells apart put every node half a cell off its
         # place in the other grid, relative to the wave; after relabelling
         # to the anchor crossing the profiles agree to the scheme's sub-cell
@@ -185,9 +185,12 @@ class TestMonotoneSolve:
         # error of linear interpolation, h^2/8 max|phi''| = 1.2e-7, would
         # swamp it
         c = 1.2 * ricker2_cstar
-        a, b = (profile.solve(ricker2, c,
-                              profile.SolverConfig(h=0.01, left_width=left)).profile
-                for left in (80.0, 80.105))
+
+        def solve(left):
+            widths(monkeypatch, left=left)
+            return profile.solve(ricker2, c, profile.SolverConfig(h=0.01)).profile
+
+        a, b = solve(80.0), solve(80.105)
         xi = np.linspace(-30.0, 30.0, 2001)
         gap = CubicSpline(a.xi, a.values)(xi) - CubicSpline(b.xi, b.values)(xi)
         assert np.max(np.abs(gap)) <= 1e-7
@@ -231,31 +234,28 @@ class TestMonotoneSolve:
         assert np.isnan(err.value.trace[-1])
         assert np.all(np.isfinite(err.value.trace[:-1]))
 
-    def test_narrow_domain_doubles_once(self, ricker2, ricker2_cstar):
-        # a right width too narrow for the plateau fails the boundary check
-        # once; the rerun is the solve that had the doubled width from the start
-        c = 1.3 * ricker2_cstar
-        sol = profile.solve(ricker2, c, profile.SolverConfig(
-            h=0.02, right_width=12.0))
-        wide = profile.solve(ricker2, c, profile.SolverConfig(
-            h=0.02, right_width=24.0))
-        assert sol.note.count("domain doubled") == 1
-        assert "domain doubled" not in wide.note
-        assert np.array_equal(bits(sol.profile.xi), bits(wide.profile.xi))
-        assert np.array_equal(bits(sol.profile.values), bits(wide.profile.values))
-        assert sol.iterations == wide.iterations
+    def test_a_too_narrow_end_fails_once(self, ricker2, ricker2_cstar,
+                                         monkeypatch):
+        # a right width of 3 leaves the right end short of K: the end check
+        # fails the solve after its one iteration, naming that end and the
+        # one width pair it ran on
+        calls = []
+        iterate = profile._iterate
 
-    def test_domain_still_too_narrow_after_two_doublings(self, ricker2,
-                                                         ricker2_cstar):
-        # right widths 3, 6 and 12 all leave the right end short of K: the
-        # solve fails instead of claiming a third doubling it never ran
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(profile, "_iterate", counted)
+        widths(monkeypatch, right=3.0)
         with pytest.raises(NonconvergenceError) as err:
             profile.solve(ricker2, 1.3 * ricker2_cstar,
-                          profile.SolverConfig(h=0.02, right_width=3.0))
+                          profile.SolverConfig(h=0.02))
         message = str(err.value)
         assert "the right end" in message and "left end" not in message
-        widths = message.rsplit("widths ", 1)[1].split(", ")
-        assert [w.split("/")[1] for w in widths] == ["3", "6", "12"]
+        pair = message.rsplit("widths ", 1)[1]
+        assert "," not in pair and pair.split("/")[1] == "3"
+        assert len(calls) == 1
         assert err.value.trace
 
 
@@ -332,15 +332,15 @@ class TestRightWidth:
 
     @pytest.mark.parametrize("factor", [1.2, 2.0])
     def test_monotone_cut_leaves_the_wave_unchanged(self, ricker2, ricker2_speed,
-                                                    factor):
+                                                    factor, monkeypatch):
         c = factor * ricker2_speed.c_star
         K = model.equilibrium(ricker2)
         right = 20.0 / profile._approach_rate(ricker2, c, K)
         assert 20.0 < right < 200.0                 # neither floor nor cap
-        cut, wide = (profile.solve(ricker2, c,
-                                   profile.SolverConfig(h=0.02, right_width=width),
-                                   speed=ricker2_speed)
-                     for width in (None, 2.0 * right))
+        config = profile.SolverConfig(h=0.02)
+        cut = profile.solve(ricker2, c, config, speed=ricker2_speed)
+        widths(monkeypatch, right=2.0 * right)
+        wide = profile.solve(ricker2, c, config, speed=ricker2_speed)
         assert wide.profile.xi.size - cut.profile.xi.size == round(right / 0.02)
         assert cut.iterations == wide.iterations
         assert cut.residual_sup == pytest.approx(wide.residual_sup, rel=1e-3)
@@ -362,13 +362,12 @@ class TestRightWidth:
         config = profile.SolverConfig(h=0.02)
         sol = profile.solve(ricker3, c, config)
         assert sol.mode == "nonmonotone"
-        assert "domain doubled" not in sol.note
         roots = dispersion.decay_roots(
             c, dispersion.CharacteristicContext.from_model(ricker3))
         _, _, pair = bounds.sandwich(ricker3, roots)
         rate = profile._approach_rate(pair.lower_model(ricker3), c, pair.k)
-        _, left, _ = profile._grid_geometry(config, roots.lambda1, roots.lambda2,
-                                            rate, monotone=False)
+        _, left, _ = profile._grid_geometry(config.h, roots.lambda1,
+                                            roots.lambda2, rate, monotone=False)
         span = sol.profile.xi[-1] - sol.profile.xi[0]
         assert span == pytest.approx(left + 40.0 / rate, abs=0.02)
 
@@ -600,9 +599,9 @@ class TestCriticalSolve:
     def test_near_critical_setup_is_decided_by_the_speed(self, ricker2,
                                                          ricker2_ctx,
                                                          monkeypatch):
-        # every speed in (c*, c*(1 + 1e-6)] gets the near-critical grid,
-        # tolerance and budget; the next speed up gets the config as given.
-        # Record the calls instead of running the long iterations.
+        # every speed in (c*, c*(1 + 1e-6)] gets the near-critical tolerance
+        # and budget on the config's h; the next speed up gets the config as
+        # given.  Record the calls instead of running the long iterations.
         calls = []
 
         def fake_solve(model_, c, config, monotone, speed, hypotheses,
@@ -619,21 +618,24 @@ class TestCriticalSolve:
         (inside, note_in), (at, note_at), (above, note_above) = calls
         assert inside.tol == at.tol == 1e-8
         assert inside.max_iters == at.max_iters == 1000
-        assert (at.left_width, at.right_width) == (given.left_width,
-                                                   given.right_width)
+        assert at.h == given.h
         assert "near-critical surrogate" in note_in and note_at == note_in
         assert above == given and note_above == ""
         assert profile.near_critical_speed(sr) == surrogate
 
     def test_near_critical_solve_keeps_the_given_left_width(self, ricker2,
                                                             ricker2_ctx):
-        # the surrogate solves on the grid the config names, as every other
-        # speed does: its first node is -left_width up to the sub-cell phase
-        # shift, not -2 left_width
-        h, left = 0.1, 60.0
+        # the surrogate solves on the grid every other speed gets: its first
+        # node is minus the capped default left width up to the sub-cell
+        # phase shift, not twice that
+        h = 0.1
         sr = dispersion.critical_speed(ricker2_ctx)
-        sol = profile.solve(ricker2, profile.near_critical_speed(sr),
-                            profile.SolverConfig(h=h, left_width=left), sr)
+        c = profile.near_critical_speed(sr)
+        roots = dispersion.decay_roots(c, ricker2_ctx)
+        rate = profile._approach_rate(ricker2, c, model.equilibrium(ricker2))
+        _, left, _ = profile._grid_geometry(h, roots.lambda1, roots.lambda2,
+                                            rate, monotone=True)
+        sol = profile.solve(ricker2, c, profile.SolverConfig(h=h), sr)
         assert abs(sol.profile.xi[0] + left) < h
 
 
@@ -650,13 +652,14 @@ class TestNonmonotoneSolve:
         assert sol.membership.lipschitz_ok
 
     def test_f_consistency_uses_the_right_limit_the_iteration_held(
-            self, ricker3, ricker3_cstar):
-        # a short right width (10, doubled once to 20) leaves the last node
-        # inside the band [k, level] but 6e-4 below K; the nonmonotone
-        # iteration holds the right limit at that node, so F's fixed point is
-        # measured against it, not against K
+            self, ricker3, ricker3_cstar, monkeypatch):
+        # a short right width of 20 leaves the last node inside the band
+        # [k, level] but 6e-4 below K; the nonmonotone iteration holds the
+        # right limit at that node, so F's fixed point is measured against
+        # it, not against K
+        widths(monkeypatch, right=20.0)
         sol = profile.solve(ricker3, 1.2 * ricker3_cstar,
-                            profile.SolverConfig(h=0.02, right_width=10.0))
+                            profile.SolverConfig(h=0.02))
         v = sol.profile.values
         assert sol.mode == "nonmonotone"
         assert model.equilibrium(ricker3) - v[-1] > 1e-4
@@ -680,7 +683,7 @@ class TestNonmonotoneSolve:
         upper, lower, pair = bounds.sandwich(ricker2, roots)
         rates = dispersion.choose_beta(c, ricker2, range_end=pair.level, speed=sr)
         xi = profile._make_xi(*profile._grid_geometry(
-            profile.SolverConfig(h=0.01), roots.lambda1, roots.lambda2,
+            0.01, roots.lambda1, roots.lambda2,
             profile._approach_rate(ricker2, c, pair.k), monotone=True))
         runs = {monotone: profile._iterate(
                     xi, ricker2, rates, upper.value, lower.value, K / 2.0, K,
