@@ -186,47 +186,41 @@ class EnvelopePair:
         return ModelSpec(d=model.d, birth=self.lower, delay=model.delay)
 
 
-def sandwich(model: ModelSpec, roots: RootPair) -> tuple:
+def sandwich(model: ModelSpec, roots: RootPair, monotone: bool) -> tuple:
     """(upper, lower, pair) at the speed of `roots`, `pair` the envelopes:
     the exponential capped at the upper-envelope equilibrium, and the lower
     solution of the lower-envelope equation, whose birth lies under the
-    model's (S. Ma, J. Differential Equations 237 (2007)).  A monotone
-    birth is its own envelope, k = level = K: these are its own bounds.
+    model's (S. Ma, J. Differential Equations 237 (2007)).  A birth that
+    `validate_hypotheses` calls `monotone` is its own envelope, k = level =
+    K: these are its own bounds.
     """
-    pair = build_envelopes(model)
+    pair = build_envelopes(model, monotone)
     return (UpperSolution(roots.lambda1, pair.level),
             build_lower(roots, pair.lower_model(model)), pair)
 
 
-def build_envelopes(model: ModelSpec) -> EnvelopePair:
+def build_envelopes(model: ModelSpec, monotone: bool) -> EnvelopePair:
     """Running-max / suffix-min envelopes and their equilibria.
 
-    The upper-envelope equilibrium (the working level) is the largest root
-    of running-max(b)(u) = d*u; for d = 1 it coincides with the birth peak.
-    The lower-envelope equilibrium k is the largest root of the suffix
-    minimum against d*u on (0, level].
+    A birth that `validate_hypotheses` calls `monotone` is its own pair with
+    k = level = K.  Otherwise the working level is the largest root of
+    running-max(b)(u) = d*u, the birth peak for d = 1, and k the largest
+    root of the suffix minimum against d*u on (0, level].
     """
     b, d = model.birth, model.d
     K = equilibrium(model)
-    peak = birth_peak(model)
-
-    rising = np.all(np.diff(b.value(np.linspace(0.0, K, GRID_POINTS))) >= -1e-14)
-    if rising and peak <= b.value(K) + 1e-12:
-        # envelopes of a monotone birth coincide with it
+    if monotone:
         return EnvelopePair(upper=b, lower=b, k=K, level=K)
 
-    if isinstance(b, RickerBirth) and K > 1.0:
+    if isinstance(b, RickerBirth):
+        # nonmonotone, so K > 1 and level = exp(K - 1) lies past the peak
         level = b.p / (d * math.e)
-        if level < 1.0:
-            raise ModelInvalidError(
-                "upper-envelope equilibrium falls below the birth peak; "
-                "envelope construction not available for this d")
         upper = RickerUpperEnvelope(b)
         lower = RickerLowerEnvelope(b, level)
         k = _largest_root(lambda u: lower.value(u) - d * u, level)
         pair = EnvelopePair(upper=upper, lower=lower, k=k, level=level)
     else:
-        pair = _tabular_envelopes(model, K, peak)
+        pair = _tabular_envelopes(model, K)
 
     if not (0.0 < pair.k <= K + 1e-9 and K <= pair.level + 1e-9):
         raise ModelInvalidError(
@@ -237,7 +231,8 @@ def build_envelopes(model: ModelSpec) -> EnvelopePair:
 def _largest_root(g, hi: float) -> float:
     u = np.linspace(0.0, hi, GRID_POINTS)[1:]
     vals = g(u)
-    sign_change = np.nonzero((vals[:-1] >= 0) & (vals[1:] < 0))[0]
+    # a zero counts, as at `hi` where the equilibria meet to rounding
+    sign_change = np.nonzero((vals[:-1] >= 0) & (vals[1:] <= 0))[0]
     if sign_change.size == 0:
         raise ModelInvalidError("no envelope equilibrium found in (0, level]")
     i = sign_change[-1]
@@ -246,8 +241,9 @@ def _largest_root(g, hi: float) -> float:
     return float(_bisect_root(g, u[i], u[i + 1]))
 
 
-def _tabular_envelopes(model: ModelSpec, K: float, peak: float) -> EnvelopePair:
+def _tabular_envelopes(model: ModelSpec, K: float) -> EnvelopePair:
     b, d = model.birth, model.d
+    peak = birth_peak(model)
     hi = 1.5 * max(K, peak, peak / d)
     for _ in range(7):
         u = np.linspace(0.0, hi, 2 * GRID_POINTS)

@@ -29,7 +29,7 @@ from . import __version__, bounds, dispersion, pdesim, profile, reporting
 from .config import RunConfig, _parse_value, build_model, load_config
 from .errors import (ConfigError, ModelInvalidError, NonconvergenceError,
                      NoRootsError, SchemeError, SdwaveError, VerificationError)
-from .model import ConstantDelay, ModelSpec, RickerBirth, equilibrium
+from .model import equilibrium, validate_hypotheses
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -88,11 +88,8 @@ def _resolve_speed(cfg: RunConfig, model, explicit_c=None, critical=False):
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
-    if getattr(args, "out_dir", None):
-        d = Path(args.out_dir)
-    else:
-        d = cfg.get("output", "dir") or Path("sdwave_out")
-    d = Path(d)
+    d = Path(getattr(args, "out_dir", None) or cfg.get("output", "dir")
+             or "sdwave_out")
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -113,18 +110,19 @@ def _emit(report: reporting.Report, args, human_lines, json_path=None) -> None:
 
 def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
-    model.validate()
     source = "--c" if args.c else "[dispersion] speeds"
     ctx = dispersion.CharacteristicContext.from_model(model)
     speeds = [_checked_speed(c, source, ctx)
               for c in args.c or cfg.get("dispersion", "speeds") or []]
     sr = dispersion.critical_speed(ctx)
     speeds = speeds or [1.1 * sr.c_star, 1.5 * sr.c_star, 2.0 * sr.c_star]
-    K = equilibrium(model)
+    # the kernel rates of the solve: on [0, level] of the model's envelopes
+    level = bounds.build_envelopes(
+        model, validate_hypotheses(model).monotone).level
     roots_rows, beta_rows = [], []
     for c in speeds:
         rp = dispersion.decay_roots(c, ctx)
-        kr = dispersion.choose_beta(c, model, range_end=K, speed=sr)
+        kr = dispersion.choose_beta(c, model, range_end=level, speed=sr)
         roots_rows.append({"c": c, "lambda1": rp.lambda1, "lambda2": rp.lambda2})
         beta_rows.append({"c": c, "beta": kr.beta,
                           "gamma1": kr.gamma1, "gamma2": kr.gamma2})
@@ -150,7 +148,6 @@ def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
 
 def cmd_profile(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
-    model.validate()
     sc = _solver_config(cfg)
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c, critical=args.critical)
     sol = profile.solve(model, c, sc, speed=sr)
@@ -180,7 +177,6 @@ def cmd_profile(cfg: RunConfig, args, rep: reporting.Report) -> None:
 
 def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
-    model.validate()
     csv_path = Path(args.profile)
     if not csv_path.exists():
         raise ConfigError(f"profile CSV not found: {csv_path}")
@@ -203,13 +199,14 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
     grid = profile.ProfileGrid(xi=xi, values=values, left_limit=0.0,
                                right_limit=float(values[-1]))
     res_sup, res_arr = profile.residual(grid, c, model)
-    # the solve's sandwich at the recorded speed
+    # the solve's sandwich at the recorded speed, for the mode it ran
     roots = dispersion.decay_roots(
         c, dispersion.CharacteristicContext.from_model(model))
-    upper, lower, pair = bounds.sandwich(model, roots)
+    monotone = mode == "monotone"
+    upper, lower, pair = bounds.sandwich(model, roots, monotone)
     mem = profile.gamma_membership(
         grid, c, beta, model, shift=shift, level=pair.level, upper=upper,
-        lower=lower, require_monotone=mode == "monotone", sandwich_tol=1e-6)
+        lower=lower, require_monotone=monotone, sandwich_tol=1e-6)
     tol = max(2.0 * recorded, 1e-9)
     failures = {}
     if res_sup > tol:
@@ -235,11 +232,11 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
 
 def cmd_envelope(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
-    model.validate()
     c, sr = _resolve_speed(cfg, model, explicit_c=args.c)
     roots = dispersion.decay_roots(
         c, dispersion.CharacteristicContext.from_model(model))
-    up, low, pair = bounds.sandwich(model, roots)
+    up, low, pair = bounds.sandwich(model, roots,
+                                    validate_hypotheses(model).monotone)
     rep.results = {"kcal": pair.level, "k": pair.k, "c": c,
                    "eta": low.eta, "q": low.q, "c_star": sr.c_star}
     out_dir = _out_dir(cfg, args)
@@ -342,7 +339,6 @@ def _persist_run(record: pdesim.RunRecord, out_dir: Path) -> dict:
 
 def cmd_simulate(cfg: RunConfig, args, rep: reporting.Report) -> None:
     model = build_model(cfg)
-    model.validate()
     sim_cfg = _sim_config_from(cfg, "pde", equilibrium(model))
     record = pdesim.run(sim_cfg, model)
     out_dir = _out_dir(cfg, args)
@@ -459,15 +455,18 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
     row = {"p": p, "m": m, "M": M, "c_star": float("nan"),
            "measured_speed": float("nan"), "residual_sup": float("nan"),
            "error": ""}
+    # the row's config: [model] a Ricker birth p with the row's lags, on the
+    # base's d and delay kind, and [pde] on the sweep's grid
+    sweep = cfg.section("sweep")
+    row_cfg = RunConfig(sections={
+        **cfg.sections,
+        "model": {**cfg.section("model"), "birth.kind": "ricker",
+                  "birth.p": p, "delay.m": m, "delay.M": M},
+        "pde": {**cfg.section("pde"), **{key: sweep[key] for key in (
+            "nx", "t_end", "x_min", "x_max") if key in sweep}},
+    }, path=cfg.path, text=cfg.text)
     try:
-        base = build_model(cfg)
-        birth = RickerBirth(p)
-        if base.delay.kind == "constant":
-            delay = ConstantDelay(m)
-        else:
-            delay = type(base.delay)(m, M)
-        model = ModelSpec(d=base.d, birth=birth, delay=delay)
-        model.validate()
+        model = build_model(row_cfg)
         ctx = dispersion.CharacteristicContext.from_model(model)
         sr = dispersion.critical_speed(ctx)
         row["c_star"] = sr.c_star
@@ -475,14 +474,7 @@ def _sweep_row(cfg: RunConfig, p: float, m: float, M: float) -> dict:
                            "[sweep] c_factor times c*", ctx)
         sol = profile.solve(model, c, _solver_config(cfg), speed=sr)
         row["residual_sup"] = sol.residual_sup
-        sweep = cfg.section("sweep")
-        pde = dict(cfg.section("pde"))
-        for key in ("nx", "t_end", "x_min", "x_max"):
-            if key in sweep:
-                pde[key] = sweep[key]
-        tmp = RunConfig(sections={**cfg.sections, "pde": pde}, path=cfg.path,
-                        text=cfg.text)
-        sim_cfg = _sim_config_from(tmp, "pde", equilibrium(model))
+        sim_cfg = _sim_config_from(row_cfg, "pde", equilibrium(model))
         record = pdesim.run(sim_cfg, model)
         speed, _ = pdesim.front_speed(record.track)
         row["measured_speed"] = speed
@@ -548,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="path to the run config file")
     ap.add_argument("--json", action="store_true",
                     help="print the JSON report to stdout")
-    ap.add_argument("--out", help="primary output path (command specific)")
+    ap.add_argument("--out", help="output CSV path of speed and profile, "
+                    "with the JSON report beside it; no other command reads it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("speed", help="threshold speed and decay roots")
@@ -598,6 +591,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out and args.command not in ("speed", "profile"):
+            raise ConfigError(f"{args.command} does not read --out; only "
+                              "speed and profile do")
         cfg = load_config(args.config)
         rep = reporting.Report(command=args.command,
                                config_digest=reporting.config_digest(cfg.text),

@@ -141,6 +141,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
+    """The [model] section's model, checked by `ModelSpec.validate`."""
     sec = cfg.section("model")
     d = cfg.require("model", "d")
     kind = sec.get("birth.kind", "ricker")
@@ -166,7 +167,9 @@ def build_model(cfg: RunConfig) -> ModelSpec:
         delay = ExponentialDelay(m, M)
     else:
         raise ConfigError(f"unknown delay.kind {dkind!r}")
-    return ModelSpec(d=d, birth=birth, delay=delay)
+    model = ModelSpec(d=d, birth=birth, delay=delay)
+    model.validate()
+    return model
 
 
 def _read_table(path: Path):

@@ -374,6 +374,11 @@ class HypothesisReport:
         return "; ".join(f"{e.id}: {e.witness[1]}" for e in self.entries
                          if e.id in ids and not e.holds)
 
+    @property
+    def monotone(self) -> bool:
+        """The verdict that picks the solver and its envelopes: B1-B4 hold."""
+        return not self.failures(MONOTONE_SET)
+
 
 def _check(rep: HypothesisReport, id: str, u, bad, describe) -> None:
     """Record `id` as checked on the grid u: it fails at the first point

@@ -511,7 +511,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
 # ---------------------------------------------------------------------------
 # public solvers
 
-def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
+def _solve(model: ModelSpec, c: float, config: SolverConfig,
            speed: SpeedResult, hypotheses: HypothesisReport,
            note: str = "") -> WaveSolution:
     """Wave profile for a supercritical speed, iterated in `bounds.sandwich`.
@@ -522,18 +522,18 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
     lower-envelope model's A1-A3, B and B1-B4.  The profile's ends must reach
     0 and the band [k, level] (K for a monotone birth).  `speed` is the
     model's threshold speed and `hypotheses` its `validate_hypotheses`
-    report: A1-A3, B and B1-B4 or C1-C3 for the mode must hold.
+    report, whose verdict picks the mode: A1-A3 and B must hold, and C1-C3
+    too for a nonmonotone birth.
     """
-    mode = "monotone" if monotone else "nonmonotone"
+    monotone = hypotheses.monotone
     failed = hypotheses.failures(SHARED_SET)
     if failed:
         raise ModelInvalidError(
             f"the delay and sign hypotheses A1-A3 and B must hold; failed: {failed}")
-    failed = hypotheses.failures(MONOTONE_SET if monotone else RELAXED_SET)
+    failed = "" if monotone else hypotheses.failures(RELAXED_SET)
     if failed:
-        wanted = "monotone" if monotone else "relaxed"
         raise ModelInvalidError(
-            f"{mode} solve requires the {wanted} hypothesis set; failed: {failed}")
+            f"nonmonotone solve requires the relaxed hypothesis set; failed: {failed}")
     ctx = CharacteristicContext.from_model(model)
     if c <= speed.c_star:
         raise NoRootsError(
@@ -541,7 +541,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
             "profile exists; measure the front with simulate then frontspeed "
             "(or sweep) instead")
     roots = decay_roots(c, ctx)
-    upper, lower, pair = sandwich(model, roots)
+    upper, lower, pair = sandwich(model, roots, monotone)
     lower_model = pair.lower_model(model)
     K = equilibrium(model)
     anchor = K / 2.0 if monotone else pair.k / 4.0
@@ -590,7 +590,8 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig, monotone: bool,
         profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
         trace=res.trace, beta=rates.beta, lambda1=roots.lambda1,
         lambda2=roots.lambda2, shift=shift, clamp_excess=res.clamp_excess,
-        f_consistency=f_cons, membership=mem, mode=mode,
+        f_consistency=f_cons, membership=mem,
+        mode="monotone" if monotone else "nonmonotone",
         exact_anchor_from=res.exact_anchor_from,
         anderson_steps=res.anderson_steps, note=note)
 
@@ -620,6 +621,4 @@ def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
         config = replace(config, tol=min(config.tol, 1e-8),
                          max_iters=2 * config.max_iters)
         note = f"near-critical surrogate at c = c*(1+{NEAR_CRITICAL_OFFSET:g})"
-    rep = validate_hypotheses(model)
-    return _solve(model, c, config, not rep.failures(MONOTONE_SET), speed, rep,
-                  note=note)
+    return _solve(model, c, config, speed, validate_hypotheses(model), note=note)

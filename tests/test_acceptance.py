@@ -153,7 +153,7 @@ def test_criterion_06_differential_inequalities(ricker2, ricker2_cstar,
     for name, m, cs in (("monotone", ricker2, ricker2_cstar),
                         ("nonmonotone", ricker3, ricker3_cstar)):
         level = (model.equilibrium(m) if name == "monotone"
-                 else bounds.build_envelopes(m).level)
+                 else bounds.build_envelopes(m, False).level)
         for at, c in (("1.2c*", 1.2 * cs),
                       ("surrogate", cs * (1.0 + profile.NEAR_CRITICAL_OFFSET))):
             up, low = closed_form_bounds(c, m, level)
@@ -252,7 +252,7 @@ def test_criterion_08_comparison_spreading():
 
 def test_criterion_09_nonmonotone_wave(ricker3, ricker3_solution):
     sol = ricker3_solution
-    pair = bounds.build_envelopes(ricker3)
+    pair = bounds.build_envelopes(ricker3, False)
     xi, v = sol.profile.xi, sol.profile.values
     right = v[xi >= 0.5 * (xi[0] + xi[-1])]
     assert np.min(right) >= pair.k - 1e-3
@@ -301,7 +301,8 @@ def test_criterion_11_delay_sensitivity_regression():
         c = 1.2 * dispersion.critical_speed(ctx).c_star
         sol = profile.solve(
             m, c, profile.SolverConfig(h=0.01, damping=0.5))
-        pair = bounds.build_envelopes(m)
+        pair = bounds.build_envelopes(
+            m, model.validate_hypotheses(m).monotone)
         tails[f"{T:g}"] = {"tail": float(sol.profile.values[0]),
                            "fraction": float(sol.profile.values[0] / pair.level),
                            "c": sol.c}

@@ -163,7 +163,7 @@ class TestDifferentialInequalities:
 
     def test_upper_inequality_nonmonotone_model(self, ricker3, ricker3_cstar):
         c = 1.2 * ricker3_cstar
-        pair = bounds.build_envelopes(ricker3)
+        pair = bounds.build_envelopes(ricker3, False)
         up, _ = closed_form_bounds(c, ricker3, level=pair.level)
         res = wave_inequality_residuals(up, c, ricker3, _upper_grid(up))
         assert np.max(res) <= 1e-8
@@ -197,7 +197,7 @@ class TestDifferentialInequalities:
 
 class TestEnvelopes:
     def test_monotone_birth_envelopes_coincide(self, ricker2):
-        pair = bounds.build_envelopes(ricker2)
+        pair = bounds.build_envelopes(ricker2, True)
         K = model.equilibrium(ricker2)
         assert pair.upper is ricker2.birth
         assert pair.lower is ricker2.birth
@@ -206,7 +206,7 @@ class TestEnvelopes:
         assert K == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_nonmonotone_level_and_k(self, ricker3):
-        pair = bounds.build_envelopes(ricker3)
+        pair = bounds.build_envelopes(ricker3, False)
         assert pair.level == pytest.approx(3.0 / math.e, abs=1e-12)
         # suffix-min oracle: lower envelope is min(b, b(level)) up to the peak
         b = ricker3.birth
@@ -217,7 +217,7 @@ class TestEnvelopes:
         assert pair.k == pytest.approx(1.0982, abs=2e-4)
 
     def test_envelope_sandwich_and_monotonicity(self, ricker3):
-        pair = bounds.build_envelopes(ricker3)
+        pair = bounds.build_envelopes(ricker3, False)
         u = np.linspace(0.0, pair.level, 10_001)
         bu = ricker3.birth.value(u)
         upper = pair.upper.value(u)
@@ -228,7 +228,7 @@ class TestEnvelopes:
         assert np.all(np.diff(lower) >= -1e-12)
 
     def test_equilibria_consistency(self, ricker3):
-        pair = bounds.build_envelopes(ricker3)
+        pair = bounds.build_envelopes(ricker3, False)
         assert abs(pair.lower.value(pair.k) - ricker3.d * pair.k) <= 1e-10
         assert abs(pair.upper.value(pair.level) - ricker3.d * pair.level) <= 1e-10
         K = model.equilibrium(ricker3)
@@ -240,7 +240,8 @@ class TestEnvelopes:
         # bracket to the same pair of adjacent floats around the root
         m = model.ModelSpec(d=d, birth=model.RickerBirth(p),
                             delay=model.RationalDelay(0.2, 0.7))
-        pair = bounds.build_envelopes(m)
+        pair = bounds.build_envelopes(
+            m, model.validate_hypotheses(m).monotone)
         assert pair.k == model.equilibrium(pair.lower_model(m))
 
     def test_tabulated_envelopes_match_closed_form(self, ricker3):
@@ -249,8 +250,9 @@ class TestEnvelopes:
         tab_birth = model.TabulatedBirth(
             np.column_stack([u, ricker3.birth.value(u)]))
         m = model.ModelSpec(d=1.0, birth=tab_birth, delay=ricker3.delay)
-        got = bounds.build_envelopes(m)
-        want = bounds.build_envelopes(ricker3)
+        got = bounds.build_envelopes(
+            m, model.validate_hypotheses(m).monotone)
+        want = bounds.build_envelopes(ricker3, False)
         assert got.level == pytest.approx(want.level, abs=1e-5)
         assert got.k == pytest.approx(want.k, abs=1e-4)
         probe = np.linspace(0.0, want.level, 501)
@@ -283,7 +285,8 @@ def test_sandwich_bounds_its_envelope_equations(p, factor):
                         delay=model.RationalDelay(0.2, 0.7))
     ctx = dispersion.CharacteristicContext.from_model(m)
     c = factor * dispersion.critical_speed(ctx).c_star
-    up, low, pair = bounds.sandwich(m, dispersion.decay_roots(c, ctx))
+    up, low, pair = bounds.sandwich(m, dispersion.decay_roots(c, ctx),
+                                    model.validate_hypotheses(m).monotone)
     assert up.level == pair.level
     upper_model = model.ModelSpec(d=m.d, birth=pair.upper, delay=m.delay)
     grid_up = kink_excluded_grid(-60.0, 60.0, 2000, up.kinks)

@@ -146,6 +146,22 @@ class TestSpeedCommand:
         p = write_cfg(tmp_path, "[model]\nbirth.kind = ricker\nbirth.p = 2\n")
         assert run_cli(["--config", p, "speed"]) == 1
 
+    @pytest.mark.parametrize("birth_p", ["2.0", "3.0"])
+    def test_beta_is_the_one_the_profile_solve_uses(self, tmp_path, capsys,
+                                                     birth_p):
+        # the kernel rates cover [0, level] of the model's envelopes: K for
+        # the monotone p = 2, the upper-envelope level p/e for p = 3
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace(
+            "birth.p = 2.0", f"birth.p = {birth_p}") + "\n[profile]\nh = 0.02\n")
+        out = tmp_path / "wave.csv"
+        assert run_cli(["--config", p, "--out", out, "profile", "--c", "2"]) == 0
+        capsys.readouterr()
+        assert run_cli(["--config", p, "--json", "speed", "--c", "2"]) == 0
+        row, = json.loads(capsys.readouterr().out)["results"]["beta"]
+        sidecar = json.loads(out.with_suffix(".json").read_text())["results"]
+        assert row["c"] == sidecar["c"] == 2.0
+        assert row["beta"] == sidecar["beta"]
+
     def test_invalid_model_exits_2(self, tmp_path):
         bad = "[model]\nd = 3.0\nbirth.kind = ricker\nbirth.p = 2.0\ndelay.kind = constant\ndelay.m = 0\n"
         p = write_cfg(tmp_path, bad)
@@ -737,6 +753,22 @@ def test_every_command_reports_its_total_time(tmp_path, capsys):
         assert rep["timings"]["total"] >= 0.0
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("envelope", []), ("verify", ["--profile", "wave.csv"]), ("simulate", []),
+    ("frontspeed", ["--run", "run"]), ("compare", []), ("sweep", [])])
+def test_out_is_refused_by_the_commands_that_do_not_read_it(
+        tmp_path, capsys, command, argv):
+    # only speed and profile write to --out; any other command would write
+    # where it always does, so the flag is an error, not ignored
+    p = write_cfg(tmp_path, DELAYED_MODEL + "\n[output]\ndir = out\n")
+    assert run_cli(["--config", p, "--out", tmp_path / "x.csv", command,
+                    *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {command} does not read --out; only speed and "
+        "profile do\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_sweep_grid_and_determinism(self, tmp_path):
         p = write_cfg(tmp_path, SWEEP_TEXT + "\n[output]\ndir = " +
@@ -786,6 +818,23 @@ class TestSweepCommand:
                                        "finite positive speed of at most ")
         assert "\n" not in row["error"] and "nan" not in row["error"]
         assert capsys.readouterr().err == "config error: every sweep row failed\n"
+
+    def test_the_base_model_needs_only_d_and_the_delay_kind(self, tmp_path):
+        # every row sets its Ricker p and its lags, so the base [model] names
+        # no birth: its rows are those of a base with some other birth
+        one_row = (SWEEP_TEXT.replace("p = 2.0, 2.4", "p = 2.0")
+                   .replace("m = 0.1, 0.3", "m = 0.1"))
+        rows = []
+        for name, text in (
+                ("bare", one_row.replace("birth.kind = ricker\n", "")
+                 .replace("birth.p = 2.0\n", "").replace("delay.m = 0.2\n", "")
+                 .replace("delay.M = 0.7\n", "")),
+                ("named", one_row.replace("birth.p = 2.0", "birth.p = 5.0"))):
+            p = write_cfg(tmp_path, text + f"\n[output]\ndir = {name}\n",
+                          name=f"{name}.cfg")
+            assert run_cli(["--config", p, "sweep"]) == 0
+            rows.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert rows[0] == rows[1]
 
     def test_empty_grid_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, DELAYED_MODEL + "\n[sweep]\np = 2.0\nm =\nM = 0.6\n")

@@ -134,7 +134,7 @@ out = {{"start": loaded()}}
 
 ricker3 = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0),
                           delay=model.RationalDelay(0.2, 0.7))
-out["k"] = bounds.build_envelopes(ricker3).k
+out["k"] = bounds.build_envelopes(ricker3, False).k
 out["envelopes"] = loaded()
 
 ricker2 = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),

@@ -1,13 +1,19 @@
+import contextlib
 import inspect
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from sdwave import bounds, dispersion, model, profile
+from sdwave import bounds, cli, dispersion, model, profile
 from sdwave.errors import ModelInvalidError, NonconvergenceError, NoRootsError
 from conftest import closed_form_bounds, widths
 
@@ -200,14 +206,6 @@ class TestMonotoneSolve:
             profile.solve(ricker2, 0.5 * ricker2_cstar,
                           profile.SolverConfig(h=0.02))
 
-    def test_rejects_nonmonotone_model(self, ricker3):
-        sr = dispersion.critical_speed(
-            dispersion.CharacteristicContext.from_model(ricker3))
-        with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
-            profile._solve(ricker3, 1.2 * sr.c_star, profile.SolverConfig(h=0.02),
-                           monotone=True, speed=sr,
-                           hypotheses=model.validate_hypotheses(ricker3))
-
     def test_nonconvergence_carries_trace(self, ricker2, ricker2_cstar):
         with pytest.raises(NonconvergenceError) as err:
             profile.solve(ricker2, 1.2 * ricker2_cstar,
@@ -364,7 +362,7 @@ class TestRightWidth:
         assert sol.mode == "nonmonotone"
         roots = dispersion.decay_roots(
             c, dispersion.CharacteristicContext.from_model(ricker3))
-        _, _, pair = bounds.sandwich(ricker3, roots)
+        _, _, pair = bounds.sandwich(ricker3, roots, False)
         rate = profile._approach_rate(pair.lower_model(ricker3), c, pair.k)
         _, left, _ = profile._grid_geometry(config.h, roots.lambda1,
                                             roots.lambda2, rate, monotone=False)
@@ -604,8 +602,7 @@ class TestCriticalSolve:
         # given.  Record the calls instead of running the long iterations.
         calls = []
 
-        def fake_solve(model_, c, config, monotone, speed, hypotheses,
-                       note=""):
+        def fake_solve(model_, c, config, speed, hypotheses, note=""):
             calls.append((config, note))
 
         monkeypatch.setattr(profile, "_solve", fake_solve)
@@ -642,7 +639,7 @@ class TestCriticalSolve:
 class TestNonmonotoneSolve:
     def test_band_and_residual(self, ricker3, ricker3_solution):
         sol = ricker3_solution
-        pair = bounds.build_envelopes(ricker3)
+        pair = bounds.build_envelopes(ricker3, False)
         xi, v = sol.profile.xi, sol.profile.values
         right = v[xi >= 0.5 * (xi[0] + xi[-1])]
         assert np.min(right) >= pair.k - 1e-3
@@ -680,7 +677,7 @@ class TestNonmonotoneSolve:
         c = 1.2 * sr.c_star
         K = model.equilibrium(ricker2)
         roots = dispersion.decay_roots(c, ricker2_ctx)
-        upper, lower, pair = bounds.sandwich(ricker2, roots)
+        upper, lower, pair = bounds.sandwich(ricker2, roots, True)
         rates = dispersion.choose_beta(c, ricker2, range_end=pair.level, speed=sr)
         xi = profile._make_xi(*profile._grid_geometry(
             0.01, roots.lambda1, roots.lambda2,
@@ -780,19 +777,14 @@ def test_auto_dispatch(ricker2, ricker3, ricker2_cstar, ricker3_cstar,
     assert s2.mode == "monotone" and s2.membership.monotone_ok
     s3 = profile.solve(ricker3, 1.3 * ricker3_cstar, profile.SolverConfig(h=0.02))
     assert s3.mode == "nonmonotone" and "envelope" in s3.note
-    # the monotone solver refuses the nonmonotone birth the dispatch avoids
-    sr3 = dispersion.critical_speed(
-        dispersion.CharacteristicContext.from_model(ricker3))
-    with pytest.raises(ModelInvalidError, match="monotone hypothesis set"):
-        profile._solve(ricker3, 1.3 * sr3.c_star, profile.SolverConfig(h=0.02),
-                       monotone=True, speed=sr3,
-                       hypotheses=model.validate_hypotheses(ricker3))
     # the near-critical solve dispatches the same way; record the call
     # instead of running the (long) near-critical iteration
+    sr3 = dispersion.critical_speed(
+        dispersion.CharacteristicContext.from_model(ricker3))
     calls = []
 
-    def fake_solve(model_, c, config, monotone, speed, hypotheses, note=""):
-        assert not monotone and "near-critical surrogate" in note
+    def fake_solve(model_, c, config, speed, hypotheses, note=""):
+        assert not hypotheses.monotone and "near-critical surrogate" in note
         calls.append((c, config))
         return "nonmonotone ran"
 
@@ -831,3 +823,76 @@ def test_nonmonotone_solve_hands_its_speed_to_the_lower_envelope(
     assert sol.mode == "nonmonotone"
     assert calls == []
     assert len(speeds) == 1 and speeds[0] is sr
+
+
+def test_a_birth_outside_both_sets_is_refused_as_nonmonotone():
+    # b(u) = (2u + 3u^2) exp(-u) is convex at 0 and lies above its tangent
+    # 2u on (0, 1): it fails B2, so the verdict is nonmonotone, and C2, so
+    # the relaxed set does not admit it either
+    u = np.linspace(0.0, 25.0, 2001)
+    birth = model.TabulatedBirth(
+        np.column_stack([u, (2.0 * u + 3.0 * u**2) * np.exp(-u)]))
+    m = model.ModelSpec(d=1.0, birth=birth, delay=model.RationalDelay(0.2, 0.7))
+    rep = model.validate_hypotheses(m)
+    assert not rep.monotone and "B2" in rep.failures(model.MONOTONE_SET)
+    assert not rep.failures(model.SHARED_SET)
+    sr = dispersion.critical_speed(dispersion.CharacteristicContext.from_model(m))
+    with pytest.raises(ModelInvalidError) as err:
+        profile.solve(m, 1.2 * sr.c_star, profile.SolverConfig(h=0.02),
+                      speed=sr)
+    assert str(err.value).startswith(
+        "nonmonotone solve requires the relaxed hypothesis set; failed: "
+        "C2: b(u) >= b'(0)*u at u=")
+
+
+BAND_CONFIG = """[model]
+d = 1.0
+birth.kind = ricker
+birth.p = {p!r}
+delay.kind = saturating_rational
+delay.m = 0.2
+delay.M = 0.7
+
+[profile]
+h = 0.05
+"""
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+@given(decade=st.floats(-9.0, -2.0), above=st.booleans())
+@example(decade=-9.0, above=True)
+@example(decade=-7.0, above=True)
+@example(decade=-6.0, above=True)
+def test_the_verdict_picks_the_solve_and_its_envelopes(decade, above):
+    # Ricker with K = ln p just above 1 falls past its peak at u = 1 by
+    # b'(K) = 1 - K: the checker's B3 makes it nonmonotone, and the solve
+    # and the envelopes follow that one verdict; K just below 1 is monotone
+    K = 1.0 + (10.0**decade if above else -(10.0**decade))
+    p = math.exp(K)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "wave.csv"
+        cfg.write_text(BAND_CONFIG.format(p=p))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--config", str(cfg), "--out", str(out),
+                             "profile"])
+        assert code == 0
+        report = json.loads(out.with_suffix(".json").read_text())
+    m = model.ModelSpec(d=1.0, birth=model.RickerBirth(p),
+                        delay=model.RationalDelay(0.2, 0.7))
+    monotone = model.validate_hypotheses(m).monotone
+    assert report["results"]["mode"] == ("monotone" if monotone
+                                         else "nonmonotone")
+    invariants = report["invariants"]
+    assert invariants["sandwich_ok"] and invariants["lipschitz_ok"]
+    assert invariants["monotone_ok"]
+    assert report["results"]["residual_sup"] <= 1e-3
+    ctx = dispersion.CharacteristicContext.from_model(m)
+    c = 1.2 * dispersion.critical_speed(ctx).c_star
+    _, _, pair = bounds.sandwich(m, dispersion.decay_roots(c, ctx), monotone)
+    # a monotone birth is its own envelope pair, k = level = K; a
+    # nonmonotone one has k = level exp(K - level) < level, a gap of about
+    # (K - 1)^2 / 2, which rounds away below K - 1 = 1.5e-8
+    assert (pair.lower is m.birth) == monotone
+    assert pair.k <= pair.level
+    if K - 1.0 > 1e-7:
+        assert pair.k < pair.level
