@@ -107,26 +107,14 @@ class _Envelope:
         return self.base.curvature_at_zero
 
 
-class RickerUpperEnvelope(_Envelope):
-    """Running maximum of a Ricker birth whose peak sits inside the range."""
+class RickerEnvelope(_Envelope):
+    """min(b(min(u, 1)), floor) for a Ricker birth b: its running maximum
+    with the default floor, its suffix minimum over [u, level] with floor
+    b(level)."""
 
-    kind = "envelope_upper"
-
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.base.p * np.minimum(u, 1.0) * np.exp(-np.minimum(u, 1.0))
-        return _scalar_or_array(out)
-
-
-class RickerLowerEnvelope(_Envelope):
-    """Suffix minimum of a Ricker birth over [u, level]."""
-
-    kind = "envelope_lower"
-
-    def __init__(self, base: RickerBirth, level: float):
+    def __init__(self, base: RickerBirth, floor: float = math.inf):
         super().__init__(base)
-        self.level = float(level)
-        self.floor = float(base.value(level))
+        self.floor = float(floor)
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -150,8 +138,6 @@ class TabularEnvelope(_Envelope):
     would fall short of b'(0) and fail the strict gap hypothesis on the
     first cell.
     """
-
-    kind = "envelope_table"
 
     def __init__(self, u, vals, base):
         super().__init__(base)
@@ -204,8 +190,8 @@ def build_envelopes(model: ModelSpec, monotone: bool) -> EnvelopePair:
 
     A birth that `validate_hypotheses` calls `monotone` is its own pair with
     k = level = K.  Otherwise the working level is the largest root of
-    running-max(b)(u) = d*u, the birth peak for d = 1, and k the largest
-    root of the suffix minimum against d*u on (0, level].
+    running-max(b)(u) = d*u, the birth peak for d = 1, and k the
+    equilibrium of the suffix minimum over [u, level] against d*u.
     """
     b, d = model.birth, model.d
     K = equilibrium(model)
@@ -215,12 +201,12 @@ def build_envelopes(model: ModelSpec, monotone: bool) -> EnvelopePair:
     if isinstance(b, RickerBirth):
         # nonmonotone, so K > 1 and level = exp(K - 1) lies past the peak
         level = b.p / (d * math.e)
-        upper = RickerUpperEnvelope(b)
-        lower = RickerLowerEnvelope(b, level)
-        k = _largest_root(lambda u: lower.value(u) - d * u, level)
-        pair = EnvelopePair(upper=upper, lower=lower, k=k, level=level)
+        upper, lower = RickerEnvelope(b), RickerEnvelope(b, b.value(level))
     else:
-        pair = _tabular_envelopes(model, K)
+        upper, lower, level = _tabular_envelopes(model, K)
+    # the root validate_hypotheses finds for the lower-envelope model
+    k = equilibrium(ModelSpec(d=d, birth=lower, delay=model.delay))
+    pair = EnvelopePair(upper=upper, lower=lower, k=k, level=level)
 
     if not (0.0 < pair.k <= K + 1e-9 and K <= pair.level + 1e-9):
         raise ModelInvalidError(
@@ -228,20 +214,8 @@ def build_envelopes(model: ModelSpec, monotone: bool) -> EnvelopePair:
     return pair
 
 
-def _largest_root(g, hi: float) -> float:
-    u = np.linspace(0.0, hi, GRID_POINTS)[1:]
-    vals = g(u)
-    # a zero counts, as at `hi` where the equilibria meet to rounding
-    sign_change = np.nonzero((vals[:-1] >= 0) & (vals[1:] <= 0))[0]
-    if sign_change.size == 0:
-        raise ModelInvalidError("no envelope equilibrium found in (0, level]")
-    i = sign_change[-1]
-    if vals[i] == 0.0:
-        return float(u[i])
-    return float(_bisect_root(g, u[i], u[i + 1]))
-
-
-def _tabular_envelopes(model: ModelSpec, K: float) -> EnvelopePair:
+def _tabular_envelopes(model: ModelSpec, K: float) -> tuple:
+    """(upper, lower, level): the running extrema of b tabulated on [0, level]."""
     b, d = model.birth, model.d
     peak = birth_peak(model)
     hi = 1.5 * max(K, peak, peak / d)
@@ -265,7 +239,5 @@ def _tabular_envelopes(model: ModelSpec, K: float) -> EnvelopePair:
     grid = np.linspace(0.0, level, GRID_POINTS)
     upper_vals = np.maximum.accumulate(b.value(grid))
     lower_vals = np.minimum.accumulate(b.value(grid)[::-1])[::-1]
-    upper = TabularEnvelope(grid, upper_vals, b)
-    lower = TabularEnvelope(grid, lower_vals, b)
-    k = _largest_root(lambda x: lower.value(x) - d * x, level)
-    return EnvelopePair(upper=upper, lower=lower, k=k, level=float(level))
+    return (TabularEnvelope(grid, upper_vals, b),
+            TabularEnvelope(grid, lower_vals, b), float(level))

@@ -192,6 +192,16 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
         raise ConfigError(f"sidecar report {sidecar} lacks a usable value: {exc}")
     if mode not in ("monotone", "nonmonotone"):
         raise ConfigError(f"sidecar report {sidecar} names an unknown mode {mode!r}")
+    ctx = dispersion.CharacteristicContext.from_model(model)
+    c = _checked_speed(c, f"sidecar report {sidecar}: c", ctx)
+    for key, value, ok, rule in (
+            ("beta", beta, 0.0 < beta < math.inf, "finite and positive"),
+            ("phase_shift", shift, math.isfinite(shift), "finite"),
+            ("residual_sup", recorded, 0.0 <= recorded < math.inf,
+             "finite and non-negative")):
+        if not ok:
+            raise ConfigError(f"sidecar report {sidecar}: {key} must be {rule}, "
+                              f"not {value!r}")
     cols = reporting.read_csv(csv_path)
     if set(cols) != {"xi", "phi"}:
         raise ConfigError(f"{csv_path}: expected header 'xi,phi'")
@@ -200,13 +210,11 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
                                right_limit=float(values[-1]))
     res_sup, res_arr = profile.residual(grid, c, model)
     # the solve's sandwich at the recorded speed, for the mode it ran
-    roots = dispersion.decay_roots(
-        c, dispersion.CharacteristicContext.from_model(model))
+    roots = dispersion.decay_roots(c, ctx)
     monotone = mode == "monotone"
-    upper, lower, pair = bounds.sandwich(model, roots, monotone)
-    mem = profile.gamma_membership(
-        grid, c, beta, model, shift=shift, level=pair.level, upper=upper,
-        lower=lower, require_monotone=monotone, sandwich_tol=1e-6)
+    upper, lower, _ = bounds.sandwich(model, roots, monotone)
+    mem = profile.gamma_membership(grid, c, beta, model, shift=shift, upper=upper,
+                                   lower=lower, require_monotone=monotone)
     tol = max(2.0 * recorded, 1e-9)
     failures = {}
     if res_sup > tol:

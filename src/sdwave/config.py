@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .model import (ConstantDelay, ExponentialDelay, ModelSpec, RationalDelay,
-                    RickerBirth, TabulatedBirth)
+from .model import (ExponentialDelay, ModelSpec, RationalDelay, RickerBirth,
+                    TabulatedBirth)
 from .reporting import read_csv
 
 # value kinds: f float, i int, b bool, s string, fl float list, p path
@@ -160,7 +160,7 @@ def build_model(cfg: RunConfig) -> ModelSpec:
     m = sec.get("delay.m", 0.0)
     M = sec.get("delay.M", m)
     if dkind == "constant":
-        delay = ConstantDelay(m)
+        delay = RationalDelay(m, m)   # a constant lag is M = m
     elif dkind == "saturating_rational":
         delay = RationalDelay(m, M)
     elif dkind == "saturating_exponential":

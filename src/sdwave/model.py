@@ -77,8 +77,6 @@ def _bisect_root(f, lo: float, hi: float) -> float:
 class RickerBirth:
     """Ricker recruitment b(u) = p * u * exp(-u)."""
 
-    kind = "ricker"
-
     def __init__(self, p: float):
         p = _finite("ricker coefficient p", p)
         if p <= 0:
@@ -113,8 +111,6 @@ class TabulatedBirth:
     A shape-preserving cubic avoids spurious oscillation that would fabricate
     hypothesis violations.  Beyond the last sample the value is held constant.
     """
-
-    kind = "tabulated"
 
     def __init__(self, samples):
         pts = np.asarray(samples, dtype=float)
@@ -159,34 +155,8 @@ class TabulatedBirth:
 # ---------------------------------------------------------------------------
 # delay functions
 
-class ConstantDelay:
-    kind = "constant"
-
-    def __init__(self, m: float):
-        self.m = _finite("delay m", m)
-        self.M = self.m
-
-    def tau(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.full_like(u, self.m)
-        return _scalar_or_array(out)
-
-    def slope(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        return _scalar_or_array(out)
-
-    def slope_sup(self) -> float:
-        return 0.0
-
-    def __repr__(self):
-        return f"ConstantDelay(m={self.m})"
-
-
 class RationalDelay:
     """tau(u) = m + (M - m) * u / (1 + u): saturates from m at 0 toward M."""
-
-    kind = "saturating_rational"
 
     def __init__(self, m: float, M: float):
         self.m = _finite("delay m", m)
@@ -212,8 +182,6 @@ class RationalDelay:
 
 class ExponentialDelay:
     """tau(u) = m + (M - m) * (1 - exp(-u))."""
-
-    kind = "saturating_exponential"
 
     def __init__(self, m: float, M: float):
         self.m = _finite("delay m", m)

@@ -357,7 +357,8 @@ class DelaySim(_BaseSim):
         self.level = max(peak / model.d, peak, float(np.max(self.u)))
 
     def reaction(self) -> np.ndarray:
-        td = self.t - self.model.delay.tau(self.u)
+        # the lag, like the birth, is read on u >= 0, where A1-A3 define it
+        td = self.t - self.model.delay.tau(np.maximum(self.u, 0.0))
         np.maximum(td, self.t - self.max_lag - self.dt, out=td)
         delayed = self.history_values(td)
         return -self.model.d * self.u + self.model.birth.value(np.maximum(delayed, 0.0))

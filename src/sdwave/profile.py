@@ -152,22 +152,22 @@ def residual(phi: ProfileGrid, c: float, model: ModelSpec):
 
 
 def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
-                     shift: float, level: float, upper, lower,
-                     require_monotone: bool,
-                     sandwich_tol: float = 1e-8) -> MembershipReport:
+                     shift: float, upper, lower,
+                     require_monotone: bool) -> MembershipReport:
     """Check the solution-set conditions: sandwich, monotonicity, Lipschitz bound.
 
     `upper` and `lower` are the sandwich's bounds, compared at the abscissae
-    shifted by the solve's recorded phase shift; `level` is the plateau of
-    the solution set, on which the Lipschitz bound depends.
+    shifted by the solve's recorded phase shift; the upper bound's level is
+    the plateau of the solution set, on which the Lipschitz bound depends.
     """
     hi = upper.value(phi.xi + shift)
     lo = lower.value(phi.xi + shift)
     over = float(np.max(phi.values - hi))
     under = float(np.max(lo - phi.values))
-    sandwich_ok = max(over, under) <= sandwich_tol
+    sandwich_ok = max(over, under) <= 1e-8
     mono_margin = float(np.min(np.diff(phi.values)))
     monotone_ok = (not require_monotone) or mono_margin >= -1e-12
+    level = upper.level
     lip_bound = beta * level / (lag_factor(model, level) * c)
     steep = float(np.max(np.abs(np.diff(phi.values)))) / phi.h
     lipschitz_ok = steep <= lip_bound * (1.0 + 1e-9) + 1e-12
@@ -584,8 +584,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig,
     res_sup, _ = residual(phi, c, model)
     f_cons = float(np.max(np.abs(apply_F(phi, model, rates) - v)))
     mem = gamma_membership(phi, c, rates.beta, model, shift=shift,
-                           level=pair.level, upper=upper, lower=lower,
-                           require_monotone=monotone)
+                           upper=upper, lower=lower, require_monotone=monotone)
     return WaveSolution(
         profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
         trace=res.trace, beta=rates.beta, lambda1=roots.lambda1,

@@ -24,7 +24,7 @@ def ricker3():
 def kpp():
     """Zero-lag reduction: ricker p=2, d=1, tau = 0."""
     return model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
-                           delay=model.ConstantDelay(0.0))
+                           delay=model.RationalDelay(0.0, 0.0))
 
 
 @pytest.fixture(scope="session")

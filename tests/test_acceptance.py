@@ -292,11 +292,8 @@ def test_strongly_nonmonotone_solve_converges():
 def test_criterion_11_delay_sensitivity_regression():
     tails = {}
     for T in (0.0, 0.1, 0.3, 0.5):
-        if T == 0.0:
-            delay = model.ConstantDelay(0.2)
-        else:
-            delay = model.RationalDelay(0.2, 0.2 + T)
-        m = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0), delay=delay)
+        m = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0),
+                            delay=model.RationalDelay(0.2, 0.2 + T))
         ctx = dispersion.CharacteristicContext.from_model(m)
         c = 1.2 * dispersion.critical_speed(ctx).c_star
         sol = profile.solve(

@@ -11,7 +11,7 @@ from conftest import (bisect, bound_derivatives, closed_form_bounds,
 
 def test_upper_solution_branches():
     m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     up, _ = closed_form_bounds(2.5, m)
     K = math.log(2.0)
     assert up.value(-200.0) < 1e-40

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sdwave import cli, config, dispersion, model, profile, reporting
+from sdwave import bounds, cli, config, dispersion, model, profile, reporting
 from sdwave.errors import ConfigError
 from conftest import widths
 
@@ -101,13 +102,15 @@ class TestConfigParsing:
             config.load_config(p)
 
     def test_build_delay_kinds(self, tmp_path):
-        for kind, cls in (("constant", model.ConstantDelay),
-                          ("saturating_rational", model.RationalDelay),
-                          ("saturating_exponential", model.ExponentialDelay)):
+        # a constant lag is the rational lag with M = m; delay.M is ignored
+        for kind, cls, M in (("constant", model.RationalDelay, 0.1),
+                             ("saturating_rational", model.RationalDelay, 0.5),
+                             ("saturating_exponential", model.ExponentialDelay, 0.5)):
             text = (f"[model]\nd = 1.0\nbirth.kind = ricker\nbirth.p = 2\n"
                     f"delay.kind = {kind}\ndelay.m = 0.1\ndelay.M = 0.5\n")
             m = config.build_model(config.load_config(write_cfg(tmp_path, text)))
-            assert isinstance(m.delay, cls)
+            assert type(m.delay) is cls
+            assert (m.delay.m, m.delay.M) == (0.1, M)
 
     def test_build_tabulated_birth(self, tmp_path):
         u = np.linspace(0.0, 5.0, 200)
@@ -161,6 +164,18 @@ class TestSpeedCommand:
         sidecar = json.loads(out.with_suffix(".json").read_text())["results"]
         assert row["c"] == sidecar["c"] == 2.0
         assert row["beta"] == sidecar["beta"]
+
+    @pytest.mark.parametrize("birth_p", [35.0, 40.0, 60.0, 75.0])
+    def test_large_ricker_coefficient_has_a_lower_envelope(self, tmp_path,
+                                                           birth_p):
+        # k = b(level)/d lies below level / 10,000 once p/d exceeds 34.7
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace(
+            "birth.p = 2.0", f"birth.p = {birth_p}"))
+        assert run_cli(["--config", p, "speed"]) == 0
+        m = config.build_model(config.load_config(p))
+        pair = bounds.build_envelopes(m, model.validate_hypotheses(m).monotone)
+        assert pair.k == pytest.approx(m.birth.value(pair.level) / m.d,
+                                       rel=1e-15, abs=0.0)
 
     def test_invalid_model_exits_2(self, tmp_path):
         bad = "[model]\nd = 3.0\nbirth.kind = ricker\nbirth.p = 2.0\ndelay.kind = constant\ndelay.m = 0\n"
@@ -290,6 +305,24 @@ class TestProfileVerifyCommands:
         assert run_cli(["--config", cfg_path, "verify", "--profile", copy]) == 1
         err = capsys.readouterr().err
         assert str(copy.with_suffix(".json")) in err and "mode" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("c", -1.0), ("beta", 0.0), ("beta", math.inf),
+        ("residual_sup", math.nan), ("phase_shift", math.inf),
+    ])
+    def test_verify_rejects_unusable_sidecar_values(self, profile_run, capsys,
+                                                    tmp_path, key, value):
+        # each of these ended in a traceback, or passed a check it made vacuous
+        cfg_path, out, _ = profile_run
+        copy = tmp_path / "old.csv"
+        copy.write_bytes(out.read_bytes())
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        sidecar["results"][key] = value
+        copy.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert run_cli(["--config", cfg_path, "verify", "--profile", copy]) == 1
+        err = capsys.readouterr().err
+        assert f"{copy.with_suffix('.json')}: {key} must be" in err
         assert err.count("\n") == 1
 
     def test_nonmonotone_right_end_is_checked(self, tmp_path, capsys,
@@ -470,7 +503,8 @@ class TestEnvelopeCommand:
                         "profile"]) == 0
         assert run_cli(["--config", p, "envelope"]) == 0
         (up, low, pair), = built
-        assert pair.lower.kind == "envelope_lower"
+        assert isinstance(pair.lower, bounds.RickerEnvelope)
+        assert math.isfinite(pair.lower.floor)
         cols = reporting.read_csv(tmp_path / "envout" / "profile_bounds.csv")
         xi = cols["xi"]
         for col, bound in (("phi_upper", up), ("phi_lower", low)):
@@ -510,6 +544,31 @@ probe_speed_fraction = 0.6
 """
 
 
+def test_constant_lag_is_the_rational_lag_with_M_equal_m(tmp_path, monkeypatch):
+    # delay.kind = constant builds RationalDelay(m, m): the profile, its
+    # sidecar and the simulation are byte for byte those of M = m
+    outputs = []
+    for kind, lag in (("constant", "delay.m = 0.2\n"),
+                      ("saturating_rational", "delay.m = 0.2\ndelay.M = 0.2\n")):
+        run = tmp_path / kind
+        run.mkdir()
+        monkeypatch.chdir(run)
+        text = (BASE_MODEL.replace("birth.p = 2.0", "birth.p = 3.0")
+                .replace("delay.kind = constant\ndelay.m = 0.0\n",
+                         f"delay.kind = {kind}\n{lag}")
+                + "\n[profile]\nh = 0.05\n"
+                + SIM_SECTION.replace("t_end = 12", "t_end = 4"))
+        p = write_cfg(run, text)
+        assert run_cli(["--config", p, "--out", "wave.csv", "profile"]) == 0
+        assert run_cli(["--config", p, "simulate", "--out-dir", "sim"]) == 0
+        sidecar = json.loads((run / "wave.json").read_text())
+        del sidecar["timings"], sidecar["config_digest"]
+        files = [run / "wave.csv", run / "sim" / "run.json",
+                 *sorted((run / "sim").glob("snapshot_t*.csv"))]
+        outputs.append((sidecar, [f.read_bytes() for f in files]))
+    assert outputs[0] == outputs[1]
+
+
 class TestSimulateCommands:
     def test_simulate_then_frontspeed(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + SIM_SECTION)
@@ -526,6 +585,21 @@ class TestSimulateCommands:
         rep = json.loads(capsys.readouterr().out)
         assert rep["results"]["speed"] > 0.5
         assert rep["results"]["samples"] >= 10
+
+    @pytest.mark.parametrize("kind", ["constant", "saturating_rational"])
+    def test_a_negative_datum_reads_the_lag_at_zero(self, tmp_path, capsys, kind):
+        # tau(u) = m + (M - m) u / (1 + u) is 0/0 at u = -1
+        text = (BASE_MODEL.replace("delay.kind = constant\ndelay.m = 0.0\n",
+                                   f"delay.kind = {kind}\ndelay.m = 0.2\n"
+                                   "delay.M = 0.7\n")
+                + SIM_SECTION.replace("initial.low = 0", "initial.low = -1")
+                .replace("t_end = 12", "t_end = 1"))
+        p = write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["--config", p, "simulate", "--out-dir",
+                            tmp_path / "run"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_frontspeed_level_override(self, tmp_path, capsys):
         p = write_cfg(tmp_path, DELAYED_MODEL + SIM_SECTION)

@@ -143,7 +143,7 @@ def test_root_bounds_over_speed_range(ricker2_ctx):
 class TestChooseBeta:
     def test_floor_terms_constant_delay(self):
         m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
-                            delay=model.ConstantDelay(0.0))
+                            delay=model.RationalDelay(0.0, 0.0))
         sr = dispersion.critical_speed(
             dispersion.CharacteristicContext.from_model(m))
         kr = dispersion.choose_beta(2.5, m, range_end=model.equilibrium(m),
@@ -188,7 +188,7 @@ def dense_root_bounds(ctx, c_lo, c_hi, n=200):
 
 
 EXACT_SCAN_MODELS = [
-    model.ModelSpec(d=1.0, birth=model.RickerBirth(p), delay=model.ConstantDelay(m))
+    model.ModelSpec(d=1.0, birth=model.RickerBirth(p), delay=model.RationalDelay(m, m))
     for p, m in ((2.0, 0.2), (3.0, 0.2), (2.0, 0.0), (5.0, 1.0))
 ] + [model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
                      delay=model.RationalDelay(0.2, 0.7))]

@@ -149,7 +149,7 @@ u = np.linspace(0.0, 8.0, 81)
 birth = model.TabulatedBirth(np.column_stack([u, 2.0 * u / (1.0 + u)]))
 out["tabulated"] = loaded()
 out["value"] = birth.value(1.0)
-tab = model.ModelSpec(d=1.0, birth=birth, delay=model.ConstantDelay(0.0))
+tab = model.ModelSpec(d=1.0, birth=birth, delay=model.RationalDelay(0.0, 0.0))
 before = set(sys.modules)
 out["equilibrium"] = model.equilibrium(tab)
 out["equilibrium_imports"] = sorted(set(sys.modules) - before)

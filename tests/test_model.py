@@ -23,7 +23,7 @@ def test_ricker_maximizer_matches_golden_section_oracle():
 
 def test_equilibrium_matches_bisection_oracle():
     m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     oracle = bisect(lambda u: 2.0 * math.exp(-u) - 1.0, 1e-9, 50.0)
     K = model.equilibrium(m)
     assert K == pytest.approx(oracle, abs=1e-12)
@@ -32,13 +32,13 @@ def test_equilibrium_matches_bisection_oracle():
 
 def test_equilibrium_analytic_p_equals_e():
     m = model.ModelSpec(d=1.0, birth=model.RickerBirth(math.e),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     assert model.equilibrium(m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equilibrium_rejects_subcritical_growth():
     m = model.ModelSpec(d=2.0, birth=model.RickerBirth(1.5),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     with pytest.raises(ModelInvalidError):
         model.equilibrium(m)
 
@@ -46,7 +46,7 @@ def test_equilibrium_rejects_subcritical_growth():
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_quadratic_gap_matches_grid_oracle(p):
     m = model.ModelSpec(d=1.0, birth=model.RickerBirth(p),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     end = model.equilibrium(m) if p == 2.0 else 3.0 / math.e
     u = np.linspace(0.0, end, 10_001)[1:]
     gap = p * u - p * u * np.exp(-u)
@@ -64,7 +64,7 @@ def test_quadratic_gap_linear_at_origin_table():
     u = np.linspace(0.0, 2.0, 200)
     samples = np.column_stack([u, u / (1.0 + u)])
     m = model.ModelSpec(d=0.25, birth=model.TabulatedBirth(samples),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     end = model.equilibrium(m)
     L = model.quadratic_gap(m, end)
     g = np.linspace(0.0, end, 10_001)[1:]
@@ -75,10 +75,10 @@ def test_quadratic_gap_linear_at_origin_table():
 
 def test_birth_peak_values():
     m2 = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
-                         delay=model.ConstantDelay(0.0))
+                         delay=model.RationalDelay(0.0, 0.0))
     assert model.birth_peak(m2) == pytest.approx(math.log(2.0), abs=1e-12)
     m3 = model.ModelSpec(d=1.0, birth=model.RickerBirth(3.0),
-                         delay=model.ConstantDelay(0.0))
+                         delay=model.RationalDelay(0.0, 0.0))
     assert model.birth_peak(m3) == pytest.approx(3.0 / math.e, abs=1e-12)
 
 
@@ -86,7 +86,7 @@ def test_birth_peak_monotone_is_right_endpoint():
     u = np.linspace(0.0, 3.0, 400)
     samples = np.column_stack([u, 2.0 * u / (1.0 + u)])
     m = model.ModelSpec(d=1.0, birth=model.TabulatedBirth(samples),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     K = model.equilibrium(m)
     assert model.birth_peak(m) == pytest.approx(m.birth.value(K), rel=1e-8)
     assert model.birth_peak(m) == pytest.approx(m.d * K, rel=1e-8)
@@ -98,7 +98,7 @@ def test_birth_peak_tabulated_interior_matches_golden_section_oracle():
     u = np.linspace(0.0, 6.0, 97)
     samples = np.column_stack([u, 3.0 * u * np.exp(-u)])
     m = model.ModelSpec(d=1.0, birth=model.TabulatedBirth(samples),
-                        delay=model.ConstantDelay(0.0))
+                        delay=model.RationalDelay(0.0, 0.0))
     K = model.equilibrium(m)
     grid = np.linspace(0.0, K, model.GRID_POINTS)
     peak = model.birth_peak(m)
@@ -109,7 +109,7 @@ def test_birth_peak_tabulated_interior_matches_golden_section_oracle():
 
 
 def test_sup_delay_slope():
-    assert model.ConstantDelay(0.3).slope_sup() == 0.0
+    assert model.RationalDelay(0.3, 0.3).slope_sup() == 0.0
     m = model.ModelSpec(1.0, model.RickerBirth(2.0), model.RationalDelay(0.2, 0.7))
     assert m.delay.slope_sup() == pytest.approx(0.5, abs=1e-14)
     # grid cross-check: slope is maximal at u = 0
@@ -216,7 +216,7 @@ FAILING_ENTRIES = {
     "steep lag": (lambda: model.RickerBirth(2.0),
                   lambda: model.RationalDelay(0.2, 1.4), {"A2": STEEP_LAG}),
     "negative lag": (lambda: model.RickerBirth(2.0),
-                     lambda: model.ConstantDelay(-0.1),
+                     lambda: model.RationalDelay(-0.1, -0.1),
                      {"A3": _fails(0.0, "tau(0) = -0.1 < 0")}),
     "falling lag": (lambda: model.RickerBirth(2.0),
                     lambda: model.RationalDelay(0.7, 0.2),
@@ -310,9 +310,9 @@ def test_tabulated_matches_ricker_closely():
 
 @pytest.mark.parametrize("build, name", [
     (lambda x: model.ModelSpec(d=x, birth=model.RickerBirth(2.0),
-                               delay=model.ConstantDelay(0.0)), "death rate d"),
+                               delay=model.RationalDelay(0.0, 0.0)), "death rate d"),
     (lambda x: model.RickerBirth(x), "ricker coefficient p"),
-    (lambda x: model.ConstantDelay(x), "delay m"),
+    (lambda x: model.ExponentialDelay(x, 0.7), "delay m"),
     (lambda x: model.RationalDelay(x, 0.7), "delay m"),
     (lambda x: model.ExponentialDelay(0.2, x), "delay M"),
 ])

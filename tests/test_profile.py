@@ -546,7 +546,7 @@ def collocation_oracle(m, c, tau0, xi_lo, xi_hi, h):
 
 def test_constant_delay_cross_validation():
     m = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
-                        delay=model.ConstantDelay(0.3))
+                        delay=model.RationalDelay(0.3, 0.3))
     ctx = dispersion.CharacteristicContext.from_model(m)
     c = 1.2 * dispersion.critical_speed(ctx).c_star
     sol = profile.solve(m, c, profile.SolverConfig(h=0.01))
@@ -569,7 +569,7 @@ class TestGammaMembership:
         g = profile.ProfileGrid(xi=xi, values=up.value(xi), left_limit=0.0,
                                 right_limit=K)
         rep = profile.gamma_membership(g, c, rates.beta, m, shift=0.0,
-                                       level=K, upper=up, lower=low,
+                                       upper=up, lower=low,
                                        require_monotone=True)
         assert rep.member
 
@@ -582,7 +582,7 @@ class TestGammaMembership:
             right_limit=base.right_limit)
         rep = profile.gamma_membership(squeezed, c, rates.beta, m,
                                        shift=ricker2_solution.shift,
-                                       level=K, upper=up, lower=low,
+                                       upper=up, lower=low,
                                        require_monotone=True)
         assert not rep.lipschitz_ok
         mild = profile.ProfileGrid(
@@ -754,7 +754,8 @@ def test_nonmonotone_solve_checks_each_model_once(ricker3, ricker3_cstar,
     assert sol.mode == "nonmonotone"
     (first,), (second,) = calls
     assert first is ricker3
-    assert second.birth.kind == "envelope_lower"
+    assert isinstance(second.birth, bounds.RickerEnvelope)
+    assert math.isfinite(second.birth.floor)
 
 
 def test_monotone_solve_solves_the_decay_roots_once(ricker2, ricker2_cstar,
