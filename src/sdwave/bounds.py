@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import CharacteristicContext, RootPair, char_value
-from .errors import ModelInvalidError, NoRootsError
+from .errors import ModelInvalidError
 from .model import (GRID_POINTS, ModelSpec, RickerBirth, _bisect_root,
                     _scalar_or_array, birth_peak, equilibrium, quadratic_gap)
 
@@ -74,7 +74,7 @@ def build_lower(roots: RootPair, model: ModelSpec) -> LowerSolution:
     lam1, lam2 = roots.lambda1, roots.lambda2
     ratio = lam2 / lam1
     if ratio < 1.0 + ETA_DEGENERACY_TOL:
-        raise NoRootsError(
+        raise ModelInvalidError(
             f"decay roots nearly coincide (ratio {ratio:.3e}); speed too close "
             "to the threshold for an explicit lower solution")
     eta = 0.5 * (1.0 + min(2.0, ratio))

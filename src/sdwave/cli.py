@@ -27,15 +27,8 @@ import numpy as np
 
 from . import __version__, bounds, dispersion, pdesim, profile, reporting
 from .config import RunConfig, _parse_value, build_model, load_config
-from .errors import (ConfigError, ModelInvalidError, NonconvergenceError,
-                     NoRootsError, SchemeError, SdwaveError, VerificationError)
+from .errors import ConfigError, ModelInvalidError, SdwaveError, VerificationError
 from .model import equilibrium, validate_hypotheses
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_MODEL = 2
-EXIT_VERIFY = 3
-EXIT_NONCONV = 4
 
 
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
@@ -435,11 +428,14 @@ def cmd_compare(cfg: RunConfig, args, rep: reporting.Report) -> None:
     sec = cfg.section("comparison")
     D1, D2, D3 = (cfg.require("comparison", key) for key in ("D1", "D2", "D3"))
     params = pdesim.ComparisonParams(D1=D1, D2=D2, D3=D3, m=sec.get("m", 0.0))
+    frac = sec.get("probe_speed_fraction", 0.9)
+    if not frac > 0.0:
+        raise ConfigError("[comparison] probe_speed_fraction must be positive, "
+                          f"not {frac!r}")
     sim_cfg = _sim_config_from(cfg, "comparison", params.plateau)
     record = pdesim.simulate_comparison(params, sim_cfg)
     out_dir = _out_dir(cfg, args)
     _persist_run(record, out_dir)
-    frac = sec.get("probe_speed_fraction", 0.9)
     lin_ctx = dispersion.CharacteristicContext(
         d=params.D1, growth_at_zero=params.D2, lag_at_zero=params.m)
     c_comp = dispersion.critical_speed(lin_ctx).c_star
@@ -607,22 +603,13 @@ def main(argv=None) -> int:
                                config_digest=reporting.config_digest(cfg.text),
                                version=__version__)
         COMMANDS[args.command](cfg, args, rep)
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ModelInvalidError, NoRootsError) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (NonconvergenceError, SchemeError) as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
+        return 0
+    except OSError as exc:      # a path to read or write: str(exc) names it
+        print(f"{ConfigError.label}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
     except SdwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

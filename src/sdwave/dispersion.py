@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelInvalidError, NoRootsError
+from .errors import ModelInvalidError
 from .model import ModelSpec, _bisect_root, _scalar_or_array, lag_factor
 
 # Bound on S = d + b'(0).  The speed bracket ends at 2 sqrt(S) + 1, where
@@ -144,7 +144,7 @@ def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
     """The two positive roots 0 < lambda1 < lambda2 for a supercritical speed."""
     lam_min, v_min = char_min(c, ctx)
     if v_min >= 0.0:
-        raise NoRootsError(
+        raise ModelInvalidError(
             f"characteristic function has no positive roots at c={c:.12g} "
             "(speed at or below the threshold)")
     lam1 = _bisect_root(lambda x: char_value(x, c, ctx), 0.0, lam_min)
@@ -156,7 +156,7 @@ def decay_roots(c: float, ctx: CharacteristicContext) -> RootPair:
         hi *= 2.0
     lam2 = _bisect_root(lambda x: char_value(x, c, ctx), lam_min, hi)
     if not (0.0 < lam1 < lam2):
-        raise NoRootsError(f"root ordering failed: {lam1}, {lam2}")
+        raise ModelInvalidError(f"root ordering failed: {lam1}, {lam2}")
     return RootPair(lambda1=lam1, lambda2=lam2, c=c)
 
 

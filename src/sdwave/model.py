@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelInvalidError, NoRootsError
+from .errors import ModelInvalidError
 
 GRID_POINTS = 10_001          # density for hypothesis certification grids
 SHARED_SET = ("A1", "A2", "A3", "B")      # needed by both solvers
@@ -56,7 +56,7 @@ def _bisect_root(f, lo: float, hi: float) -> float:
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
-        raise NoRootsError("root bracket does not change sign")
+        raise ModelInvalidError("root bracket does not change sign")
     for _ in range(2100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -236,7 +236,8 @@ def equilibrium(model: ModelSpec) -> float:
     """Unique positive root of b(u) = d*u with b > d*u to its left.
 
     Analytic for the Ricker family; otherwise a sign-change scan over
-    (0, 50] followed by bisection on the first bracket.
+    (0, 50] followed by bisection on the first bracket.  The scan starts at
+    1e-9, or at the smallest normal float when the root lies below 1e-9.
     """
     b, d = model.birth, model.d
     if b.derivative_at_zero <= d:
@@ -249,7 +250,8 @@ def equilibrium(model: ModelSpec) -> float:
                 "model coefficients out of numerical range")
         return k
     g = lambda u: b.value(u) - d * u
-    grid = np.geomspace(1e-9, 50.0, 4000)
+    grid = np.geomspace(1e-9 if g(1e-9) > 0.0 else np.finfo(float).tiny,
+                        50.0, 4000)
     vals = g(grid)
     idx = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
     if idx.size == 0:
@@ -304,7 +306,7 @@ def birth_peak(model: ModelSpec) -> float:
     hi = u[min(i + 1, len(u) - 1)]
     try:
         x = _bisect_root(b.derivative, lo, hi)
-    except NoRootsError:
+    except ModelInvalidError:
         return float(vals[i])
     return float(max(vals[i], b.value(x)))
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import ConfigError, ModelInvalidError, SchemeError, SdwaveError
+from .errors import ConfigError, ModelInvalidError, NonconvergenceError
 from .model import ModelSpec, birth_peak
 
 COMPARISON_BAND_TOL = 1e-6
@@ -137,7 +137,7 @@ class HistoryBuffer:
 
     def append(self, t: float, u: np.ndarray):
         if self.count == self.cap:
-            raise SchemeError("history ring overflow; eviction failed")
+            raise NonconvergenceError("history ring overflow; eviction failed")
         idx = (self.start + self.count) % self.cap
         self._times[idx] = t
         self._snaps[idx] = u
@@ -306,7 +306,7 @@ class _BaseSim:
         hi, lo = float(self.u.max()), float(self.u.min())
         sup = max(hi, -lo)
         if not sup <= 10.0 * self.level:
-            raise SchemeError(
+            raise NonconvergenceError(
                 f"instability detected at t={self.t:.6g}: sup|u|={sup:.3g} "
                 f"exceeds 10x level {self.level:.3g}")
         self.band_violation = max(self.band_violation, hi - self.level, -lo)
@@ -395,7 +395,7 @@ class ComparisonSim(_BaseSim):
         over = float(self.u.max()) - self.params.plateau
         under = -float(self.u.min())
         if max(over, under) > COMPARISON_BAND_TOL:
-            raise SchemeError(
+            raise NonconvergenceError(
                 f"comparison band violated by {max(over, under):.3e} at t={self.t:.6g}")
         np.minimum(self.params.plateau, self.u, out=self.u)
         np.maximum(0.0, self.u, out=self.u)
@@ -454,7 +454,7 @@ def front_speed(track: FrontTrack, window_fraction: float = 0.5) -> tuple:
     n = track.times.shape[0]
     keep = max(int(math.ceil(n * window_fraction)), 0)
     if keep < 10:
-        raise SdwaveError("front speed fit needs at least 10 samples in the window")
+        raise ConfigError("front speed fit needs at least 10 samples in the window")
     t = track.times[n - keep:]
     xf = track.positions[n - keep:]
     A = np.vstack([t, np.ones_like(t)]).T
@@ -468,9 +468,8 @@ def front_speed(track: FrontTrack, window_fraction: float = 0.5) -> tuple:
 
 
 def spreading_probe(record: RunRecord, c_probe: float) -> tuple:
-    """Extrema of u over the cone |x| < c_probe * t across late snapshots."""
-    if c_probe <= 0:
-        raise ModelInvalidError("probe speed must be positive")
+    """Extrema of u over the cone |x| < c_probe * t across late snapshots;
+    a speed c_probe <= 0 leaves every cone empty."""
     n = len(record.times)
     late = range(int(math.floor(0.75 * n)), n)
     lo, hi = math.inf, -math.inf
@@ -485,5 +484,5 @@ def spreading_probe(record: RunRecord, c_probe: float) -> tuple:
         lo = min(lo, float(np.min(u)))
         hi = max(hi, float(np.max(u)))
     if not seen:
-        raise SdwaveError("spreading cone empty at every sampled time")
+        raise ConfigError("spreading cone empty at every sampled time")
     return lo, hi

@@ -28,7 +28,7 @@ from . import _kernels as kernels
 from .bounds import sandwich
 from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
                          choose_beta, critical_speed, decay_roots)
-from .errors import ConfigError, ModelInvalidError, NonconvergenceError, NoRootsError
+from .errors import ConfigError, ModelInvalidError, NonconvergenceError
 from .model import (MONOTONE_SET, RELAXED_SET, SHARED_SET, HypothesisReport,
                     ModelSpec, _bisect_root, equilibrium, lag_factor,
                     validate_hypotheses)
@@ -288,11 +288,9 @@ def _shift_cells(v: np.ndarray, cells: int, left_fill: float, right_fill: float)
     if cells > 0:
         out[:-cells] = v[cells:]
         out[-cells:] = right_fill
-    elif cells < 0:
+    else:               # cells < 0: both callers shift only when cells != 0
         out[-cells:] = v[:cells]
         out[:-cells] = left_fill
-    else:
-        out[:] = v
     return out
 
 
@@ -302,9 +300,7 @@ def _anchor_crossing(xi: np.ndarray, v: np.ndarray, a: float) -> Optional[float]
     if not above.any() or above[0]:
         return None
     j = int(np.argmax(above))
-    v0, v1 = v[j - 1], v[j]
-    if v1 == v0:
-        return float(xi[j])
+    v0, v1 = v[j - 1], v[j]     # v0 < a <= v1 (or v0 is NaN): no 0/0
     return float(xi[j - 1] + (xi[j] - xi[j - 1]) * (a - v0) / (v1 - v0))
 
 
@@ -536,7 +532,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig,
             f"nonmonotone solve requires the relaxed hypothesis set; failed: {failed}")
     ctx = CharacteristicContext.from_model(model)
     if c <= speed.c_star:
-        raise NoRootsError(
+        raise ModelInvalidError(
             f"speed {c:.9g} is at or below the threshold {speed.c_star:.9g}: no "
             "profile exists; measure the front with simulate then frontspeed "
             "(or sweep) instead")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdwave import bounds, dispersion, model, profile
-from sdwave.errors import NoRootsError
+from sdwave.errors import ModelInvalidError
 from conftest import (bisect, bound_derivatives, closed_form_bounds,
                       kink_excluded_grid, wave_inequality_residuals)
 
@@ -114,7 +114,7 @@ def test_lower_rejects_near_threshold(ricker2):
     # needs a very sharp threshold value so the root gap is truly degenerate
     ctx = dispersion.CharacteristicContext.from_model(ricker2)
     c_star = dispersion.critical_speed(ctx).c_star
-    with pytest.raises(NoRootsError):
+    with pytest.raises(ModelInvalidError, match="decay roots nearly coincide"):
         bounds.build_lower(dispersion.decay_roots(c_star * (1.0 + 1e-14), ctx),
                            ricker2)
 

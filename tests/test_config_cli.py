@@ -165,17 +165,21 @@ class TestSpeedCommand:
         assert row["c"] == sidecar["c"] == 2.0
         assert row["beta"] == sidecar["beta"]
 
-    @pytest.mark.parametrize("birth_p", [35.0, 40.0, 60.0, 75.0])
+    @pytest.mark.parametrize("birth_p, rel", [
+        (35.0, 1e-15), (40.0, 1e-15), (60.0, 1e-15), (75.0, 1e-15),
+        (78.0, 1e-14), (80.0, 1e-14), (200.0, 1e-14)],
+        ids=["35.0", "40.0", "60.0", "75.0", "78.0", "80.0", "200.0"])
     def test_large_ricker_coefficient_has_a_lower_envelope(self, tmp_path,
-                                                           birth_p):
-        # k = b(level)/d lies below level / 10,000 once p/d exceeds 34.7
+                                                           birth_p, rel):
+        # k = b(level)/d lies below level / 10,000 once p/d exceeds 34.7,
+        # and below equilibrium's first scan node, 1e-9, from p/d of 78
         p = write_cfg(tmp_path, DELAYED_MODEL.replace(
             "birth.p = 2.0", f"birth.p = {birth_p}"))
         assert run_cli(["--config", p, "speed"]) == 0
         m = config.build_model(config.load_config(p))
         pair = bounds.build_envelopes(m, model.validate_hypotheses(m).monotone)
         assert pair.k == pytest.approx(m.birth.value(pair.level) / m.d,
-                                       rel=1e-15, abs=0.0)
+                                       rel=rel, abs=0.0)
 
     def test_invalid_model_exits_2(self, tmp_path):
         bad = "[model]\nd = 3.0\nbirth.kind = ricker\nbirth.p = 2.0\ndelay.kind = constant\ndelay.m = 0\n"
@@ -1072,6 +1076,134 @@ class TestGridSizes:
         assert run_cli(["--config", p, "--out", tmp_path / "p.csv", "profile"]) == 2
         assert capsys.readouterr().err == (
             "model error: [profile] max_iters must be at least 1\n")
+
+
+LABELS = {1: "config error", 2: "model error", 3: "verification failed",
+          4: "solver failed"}
+SIM_TEXT = DELAYED_MODEL + SIM_SECTION
+CMP_TEXT = BASE_MODEL + COMPARISON_SECTION
+TABULATED = DELAYED_MODEL.replace("birth.kind = ricker\nbirth.p = 2.0\n",
+                                  "birth.kind = tabulated\n"
+                                  "birth.table_path = table.csv\n")
+COMPARE = ["compare", "--out-dir", "cmp"]
+PROFILE_TEXT = DELAYED_MODEL + "[profile]\nh = 0.04\n"
+AFILE = {"afile": "a regular file\n"}
+SHORT_TRACK = {"times": [0.5 * i for i in range(12)],
+               "positions": [1.0 + i for i in range(12)]}
+# a made-up profile whose recorded residual its step cannot meet
+FAKE_PROFILE = "xi,phi\n" + "".join(
+    f"{x / 10:g},{1.0 if x < 0 else 0.0}\n" for x in range(-100, 101))
+FAKE_SIDECAR = json.dumps({"results": {
+    "c": 2.5, "beta": 5.0, "phase_shift": 0.0, "residual_sup": 1e-12,
+    "mode": "monotone"}})
+
+# (config text or None for none, {file: text}, argv after --config, exit
+# code, a fragment of the message)
+EXIT_CASES = {
+    "pde.x_max_below_x_min": (set_key(SIM_TEXT, "pde", "x_max", -25), {},
+                              ["simulate"], 2, "empty spatial domain"),
+    "pde.periodic_boundary": (set_key(SIM_TEXT, "pde", "boundary", "periodic"),
+                              {}, ["simulate"], 2, "unknown boundary kind"),
+    "pde.dt_zero": (set_key(SIM_TEXT, "pde", "dt", 0), {}, ["simulate"], 2,
+                    "time step must be positive"),
+    "pde.dt_above_lag": (set_key(SIM_TEXT.replace("delay.m = 0.2", "delay.m = 0.01"),
+                                 "pde", "dt", 0.05), {}, ["simulate"], 2,
+                         "exceeds the shortest lag"),
+    "comparison.D2_not_above_D1": (set_key(CMP_TEXT, "comparison", "D2", 1.0), {},
+                                   COMPARE, 2, "needs D2 > D1"),
+    "comparison.negative_D3": (set_key(CMP_TEXT, "comparison", "D3", -1), {},
+                               COMPARE, 2, "must be positive"),
+    # ran to a cone of NaNs and exit 0
+    "comparison.negative_probe_fraction": (
+        set_key(CMP_TEXT, "comparison", "probe_speed_fraction", -1), {}, COMPARE,
+        1, "[comparison] probe_speed_fraction must be positive"),
+    # the OS refuses a path: each ended in a traceback
+    "out_under_a_file_speed": (PROFILE_TEXT, AFILE, ["--out", "afile/x.csv", "speed"],
+                               1, "File exists: 'afile'"),
+    "out_under_a_file_profile": (PROFILE_TEXT, AFILE,
+                                 ["--out", "afile/x.csv", "profile"], 1,
+                                 "File exists: 'afile'"),
+    "output_dir_under_a_file": (PROFILE_TEXT + "[output]\ndir = afile/out\n", AFILE,
+                                ["envelope"], 1, "Not a directory"),
+    "config_is_a_directory": (None, {"run.cfg/x": ""}, ["speed"], 1,
+                              "Is a directory: 'run.cfg'"),
+    "birth.kind_unknown": (DELAYED_MODEL.replace("= ricker", "= logistic"), {},
+                           ["speed"], 1, "unknown birth.kind 'logistic'"),
+    "delay.kind_unknown": (DELAYED_MODEL.replace("= saturating_rational", "= fixed"),
+                           {}, ["speed"], 1, "unknown delay.kind 'fixed'"),
+    "ricker_without_p": (DELAYED_MODEL.replace("birth.p = 2.0\n", ""), {},
+                         ["speed"], 1, "ricker requires birth.p"),
+    "tabulated_without_table": (TABULATED.replace("birth.table_path = table.csv\n",
+                                                  ""),
+                                {}, ["speed"], 1, "requires birth.table_path"),
+    "table_missing": (TABULATED, {}, ["speed"], 1, "birth table not found"),
+    "table_wrong_header": (TABULATED, {"table.csv": "x,y\n0,0\n1,1\n2,1\n3,1\n"},
+                           ["speed"], 1, "must have header 'u,b'"),
+    "table_three_rows": (TABULATED, {"table.csv": "u,b\n0,0\n1,1\n2,1\n"},
+                         ["speed"], 2, ">= 4 (u, b) rows"),
+    "table_u_not_increasing": (TABULATED,
+                               {"table.csv": "u,b\n0,0\n1,1\n1,1.2\n2,1\n"},
+                               ["speed"], 2, "abscissae must increase"),
+    "birth.p_negative": (DELAYED_MODEL.replace("birth.p = 2.0", "birth.p = -1"), {},
+                         ["speed"], 2, "ricker coefficient must be positive"),
+    "d_negative": (DELAYED_MODEL.replace("d = 1.0", "d = -1"), {}, ["speed"], 2,
+                   "death rate must be positive"),
+    "critical_not_boolean": (DELAYED_MODEL + "[profile]\ncritical = maybe\n", {},
+                             ["profile"], 1, "[profile] critical"),
+    "config_missing": (None, {}, ["speed"], 1, "config file not found"),
+    "verify_csv_missing": (DELAYED_MODEL, {}, ["verify", "--profile", "wave.csv"],
+                           1, "profile CSV not found"),
+    "verify_sidecar_missing": (DELAYED_MODEL, {"wave.csv": FAKE_PROFILE},
+                               ["verify", "--profile", "wave.csv"], 1,
+                               "sidecar report not found"),
+    "initial_profile_without_path": (SIM_TEXT.replace("initial.kind = step",
+                                                      "initial.kind = profile"),
+                                     {}, ["simulate"], 1, "requires initial.path"),
+    "initial_kind_unknown": (SIM_TEXT.replace("initial.kind = step",
+                                              "initial.kind = sine"),
+                             {}, ["simulate"], 1, "unknown initial.kind 'sine'"),
+    "translate_without_speed": (SIM_TEXT.replace("history.kind = frozen",
+                                                 "history.kind = translate"),
+                                {}, ["simulate"], 1, "requires history.speed"),
+    "history_kind_unknown": (SIM_TEXT.replace("history.kind = frozen",
+                                              "history.kind = rewind"),
+                             {}, ["simulate"], 1, "unknown history.kind 'rewind'"),
+    "frontspeed_without_run_json": (DELAYED_MODEL, {"run/x.csv": "x,u\n0,1\n"},
+                                    ["frontspeed", "--run", "run"], 1,
+                                    "run metadata not found"),
+    "frontspeed_files_not_a_list": (
+        DELAYED_MODEL, {"run/run.json": json.dumps(
+            {"times": [], "files": "a.csv", "track": SHORT_TRACK})},
+        ["frontspeed", "--run", "run"], 1, "files must be a list"),
+    "frontspeed_short_run": (
+        DELAYED_MODEL, {"run/run.json": json.dumps(
+            {"times": [], "files": [], "track": SHORT_TRACK})},
+        ["frontspeed", "--run", "run"], 1, "needs at least 10 samples"),
+    "verify_fails": (BASE_MODEL, {"wave.csv": FAKE_PROFILE,
+                                  "wave.json": FAKE_SIDECAR},
+                     ["verify", "--profile", "wave.csv"], 3,
+                     "profile verification failed"),
+    "iteration_budget": (BASE_MODEL + "[profile]\nh = 0.04\nmax_iters = 1\n", {},
+                         ["profile"], 4, "no convergence after 1 iterations"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_each_failure_exits_with_its_code_and_label(tmp_path, capsys,
+                                                    monkeypatch, case):
+    # cli.main's one handler prints the class's label and returns its code
+    text, files, argv, code, fragment = EXIT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(body)
+    if text is not None:
+        write_cfg(tmp_path, text)
+    assert run_cli(["--config", "run.cfg", *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{LABELS[code]}: ") and err.count("\n") == 1, err
+    assert fragment in err and "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()      # compare fails before its run
 
 
 def test_readme_example_config_runs(tmp_path, monkeypatch):

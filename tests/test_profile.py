@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from sdwave import bounds, cli, dispersion, model, profile
-from sdwave.errors import ModelInvalidError, NonconvergenceError, NoRootsError
+from sdwave.errors import ModelInvalidError, NonconvergenceError
 from conftest import closed_form_bounds, widths
 
 
@@ -202,7 +202,7 @@ class TestMonotoneSolve:
         assert np.max(np.abs(gap)) <= 1e-7
 
     def test_rejects_subthreshold_speed(self, ricker2, ricker2_cstar):
-        with pytest.raises(NoRootsError, match="simulate then frontspeed"):
+        with pytest.raises(ModelInvalidError, match="simulate then frontspeed"):
             profile.solve(ricker2, 0.5 * ricker2_cstar,
                           profile.SolverConfig(h=0.02))
 

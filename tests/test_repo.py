@@ -124,3 +124,34 @@ def test_readme_names_every_config_key():
             keys = re.findall(r"`([^`]+)`", cells[2])
             documented |= {(s, k) for s in sections for k in keys}
     assert documented == {(s, k) for s in SCHEMA for k in SCHEMA[s]}
+
+
+def test_each_exit_code_has_one_error_class():
+    from sdwave import errors
+
+    classes = [cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.SdwaveError)
+               and cls is not errors.SdwaveError]
+    assert sorted(cls.exit_code for cls in classes) == [1, 2, 3, 4]
+    assert len({cls.label for cls in classes}) == 4
+
+
+def test_readme_names_each_exit_code():
+    # with its class and the label main prints
+    from sdwave import errors
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = text.split("Exit codes:", 1)[1].split(". ", 1)[0]
+    assert sentence.startswith(" 0 ok;")
+    for cls in (errors.ConfigError, errors.ModelInvalidError,
+                errors.VerificationError, errors.NonconvergenceError):
+        assert f'{cls.exit_code} `{cls.__name__}` ("{cls.label}")' in sentence
+
+
+def test_no_module_raises_the_bare_base_class():
+    # each failure carries the exit code of its own class
+    bare = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and "SdwaveError" in _references(node.exc)]
+    assert bare == []
