@@ -149,6 +149,7 @@ def cmd_profile(cfg: RunConfig, args, rep: reporting.Report) -> None:
     reporting.write_csv(out, "xi,phi", [sol.profile.xi, sol.profile.values])
     rep.results = {
         "c": sol.c, "c_star": sr.c_star, "beta": sol.beta,
+        "iteration_beta": sol.iteration_beta,
         "lambda1": sol.lambda1, "lambda2": sol.lambda2,
         "residual_sup": sol.residual_sup, "iterations": sol.iterations,
         "mode": sol.mode, "phase_shift": sol.shift, "note": sol.note,
@@ -178,8 +179,8 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
         raise ConfigError(f"sidecar report not found: {sidecar}")
     try:
         meta = json.loads(sidecar.read_text())["results"]
-        c, beta, shift, recorded = (float(meta[key]) for key in
-                                    ("c", "beta", "phase_shift", "residual_sup"))
+        c, shift, recorded = (float(meta[key]) for key in
+                              ("c", "phase_shift", "residual_sup"))
         mode = meta["mode"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"sidecar report {sidecar} lacks a usable value: {exc}")
@@ -188,7 +189,6 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
     ctx = dispersion.CharacteristicContext.from_model(model)
     c = _checked_speed(c, f"sidecar report {sidecar}: c", ctx)
     for key, value, ok, rule in (
-            ("beta", beta, 0.0 < beta < math.inf, "finite and positive"),
             ("phase_shift", shift, math.isfinite(shift), "finite"),
             ("residual_sup", recorded, 0.0 <= recorded < math.inf,
              "finite and non-negative")):
@@ -202,10 +202,13 @@ def cmd_verify(cfg: RunConfig, args, rep: reporting.Report) -> None:
     grid = profile.ProfileGrid(xi=xi, values=values, left_limit=0.0,
                                right_limit=float(values[-1]))
     res_sup, res_arr = profile.residual(grid, c, model)
-    # the solve's sandwich at the recorded speed, for the mode it ran
+    # the solve's sandwich at the recorded speed, for the mode it ran, and
+    # the paper's beta on its level: the model and c fix the Lipschitz bound
     roots = dispersion.decay_roots(c, ctx)
     monotone = mode == "monotone"
-    upper, lower, _ = bounds.sandwich(model, roots, monotone)
+    upper, lower, pair = bounds.sandwich(model, roots, monotone)
+    beta = dispersion.choose_beta(c, model, range_end=pair.level,
+                                  speed=dispersion.critical_speed(ctx)).beta
     mem = profile.gamma_membership(grid, c, beta, model, shift=shift, upper=upper,
                                    lower=lower, require_monotone=monotone)
     tol = max(2.0 * recorded, 1e-9)

@@ -183,9 +183,11 @@ def choose_beta(c: float, model: ModelSpec, range_end: float,
       lambda1^2 = mu + d - b'(0) exp(-mu m), whose right side increases in
       mu.  So mu rises and falls with lambda1 and decreases in c as well.
 
-    The iteration's sandwich and the membership certificate assume these
-    bounds, so the solvers take their rates from here only.  `speed` is the
-    model's threshold speed.
+    The paper's F is order-preserving and maps its solution set into itself
+    at this beta, so the membership certificate takes its Lipschitz bound
+    from here; the profile solve iterates F at the floor BETA_SAFETY (d + 1),
+    which has the same fixed points.  `speed` is the model's threshold
+    speed.
     """
     A = lag_factor(model, range_end)
     L1 = L_BOUND_INFLATION * speed.c_star * speed.lambda_star

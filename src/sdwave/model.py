@@ -47,7 +47,9 @@ def _bisect_root(f, lo: float, hi: float) -> float:
     midpoint, or until the midpoint rounds onto an end: every later midpoint
     would be that same float.  Any finite bracket is narrower than 2^1025
     and floats are at least 2^-1074 apart, so one of the two stops comes
-    within 2,100 halvings.
+    within 2,100 halvings.  Signs are compared, not multiplied: a product of
+    two tiny values underflows to 0, which has no sign.  A NaN fails both
+    comparisons, as it failed the product's, and moves the lower end.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -55,7 +57,7 @@ def _bisect_root(f, lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if (flo > 0.0 < fhi) or (flo < 0.0 > fhi):
         raise ModelInvalidError("root bracket does not change sign")
     for _ in range(2100):
         mid = 0.5 * (lo + hi)
@@ -64,7 +66,7 @@ def _bisect_root(f, lo: float, hi: float) -> float:
         fm = f(mid)
         if fm == 0.0 or hi - lo < 1e-16 * abs(mid):
             return mid
-        if flo * fm < 0:
+        if (fm < 0.0 < flo) or (flo < 0.0 < fm):
             hi = mid
         else:
             lo, flo = mid, fm

@@ -12,7 +12,9 @@ re-anchors the phase by whole grid cells so the translation mode cannot
 drift.  While the phase is anchored by whole cells, the undamped iteration
 is accelerated by Anderson mixing, whose iterates are clamped into the same
 sandwich.  Convergence is certified a posteriori by an independent
-finite-difference residual, never by the iteration metric alone.  The
+finite-difference residual, never by the iteration metric alone.  F is
+iterated at the small kernel rate 1.01 (d + 1), where it is not claimed to
+preserve order; membership is certified at the paper's beta.  The
 near-critical regime is a property of the speed: `solve` tightens the
 iteration, on the usual grid, for any speed in (c*, c*(1 + 1e-6)].
 """
@@ -26,8 +28,9 @@ import numpy as np
 
 from . import _kernels as kernels
 from .bounds import sandwich
-from .dispersion import (CharacteristicContext, KernelRates, SpeedResult,
-                         choose_beta, critical_speed, decay_roots)
+from .dispersion import (BETA_SAFETY, CharacteristicContext, KernelRates,
+                         SpeedResult, choose_beta, critical_speed, decay_roots,
+                         kernel_rates)
 from .errors import ConfigError, ModelInvalidError, NonconvergenceError
 from .model import (MONOTONE_SET, RELAXED_SET, SHARED_SET, HypothesisReport,
                     ModelSpec, _bisect_root, equilibrium, lag_factor,
@@ -94,7 +97,8 @@ class WaveSolution:
     residual_sup: float
     iterations: int
     trace: list
-    beta: float
+    beta: float                       # the paper's rate, for membership's bound
+    iteration_beta: float             # the rate of the F that was iterated
     lambda1: float
     lambda2: float
     shift: float
@@ -456,7 +460,7 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                                     trace=trace, clamp_excess=clamp_excess,
                                     exact_anchor_from=exact_from,
                                     anderson_steps=anderson_steps)
-        # near the threshold speed the phase mode of the order-preserving
+        # near the threshold speed the phase mode of the monotone
         # iteration is almost neutral and the integer-cell anchor cannot damp
         # it; plateau triggers exact anchoring.  A nonmonotone iteration has
         # no such structure and keeps whole-cell anchoring to the end
@@ -482,14 +486,15 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
                 _clamp(v, lo, hi)
                 if monotone:
                     _project_monotone(v)
-        # in the slow regime of the order-preserving iteration the error is
+        # in the slow regime of the monotone iteration the error is
         # dominated by one geometric mode: extrapolate it away now and then.
-        # Its linearisation is a positive operator, so that mode is real
-        # (Krein-Rutman) and the ratio r below estimates it.  Gate on a
-        # strictly decreasing window so noise near the floor cannot be
-        # amplified; the clamp keeps the step safe either way.  Exact
-        # anchoring starts after iteration 150, so the window is full, and a
-        # strictly decreasing window of sup-norms starts above 0.
+        # At the paper's beta the linearisation is a positive operator, so
+        # that mode is real (Krein-Rutman); at the iteration's smaller beta
+        # this is not claimed.  The ratio r below estimates the mode's rate.
+        # Gate on a strictly decreasing window so noise near the floor
+        # cannot be amplified; the clamp keeps the step safe either way.
+        # Exact anchoring starts after iteration 150, so the window is full,
+        # and a strictly decreasing window of sup-norms starts above 0.
         if exact_from is not None and it % 25 == 0 and diff > config.tol:
             window = np.asarray(trace[-26:])
             if np.all(np.diff(window) < 0.0):
@@ -513,10 +518,11 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig,
     """Wave profile for a supercritical speed, iterated in `bounds.sandwich`.
 
     Only the anchor, K/2 or k/4, and the iteration depend on the mode: the
-    monotone one preserves order, the nonmonotone one does not, so its
-    convergence rests on the residual alone, and its lower bound needs the
-    lower-envelope model's A1-A3, B and B1-B4.  The profile's ends must reach
-    0 and the band [k, level] (K for a monotone birth).  `speed` is the
+    monotone one projects onto nondecreasing profiles, the nonmonotone one
+    does not, and its lower bound needs the lower-envelope model's A1-A3, B
+    and B1-B4.  Neither is claimed to preserve order at the iteration's
+    rate, so the residual alone certifies convergence.  The profile's ends must reach 0
+    and the band [k, level] (K for a monotone birth).  `speed` is the
     model's threshold speed and `hypotheses` its `validate_hypotheses`
     report, whose verdict picks the mode: A1-A3 and B must hold, and C1-C3
     too for a nonmonotone birth.
@@ -549,7 +555,13 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig,
                 f"model; failed: {failed}")
         note = (note + "; " if note else "") + "sandwiched between birth-envelope bounds"
     rate = _approach_rate(lower_model, c, pair.k)
-    rates = choose_beta(c, model, range_end=pair.level, speed=speed)
+    # every beta > 0 gives F the same fixed points, the waves.  The paper's
+    # beta makes F order-preserving and maps its set Gamma into itself, so it
+    # sets membership's Lipschitz bound; but F contracts like 1 - O(1/beta)
+    # and the scheme's error grows with beta, so the iteration and its
+    # consistency check use choose_beta's floor
+    paper_beta = choose_beta(c, model, range_end=pair.level, speed=speed).beta
+    rates = kernel_rates(c, BETA_SAFETY * (model.d + 1.0))
     h, left, right = _grid_geometry(config.h, roots.lambda1, roots.lambda2,
                                     rate, monotone)
     xi = _make_xi(h, left, right)
@@ -579,12 +591,13 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig,
                       right_limit=res.right_limit)
     res_sup, _ = residual(phi, c, model)
     f_cons = float(np.max(np.abs(apply_F(phi, model, rates) - v)))
-    mem = gamma_membership(phi, c, rates.beta, model, shift=shift,
+    mem = gamma_membership(phi, c, paper_beta, model, shift=shift,
                            upper=upper, lower=lower, require_monotone=monotone)
     return WaveSolution(
         profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
-        trace=res.trace, beta=rates.beta, lambda1=roots.lambda1,
-        lambda2=roots.lambda2, shift=shift, clamp_excess=res.clamp_excess,
+        trace=res.trace, beta=paper_beta, iteration_beta=rates.beta,
+        lambda1=roots.lambda1, lambda2=roots.lambda2, shift=shift,
+        clamp_excess=res.clamp_excess,
         f_consistency=f_cons, membership=mem,
         mode="monotone" if monotone else "nonmonotone",
         exact_anchor_from=res.exact_anchor_from,

@@ -152,8 +152,10 @@ class TestSpeedCommand:
     @pytest.mark.parametrize("birth_p", ["2.0", "3.0"])
     def test_beta_is_the_one_the_profile_solve_uses(self, tmp_path, capsys,
                                                      birth_p):
-        # the kernel rates cover [0, level] of the model's envelopes: K for
-        # the monotone p = 2, the upper-envelope level p/e for p = 3
+        # speed prints the paper's kernel rates, whose beta the solve reports
+        # and certifies membership with; they cover [0, level] of the
+        # model's envelopes: K for the monotone p = 2, the upper-envelope
+        # level p/e for p = 3
         p = write_cfg(tmp_path, DELAYED_MODEL.replace(
             "birth.p = 2.0", f"birth.p = {birth_p}") + "\n[profile]\nh = 0.02\n")
         out = tmp_path / "wave.csv"
@@ -167,12 +169,14 @@ class TestSpeedCommand:
 
     @pytest.mark.parametrize("birth_p, rel", [
         (35.0, 1e-15), (40.0, 1e-15), (60.0, 1e-15), (75.0, 1e-15),
-        (78.0, 1e-14), (80.0, 1e-14), (200.0, 1e-14)],
-        ids=["35.0", "40.0", "60.0", "75.0", "78.0", "80.0", "200.0"])
+        (78.0, 1e-14), (80.0, 1e-14), (200.0, 1e-14), (1000.0, 1e-14)],
+        ids=["35.0", "40.0", "60.0", "75.0", "78.0", "80.0", "200.0", "1000.0"])
     def test_large_ricker_coefficient_has_a_lower_envelope(self, tmp_path,
                                                            birth_p, rel):
         # k = b(level)/d lies below level / 10,000 once p/d exceeds 34.7,
-        # and below equilibrium's first scan node, 1e-9, from p/d of 78
+        # and below equilibrium's first scan node, 1e-9, from p/d of 78; at
+        # p = 1000, k is 6.3e-155, where a product of two values of the
+        # equilibrium function underflows and a product sign test went astray
         p = write_cfg(tmp_path, DELAYED_MODEL.replace(
             "birth.p = 2.0", f"birth.p = {birth_p}"))
         assert run_cli(["--config", p, "speed"]) == 0
@@ -272,6 +276,24 @@ class TestProfileVerifyCommands:
         assert report["invariants"]["residual_ok"] is False
         assert isinstance(report["timings"]["total"], float)
 
+    def test_verify_takes_beta_from_the_model_not_the_sidecar(
+            self, profile_run, capsys, tmp_path):
+        # xi compressed 1,000-fold makes the profile 1,000 times steeper than
+        # the solve's, past the Lipschitz bound beta level / (A c) at the
+        # paper's beta; a sidecar beta of 1e300 would pass it, and verify
+        # does not read it
+        cfg_path, out, _ = profile_run
+        cols = reporting.read_csv(out)
+        steep = tmp_path / "steep.csv"
+        reporting.write_csv(steep, "xi,phi", [cols["xi"] / 1000.0, cols["phi"]])
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        sidecar["results"]["beta"] = 1e300
+        steep.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert run_cli(["--config", cfg_path, "verify", "--profile", steep]) == 3
+        assert "lipschitz_ratio" in capsys.readouterr().err
+        report = json.loads((tmp_path / "steep_verify.json").read_text())
+        assert report["invariants"]["lipschitz_ok"] is False
+
     def test_verify_rejects_incomplete_sidecar(self, profile_run, capsys,
                                                tmp_path):
         cfg_path, out, _ = profile_run
@@ -312,8 +334,7 @@ class TestProfileVerifyCommands:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key, value", [
-        ("c", -1.0), ("beta", 0.0), ("beta", math.inf),
-        ("residual_sup", math.nan), ("phase_shift", math.inf),
+        ("c", -1.0), ("residual_sup", math.nan), ("phase_shift", math.inf),
     ])
     def test_verify_rejects_unusable_sidecar_values(self, profile_run, capsys,
                                                     tmp_path, key, value):

@@ -180,7 +180,7 @@ class TestMonotoneSolve:
     def test_fixed_point_consistency(self, ricker2, ricker2_solution):
         sol = ricker2_solution
         F = profile.apply_F(sol.profile, ricker2,
-                            dispersion.kernel_rates(sol.c, sol.beta))
+                            dispersion.kernel_rates(sol.c, sol.iteration_beta))
         assert np.max(np.abs(F - sol.profile.values)) <= 2e-8
 
     def test_translation_covariance(self, ricker2, ricker2_cstar, monkeypatch):
@@ -663,7 +663,7 @@ class TestNonmonotoneSolve:
         assert sol.profile.right_limit == v[-1]
         own = profile.ProfileGrid(xi=sol.profile.xi, values=v, left_limit=0.0,
                                   right_limit=float(v[-1]))
-        rates = dispersion.kernel_rates(sol.c, sol.beta)
+        rates = dispersion.kernel_rates(sol.c, sol.iteration_beta)
         assert sol.f_consistency == np.max(
             np.abs(profile.apply_F(own, ricker3, rates) - v))
 
@@ -720,6 +720,64 @@ class TestNonmonotoneSolve:
             ricker3, 1.2 * ricker3_cstar,
             profile.SolverConfig(h=0.005, damping=0.5))
         assert ricker3_solution.residual_sup / fine.residual_sup >= 3.0
+
+
+# (Ricker p, lag, speed in units of c*, h, damping, residual bound, iteration
+# bound): inputs that exhausted the 10,000-iteration budget (exit 4), or
+# took hundreds to thousands of iterations (p=10: 7,219, residual 9.2e-3;
+# p=40: 6,104, residual 5.48), while F iterated at the paper's beta.
+# The residual bounds sit 1.4-1.7x above the measured 3.33e-5, 2.31e-5,
+# 3.57e-6, 1.24e-5, 5.88e-6, 2.33e-7, 1.38e-7, 6.83e-8, 7.25e-4 and 1.29e-3;
+# the iterations were 22, 20, 19, 34, 19, 27, 27, 105, 72 and 127
+SLOW_AT_THE_PAPERS_BETA = {
+    "p12_2c": (12.0, model.RationalDelay(0.2, 0.7), 2.0, 0.02, 1.0, 5e-5, 40),
+    "p10_2c": (10.0, model.RationalDelay(0.2, 0.7), 2.0, 0.02, 1.0, 4e-5, 40),
+    "p8_4c": (8.0, model.RationalDelay(0.2, 0.7), 4.0, 0.02, 1.0, 6e-6, 40),
+    "p8_exponential_4c": (8.0, model.ExponentialDelay(0.5, 1.2), 4.0, 0.04, 1.0,
+                          2e-5, 60),
+    "p8_tau0_2c": (8.0, model.RationalDelay(0.0, 0.5), 2.0, 0.02, 1.0, 1e-5, 40),
+    "p2.5_3c": (2.5, model.RationalDelay(0.0, 0.5), 3.0, 0.02, 1.0, 4e-7, 50),
+    "p2.5_4c": (2.5, model.RationalDelay(0.0, 0.5), 4.0, 0.02, 1.0, 2e-7, 50),
+    "p2_damped_4c": (2.0, model.RationalDelay(0.2, 0.7), 4.0, 0.02, 0.5, 1e-7,
+                     160),
+    "p40_1.2c": (40.0, model.RationalDelay(0.2, 0.7), 1.2, 0.02, 1.0, 1e-3, 110),
+    # the zero-frequency multiplier 1 - (d - b'(K)) / beta at beta = 2.02
+    # falls below -1 from p of about 57: the undamped iteration still settles
+    "p60_1.2c": (60.0, model.RationalDelay(0.2, 0.7), 1.2, 0.02, 1.0, 2e-3, 190),
+}
+
+
+class TestSmallIterationRate:
+    def test_iterates_at_the_floor_and_certifies_at_the_papers_beta(
+            self, ricker3, ricker3_solution):
+        # F runs at 1.01 (d + 1); the Lipschitz bound of membership keeps
+        # choose_beta's beta
+        sol = ricker3_solution
+        ctx = dispersion.CharacteristicContext.from_model(ricker3)
+        pair = bounds.build_envelopes(ricker3, False)
+        paper = dispersion.choose_beta(sol.c, ricker3, range_end=pair.level,
+                                       speed=dispersion.critical_speed(ctx))
+        assert sol.iteration_beta == dispersion.BETA_SAFETY * (ricker3.d + 1.0)
+        assert sol.beta == paper.beta > sol.iteration_beta
+        upper, lower, _ = bounds.sandwich(
+            ricker3, dispersion.decay_roots(sol.c, ctx), False)
+        mem = profile.gamma_membership(sol.profile, sol.c, paper.beta, ricker3,
+                                       shift=sol.shift, upper=upper,
+                                       lower=lower, require_monotone=False)
+        assert mem == sol.membership
+
+    @pytest.mark.parametrize("case", list(SLOW_AT_THE_PAPERS_BETA))
+    def test_inputs_slow_at_the_papers_beta_converge(self, case):
+        p, lag, factor, h, damping, bound, iters = SLOW_AT_THE_PAPERS_BETA[case]
+        m = model.ModelSpec(d=1.0, birth=model.RickerBirth(p), delay=lag)
+        sr = dispersion.critical_speed(
+            dispersion.CharacteristicContext.from_model(m))
+        sol = profile.solve(m, factor * sr.c_star,
+                            profile.SolverConfig(h=h, damping=damping), sr)
+        assert sol.membership.member, sol.membership.margins
+        assert sol.residual_sup <= bound
+        assert sol.iterations <= iters
+        assert sol.exact_anchor_from is None
 
 
 def _count_calls(monkeypatch, module, name):

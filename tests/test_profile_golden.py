@@ -45,24 +45,26 @@ delay.M = 0.7
 
 RUNS = {
     # monotone iteration with whole-cell anchoring only, Anderson-mixed:
-    # 77 iterations (235 unmixed)
+    # 31 iterations (81 unmixed)
     "monotone": (ricker(2.0) + "[profile]\nh = 0.05\nc_factor = 1.2\n", []),
     # nonmonotone band damped by 0.5, so never mixed, with whole-cell
-    # anchoring only: 987 iterations
+    # anchoring only: 162 iterations
     "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n"
                     "damping = 0.5\n", []),
-    # the same band at the default undamped step, Anderson-mixed: 185
-    # iterations (522 unmixed)
+    # the same band at the default undamped step, Anderson-mixed: 26
+    # iterations (83 unmixed)
     "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
                          []),
     # near-critical surrogate: a mixed whole-cell phase, then exact anchoring
-    # from iteration 177 and the 25-iteration extrapolation under the
-    # monotone projection (it fires at 225): 232 iterations (1,774 unmixed)
+    # from iteration 186 and the 25-iteration extrapolation under the
+    # monotone projection (it fires at 400, 425 and 450): 496 iterations
+    # (497 unmixed)
     "critical": (ricker(2.0) + "[profile]\nh = 0.1\n", ["--critical"]),
 }
 
 # sidecar figures that the iteration determines bit for bit
-RESULT_KEYS = ("c", "beta", "iterations", "phase_shift", "residual_sup")
+RESULT_KEYS = ("c", "beta", "iteration_beta", "iterations", "phase_shift",
+               "residual_sup")
 INVARIANT_KEYS = ("f_consistency", "clamp_excess")
 VERIFY_KEYS = ("residual_ok", "sandwich_ok", "monotone_ok", "lipschitz_ok")
 ENVELOPE_RUNS = {"envelope_p2": ricker(2.0), "envelope_p3": ricker(3.0)}
@@ -134,10 +136,10 @@ def test_profile_outputs_byte_identical(outputs, envelope_digests):
 
 
 def test_report_names_exact_anchoring_iteration(outputs):
-    # the plateau trigger fires after iteration 176 of the near-critical
+    # the plateau trigger fires after iteration 185 of the near-critical
     # solve; it never fires on a nonmonotone solve
     want = {"monotone": None, "nonmonotone": None, "nonmonotone_auto": None,
-            "critical": 177}
+            "critical": 186}
     for label, (_, report, _) in outputs.items():
         results = report["results"]
         assert results["exact_anchor_from"] == want[label], label
@@ -147,14 +149,14 @@ def test_report_names_exact_anchoring_iteration(outputs):
 
 def test_nonmonotone_band_reaches_its_fixed_point(outputs):
     # anchored by whole cells throughout, the damped band solve ends at a
-    # true fixed point of F: |F(v) - v| is 2.0e-8
+    # true fixed point of F: |F(v) - v| is 1.7e-8
     _, report, _ = outputs["nonmonotone"]
     assert report["invariants"]["f_consistency"] <= 1e-7
 
 
 def test_undamped_band_reaches_a_closer_fixed_point(outputs):
     # the default undamped step ends nearer a fixed point of F than damping
-    # by 0.5 does: |F(v) - v| is 9.2e-9 against 2.0e-8
+    # by 0.5 does: |F(v) - v| is 3.3e-9 against 1.7e-8
     undamped = outputs["nonmonotone_auto"][1]["invariants"]["f_consistency"]
     damped = outputs["nonmonotone"][1]["invariants"]["f_consistency"]
     assert undamped <= 2e-8
@@ -162,7 +164,7 @@ def test_undamped_band_reaches_a_closer_fixed_point(outputs):
 
 
 def test_mixing_cuts_whole_cell_iterations(outputs):
-    # without Anderson mixing these take 235 and 522 iterations
+    # without Anderson mixing these take 81 and 83 iterations
     limits = {"monotone": 100, "nonmonotone_auto": 200}
     for label, limit in limits.items():
         assert outputs[label][1]["results"]["iterations"] <= limit, label
