@@ -1,13 +1,15 @@
 """Method-of-lines simulator for the delayed reaction-diffusion dynamics.
 
 IMEX stepping: diffusion is advanced by an implicit backward-Euler
-tridiagonal solve, factored once per run, the (delayed) reaction
-explicitly.  A ring buffer of past snapshots serves the state-dependent
-delayed lookups, one flat gather per step.  Pre-initial times read the
-initial datum translated at the history speed: a frozen history is the
-translation at speed 0.  The same machinery, with the same history, runs
-the fixed-delay comparison system with a quadratic reaction.  Front
-positions are tracked by level crossings and fitted to a speed.
+tridiagonal solve, the (delayed) reaction explicitly.  The matrix is made
+symmetric exactly (end rows halved, or boundary couplings moved to the
+right-hand side), so it is factored once per run as LDLᵀ and each step is
+one in-place solve.  A ring buffer of past snapshots serves the
+state-dependent delayed lookups, one flat gather per step.  Pre-initial
+times read the initial datum translated at the history speed: a frozen
+history is the translation at speed 0.  The same machinery, with the same
+history, runs the fixed-delay comparison system with a quadratic reaction.
+Front positions are tracked by level crossings and fitted to a speed.
 
 `SimConfig` holds resolved inputs only: the initial datum is a function of
 x, the history a speed and the snapshot times a list.  Reading them from a
@@ -255,20 +257,34 @@ class _BaseSim:
         self._psi = lambda xq, s: np.interp(xq + speed * s, x, u0)
 
     def _setup_matrix(self):
+        # backward Euler, (1 + 2r) u_i - r (u_{i-1} + u_{i+1}) = rhs_i, made
+        # symmetric positive definite so that LDLᵀ factors it: Neumann end
+        # rows couple by -2r to their neighbour and are halved, exactly in
+        # binary, to diagonal 0.5 + r and off-diagonal -r; Dirichlet end
+        # rows are the identity, and their -r couplings into rows 1 and
+        # n - 2 move to the right-hand side (`_symmetric_rhs`)
         r = self.dt / self.dx**2
         n = self.config.nx
-        lower = np.full(n - 1, -r)
         diag = np.full(n, 1.0 + 2.0 * r)
-        upper = np.full(n - 1, -r)
+        off = np.full(n - 1, -r)
         if self.config.boundary == "neumann":
-            upper[0] = -2.0 * r
-            lower[-1] = -2.0 * r
+            diag[0] = diag[-1] = 0.5 + r
         else:
-            diag[0] = 1.0
-            upper[0] = 0.0
-            diag[-1] = 1.0
-            lower[-1] = 0.0
-        self._factors = kernels.factor_tridiagonal(lower, diag, upper)
+            diag[0] = diag[-1] = 1.0
+            off[0] = off[-1] = 0.0
+        self._r = r
+        self._factors = kernels.factor_tridiagonal(diag, off)
+
+    def _symmetric_rhs(self, rhs: np.ndarray) -> np.ndarray:
+        """The backward-Euler right-hand side, boundary rows included, mapped
+        in place to that of the symmetric system `_setup_matrix` factors."""
+        if self.config.boundary == "neumann":
+            rhs[0] *= 0.5
+            rhs[-1] *= 0.5
+        else:
+            rhs[1] += self._r * rhs[0]
+            rhs[-2] += self._r * rhs[-1]
+        return rhs
 
     def history_values(self, td: np.ndarray) -> np.ndarray:
         """Delayed values per grid point, splitting buffer and pre-initial times.
@@ -289,8 +305,9 @@ class _BaseSim:
             out[post] = vals[post]
         return out
 
-    def _post_step(self):
-        pass
+    def _post_step(self) -> tuple:
+        """Finish the step on the new `u`; its largest and smallest value."""
+        return float(self.u.max()), float(self.u.min())
 
     def step(self):
         rhs = self.reaction()
@@ -298,12 +315,12 @@ class _BaseSim:
         rhs += self.u
         if self.config.boundary == "dirichlet":
             rhs[0], rhs[-1] = self.config.dirichlet
-        self.u = kernels.solve_tridiagonal(*self._factors, rhs)
+        # rhs is a fresh array: the solve overwrites it and returns it
+        self.u = kernels.solve_tridiagonal(*self._factors, self._symmetric_rhs(rhs))
         self.t += self.dt
-        self._post_step()
         # one max/min pair gives sup|u| and both band excesses exactly:
         # rounding is monotone, so max(u - level) == max(u) - level
-        hi, lo = float(self.u.max()), float(self.u.min())
+        hi, lo = self._post_step()
         sup = max(hi, -lo)
         if not sup <= 10.0 * self.level:
             raise NonconvergenceError(
@@ -391,14 +408,19 @@ class ComparisonSim(_BaseSim):
                 delayed = self.buffer.lookup_uniform(td)
         return -p.D1 * self.u + p.D2 * delayed - p.D3 * self.u * self.u
 
-    def _post_step(self):
-        over = float(self.u.max()) - self.params.plateau
-        under = -float(self.u.min())
+    def _post_step(self) -> tuple:
+        plateau = self.params.plateau
+        hi, lo = float(self.u.max()), float(self.u.min())
+        over, under = hi - plateau, -lo
         if max(over, under) > COMPARISON_BAND_TOL:
             raise NonconvergenceError(
                 f"comparison band violated by {max(over, under):.3e} at t={self.t:.6g}")
-        np.minimum(self.params.plateau, self.u, out=self.u)
+        np.minimum(plateau, self.u, out=self.u)
         np.maximum(0.0, self.u, out=self.u)
+        # the clamp is monotone, so it maps the extremes to the clamped u's
+        # without a second pass; a NaN stays NaN, since min and max keep
+        # their first argument when a comparison with NaN fails
+        return max(min(hi, plateau), 0.0), max(min(lo, plateau), 0.0)
 
 
 def run(config: SimConfig, model: ModelSpec) -> RunRecord:

@@ -114,46 +114,66 @@ def test_cell_weight_series_branch_continuity():
 
 
 def test_tridiagonal_against_dense():
+    # a symmetric, strictly diagonally dominant (so positive-definite) matrix;
+    # the solve overwrites its right-hand side and returns it
     rng = np.random.default_rng(11)
     n = 50
-    lower = rng.uniform(-1.0, -0.1, n - 1)
-    upper = rng.uniform(-1.0, -0.1, n - 1)
+    off = rng.uniform(-1.0, -0.1, n - 1)
     diag = 2.0 + rng.uniform(0.5, 1.0, n)
     rhs = rng.uniform(-1.0, 1.0, n)
-    A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    A = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
     expect = np.linalg.solve(A, rhs)
-    factors = _kernels.factor_tridiagonal(lower, diag, upper)
-    got = _kernels.solve_tridiagonal(*factors, rhs)
+    factors = _kernels.factor_tridiagonal(diag, off)
+    b = rhs.copy()
+    got = _kernels.solve_tridiagonal(*factors, b)
+    assert np.shares_memory(got, b)
     assert np.max(np.abs(got - expect)) < 1e-11
 
 
-@pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-def test_factored_simulator_matrix_against_dense(boundary):
-    # the simulator's backward-Euler matrices, factored once and reused
-    cfg = pdesim.SimConfig(x_min=-10.0, x_max=10.0, nx=80, t_end=1.0, dt=0.05,
-                           boundary=boundary, initial=np.zeros_like,
-                           snapshot_times=[])
-    sim = pdesim.ComparisonSim(pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0), cfg)
+def backward_euler_matrix(sim):
+    """The simulator's backward-Euler matrix as written, before `_setup_matrix`
+    makes it symmetric: Neumann end rows couple by -2r, Dirichlet end rows
+    are the identity."""
     r = sim.dt / sim.dx**2
-    n = cfg.nx
+    n = sim.config.nx
     A = (np.diag(np.full(n, 1.0 + 2.0 * r)) + np.diag(np.full(n - 1, -r), -1)
          + np.diag(np.full(n - 1, -r), 1))
-    if boundary == "neumann":
+    if sim.config.boundary == "neumann":
         A[0, 1] = A[-1, -2] = -2.0 * r
     else:
         A[0, :] = A[-1, :] = 0.0
         A[0, 0] = A[-1, -1] = 1.0
+    return A
+
+
+def mapped_solve(sim, rhs):
+    """One step's solve: the right-hand side mapped by `_symmetric_rhs`, then
+    solved against the factors `_setup_matrix` made once."""
+    return _kernels.solve_tridiagonal(*sim._factors, sim._symmetric_rhs(rhs.copy()))
+
+
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+def test_factored_simulator_matrix_against_dense(boundary):
+    # the symmetric system, factored once and reused, solves the
+    # unsymmetrized backward-Euler system
+    cfg = pdesim.SimConfig(x_min=-10.0, x_max=10.0, nx=80, t_end=1.0, dt=0.05,
+                           boundary=boundary, initial=np.zeros_like,
+                           snapshot_times=[])
+    sim = pdesim.ComparisonSim(pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0), cfg)
+    A = backward_euler_matrix(sim)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        rhs = rng.uniform(-1.0, 1.0, n)
+        rhs = rng.uniform(-1.0, 1.0, cfg.nx)
         expect = np.linalg.solve(A, rhs)
-        got = _kernels.solve_tridiagonal(*sim._factors, rhs)
-        assert np.max(np.abs(got - expect)) < 1e-12
+        assert np.max(np.abs(mapped_solve(sim, rhs) - expect)) < 1e-12
 
 
 def test_factor_rejects_singular_matrix():
+    # singular, and nonsingular but indefinite: neither is positive definite
     with pytest.raises(np.linalg.LinAlgError):
-        _kernels.factor_tridiagonal(np.ones(3), np.zeros(4), np.zeros(3))
+        _kernels.factor_tridiagonal(np.zeros(4), np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.factor_tridiagonal(np.array([1.0, -1.0, 1.0]), np.zeros(2))
 
 
 def test_kernel_backend_is_numpy():

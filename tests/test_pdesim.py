@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import step_datum
-from sdwave import cli, model, pdesim
-from sdwave.errors import ModelInvalidError, SdwaveError
+from sdwave import _kernels, cli, model, pdesim
+from sdwave.errors import ModelInvalidError, NonconvergenceError, SdwaveError
 
 
 RICKER2 = """\
@@ -116,6 +116,29 @@ class TestSetUp:
                            if f.name != "report.json"}
         assert len(files["frozen"]) == 22        # 21 distinct steps + run.json
         assert files["frozen"] == files["translate"]
+
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "[pde]\ninitial.kind = step\n"),
+        ("compare", "[comparison]\nD1 = 1.0\nD2 = 2.0\nD3 = 1.0\nm = 0.5\n"
+                    "initial.kind = bump\ninitial.width = 5\n"),
+    ], ids=["simulate", "compare"])
+    def test_one_factorization_per_run(self, tmp_path, monkeypatch, command,
+                                        section):
+        # the matrix is constant: every step reuses the one set of factors
+        calls = []
+        factor_tridiagonal = _kernels.factor_tridiagonal
+
+        def factor(*bands):
+            calls.append(bands[0].shape[0])
+            return factor_tridiagonal(*bands)
+
+        monkeypatch.setattr(_kernels, "factor_tridiagonal", factor)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RICKER2 + section + "x_min = -30\nx_max = 30\nnx = 301\n"
+                       "t_end = 1\ndt = 0.05\n")
+        assert cli.main(["--config", str(cfg), command,
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == [301]
 
 
 class TestRun:
@@ -323,6 +346,18 @@ class TestComparisonSystem:
         # outside the spreading cone the state is still near zero
         lo_out, _ = pdesim.spreading_probe(record, 1.6 * 2.0)
         assert lo_out < 0.05 * params.plateau
+
+    def test_nan_iterate_raises_the_instability_error(self):
+        # the clamp passes a NaN on, and the step's sup|u| check names it
+        params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.5)
+        cfg = small_config(initial=lambda x: 0.5 * np.exp(-x * x), dt=0.05)
+        sim = pdesim.ComparisonSim(params, cfg)
+        sim.step()
+        sim.u[150] = np.nan
+        with pytest.raises(NonconvergenceError) as info:
+            sim.step()
+        assert str(info.value) == ("instability detected at t=0.1: sup|u|=nan "
+                                   "exceeds 10x level 1")
 
     def test_probe_on_constant_plateau(self):
         params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.0)
