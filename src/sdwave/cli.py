@@ -33,7 +33,7 @@ from .model import equilibrium, validate_hypotheses
 
 def _solver_config(cfg: RunConfig) -> profile.SolverConfig:
     sec = cfg.section("profile")
-    kwargs = {key: sec[key] for key in ("tol", "max_iters", "damping", "h")
+    kwargs = {key: sec[key] for key in ("tol", "max_iters", "h")
               if key in sec}
     try:
         return profile.SolverConfig(**kwargs)

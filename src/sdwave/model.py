@@ -427,13 +427,19 @@ def validate_hypotheses(model: ModelSpec) -> HypothesisReport:
         for id in MONOTONE_SET + RELAXED_SET:
             rep.add(id, (0.0, "no positive equilibrium"))
         return rep
-    # K exists, so b'(0) > d; built-in births are C^1
-    bp0 = b.derivative_at_zero
+    # K exists, so b'(0) > d; built-in births are C^1.  Below
+    # u = 8 eps b'(0) / |b''(0)| the gap b'(0) u - b(u) ~ -b''(0) u^2 / 2 is
+    # under its rounding: a gap within 4 eps b'(0) u of 0 there is no witness
+    bp0, eps = b.derivative_at_zero, np.finfo(float).eps
+    curvature = abs(b.curvature_at_zero)
+    floor = 8.0 * eps * bp0 / curvature if curvature else 0.0
+    above_tangent = lambda u: bp0 * u - b.value(u) <= np.where(
+        u < floor, -4.0 * eps * bp0 * u, 0.0)
     below_tangent = lambda w: f"b(u) >= b'(0)*u at u={w:g}"
 
     rep.add("B1")
     u = np.linspace(0.0, K, GRID_POINTS)
-    _check(rep, "B2", u[1:], bp0 * u[1:] - b.value(u[1:]) <= 0, below_tangent)
+    _check(rep, "B2", u[1:], above_tangent(u[1:]), below_tangent)
     der = b.derivative(u)
     falling = der < -1e-12
     if np.any(falling):
@@ -446,7 +452,7 @@ def validate_hypotheses(model: ModelSpec) -> HypothesisReport:
 
     rep.add("C1")
     u = np.linspace(0.0, max(10.0 * K, 10.0 * peak), GRID_POINTS)[1:]
-    _check(rep, "C2", u, bp0 * u - b.value(u) <= 0, below_tangent)
+    _check(rep, "C2", u, above_tangent(u), below_tangent)
     u = np.linspace(0.0, peak, GRID_POINTS)
     steep = np.abs(b.derivative(u)) > bp0 * (1 + 1e-12)
     if np.any(steep):

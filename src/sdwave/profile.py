@@ -9,8 +9,8 @@ the monotone solver, else C1-C3 must hold, and a failure of A1-A3 or B,
 which both need, is reported as such.  Iteration starts from the upper
 profile, clamps each iterate into the (phase-shifted) sandwich, and
 re-anchors the phase by whole grid cells so the translation mode cannot
-drift.  While the phase is anchored by whole cells, the undamped iteration
-is accelerated by Anderson mixing, whose iterates are clamped into the same
+drift.  While the phase is anchored by whole cells, the iteration is
+accelerated by Anderson mixing, whose iterates are clamped into the same
 sandwich.  Convergence is certified a posteriori by an independent
 finite-difference residual, never by the iteration metric alone.  F is
 iterated at the small kernel rate 1.01 (d + 1), where it is not claimed to
@@ -65,14 +65,11 @@ class ProfileGrid:
 class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 10_000
-    damping: float = 1.0
     h: Optional[float] = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ModelInvalidError("tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ModelInvalidError("damping must lie in (0, 1]")
         if self.max_iters < 1:
             raise ModelInvalidError("max_iters must be at least 1")
 
@@ -390,7 +387,6 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
     scratch = np.empty_like(v)    # work array for reductions and the sub-cell shift
     trace = []
     clamp_excess = 0.0
-    omega = config.damping
     anchored = True
     # set when the translation mode stalls a monotone iteration: the first
     # iteration that anchors the phase exactly instead of by whole cells
@@ -401,20 +397,15 @@ def _iterate(xi, model, rates, upper_fn, lower_fn, anchor_level, right_state,
         # front, the iterate's last value for a nonmonotone one
         return right_state if monotone else float(w[-1])
 
-    # Anderson mixing accelerates the whole-cell phase of the undamped step
-    # only: a damped step would keep part of each mixed iterate's grid-scale
-    # roughness, and in the exact phase mixing reaches the clamp stall
-    # sooner but not a better point
-    anderson = _Anderson(v.size) if omega == 1.0 else None
-    residual_now = scratch if anderson is None else np.empty_like(v)
+    # Anderson mixing accelerates the whole-cell phase only: in the exact
+    # phase it reaches the clamp stall sooner but not a better point
+    anderson = _Anderson(v.size)
+    residual_now = np.empty_like(v)
     anderson_steps = 0
     for it in range(1, config.max_iters + 1):
         phi = ProfileGrid(xi=xi, values=v, left_limit=0.0,
                           right_limit=held_limit(v))
         new = apply_F(phi, model, rates)
-        if omega != 1.0:          # (1 - omega) v + omega F(v), in F(v)'s buffer
-            kept = (1.0 - omega) * v
-            np.add(kept, np.multiply(omega, new, out=new), out=new)
         excess = max(float(np.subtract(new, hi, out=scratch).max()),
                      float(np.subtract(lo, new, out=scratch).max()), 0.0)
         clamp_excess = max(clamp_excess, excess)
@@ -612,9 +603,9 @@ def near_critical_speed(speed: SpeedResult) -> float:
 def solve(model: ModelSpec, c: float, config: Optional[SolverConfig] = None,
           speed: Optional[SpeedResult] = None) -> WaveSolution:
     """Solve as monotone when the model's monotone hypothesis set holds,
-    else as nonmonotone; either runs with config.damping as given.  The
-    model's hypotheses are checked once, and a failure of the shared set
-    A1-A3 and B is reported before either solver is chosen.
+    else as nonmonotone.  The model's hypotheses are checked once, and a
+    failure of the shared set A1-A3 and B is reported before either solver
+    is chosen.
 
     `speed` is the model's threshold speed, if the caller already has it.
     Near the threshold, c <= near_critical_speed, the leading-edge decay

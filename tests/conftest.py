@@ -58,7 +58,7 @@ def ricker2_solution(ricker2, ricker2_cstar):
 @pytest.fixture(scope="session")
 def ricker3_solution(ricker3, ricker3_cstar):
     """Converged nonmonotone wave at c = 1.2 c*, h = 0.01 (shared, read-only)."""
-    cfg = profile.SolverConfig(h=0.01, damping=0.5)
+    cfg = profile.SolverConfig(h=0.01)
     return profile.solve(ricker3, 1.2 * ricker3_cstar, cfg)
 
 

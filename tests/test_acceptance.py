@@ -298,8 +298,7 @@ def test_criterion_11_delay_sensitivity_regression():
                             delay=model.RationalDelay(0.2, 0.2 + T))
         ctx = dispersion.CharacteristicContext.from_model(m)
         c = 1.2 * dispersion.critical_speed(ctx).c_star
-        sol = profile.solve(
-            m, c, profile.SolverConfig(h=0.01, damping=0.5))
+        sol = profile.solve(m, c, profile.SolverConfig(h=0.01))
         pair = bounds.build_envelopes(
             m, model.validate_hypotheses(m).monotone)
         tails[f"{T:g}"] = {"tail": float(sol.profile.values[0]),

@@ -1,8 +1,8 @@
-"""Property tests: any speed given to `speed` or `envelope`, and any step or
-bump datum under a frozen or translated history given to `simulate`, ends in
-an exit code of 0-4, with a one-line message on stderr when it is not 0, and
-never in a traceback or a numpy warning.  Runs in process through `cli.main`,
-one case at a time."""
+"""Property tests: any speed given to `speed` or `envelope`, any Ricker model
+given to them, and any step or bump datum under a frozen or translated
+history given to `simulate`, ends in an exit code of 0-4, with a one-line
+message on stderr when it is not 0, and never in a traceback or a numpy
+warning.  Runs in process through `cli.main`, one case at a time."""
 import contextlib
 import io
 import warnings
@@ -23,6 +23,20 @@ delay.kind = saturating_rational
 delay.m = 0.2
 delay.M = 0.7
 """
+
+
+def assert_ends_cleanly(argv):
+    """cli.main(argv) returns 0-4, with one stderr line when not 0, and
+    raises no RuntimeWarning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert isinstance(code, int) and 0 <= code <= 4
+    if code != 0:
+        assert len(err.getvalue().strip().splitlines()) == 1
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +68,36 @@ def test_any_speed_ends_with_an_exit_code_and_a_message(configs, command,
     argv = ["--config", str(configs[critical]), "--json", command]
     if c is not None:
         argv.append(f"--c={c!r}")     # '=' keeps '-inf' from reading as a flag
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert isinstance(code, int) and 0 <= code <= 4
-    if code != 0:
-        assert len(err.getvalue().strip().splitlines()) == 1
+    assert_ends_cleanly(argv)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("models")
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(command=st.sampled_from(["speed", "envelope"]),
+       d=st.floats(0.1, 10.0), ratio=st.floats(1.0, 1000.0, exclude_min=True),
+       lag=st.sampled_from(["constant", "saturating_rational",
+                            "saturating_exponential"]),
+       m=st.floats(0.0, 1.0), spread=st.floats(0.0, 2.0))
+@example(command="envelope", d=1.0, ratio=100.0, lag="saturating_rational",
+         m=0.2, spread=0.5)
+@example(command="envelope", d=0.1, ratio=1000.0, lag="saturating_exponential",
+         m=1.0, spread=2.0)
+@example(command="speed", d=10.0, ratio=1.0 + 2.0**-52, lag="constant",
+         m=0.0, spread=0.0)
+def test_any_ricker_model_ends_with_an_exit_code_and_a_message(
+        model_dir, command, d, ratio, lag, m, spread):
+    # d in [0.1, 10], p/d in (1, 1000], every lag kind with m in [0, 1] and
+    # M - m in [0, 2]; a constant lag reads only m
+    cfg = model_dir / "model.cfg"
+    cfg.write_text(f"[model]\nd = {d!r}\nbirth.kind = ricker\n"
+                   f"birth.p = {ratio * d!r}\ndelay.kind = {lag}\n"
+                   f"delay.m = {m!r}\ndelay.M = {m + spread!r}\n"
+                   f"[output]\ndir = {model_dir / 'out'}\n")
+    assert_ends_cleanly(["--config", str(cfg), "--json", command])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -100,12 +135,4 @@ def test_any_datum_and_history_end_with_an_exit_code_and_a_message(
                    f"snapshot_count = 3\ninitial.kind = {kind}\n"
                    f"history.kind = {history}\n" + datum)
     argv = ["--config", str(cfg), "simulate", "--out-dir", str(sim_dir / "run")]
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(argv)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert isinstance(code, int) and 0 <= code <= 4
-    if code != 0:
-        assert len(err.getvalue().strip().splitlines()) == 1
+    assert_ends_cleanly(argv)

@@ -62,10 +62,11 @@ class TestConfigParsing:
         ("[pde]\nlevel = 1.0\n", "level"),
         ("[profile]\nleft_width = 30\n", "left_width"),
         ("[profile]\nright_width = 40\n", "right_width"),
+        ("[profile]\ndamping = 0.5\n", "damping"),
     ], ids=["typo_key", "dispersion.exponent", "dispersion.tol", "profile.beta",
             "profile.mode", "profile.phase_level", "pde.store_every",
             "pde.track_every", "pde.level", "profile.left_width",
-            "profile.right_width"])
+            "profile.right_width", "profile.damping"])
     def test_unknown_key_rejected(self, tmp_path, extra, key):
         p = write_cfg(tmp_path, BASE_MODEL + extra)
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -79,7 +80,7 @@ class TestConfigParsing:
         keys = set(config.SCHEMA["profile"]) - {"c", "critical", "c_factor"}
         fields = {f.name for f in dataclasses.fields(profile.SolverConfig)}
         assert fields == keys
-        values = {"tol": 1e-9, "max_iters": 123, "damping": 0.5, "h": 0.05}
+        values = {"tol": 1e-9, "max_iters": 123, "h": 0.05}
         text = BASE_MODEL + "[profile]\n" + "".join(
             f"{key} = {value!r}\n" for key, value in values.items())
         sc = cli._solver_config(config.load_config(write_cfg(tmp_path, text)))
@@ -363,6 +364,35 @@ class TestProfileVerifyCommands:
         assert "the right end" in err and "left end" not in err
         pair = err.strip().rsplit("widths ", 1)[1]
         assert "," not in pair and pair.split("/")[1] == "4"
+
+    @pytest.mark.parametrize("birth_p, max_iters, code", [
+        (100.0, 10_000, 0), (120.0, 500, 4)], ids=["100", "120"])
+    def test_lower_envelope_passes_b2_past_its_rounding(
+            self, tmp_path, capsys, birth_p, max_iters, code):
+        # k is 3.9e-13 at p=100 and 3.6e-16 at p=120, where p u exp(-u)
+        # rounds to p u on the first points of the B2 grid: both exited 2
+        # naming B2.  p=100 now converges (242 iterations); p=120 iterates
+        # and exits 4 (the full budget of 10,000 takes about 6 s)
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace(
+            "birth.p = 2.0", f"birth.p = {birth_p}")
+            + f"\n[profile]\nh = 0.02\nmax_iters = {max_iters}\n")
+        assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
+                        "profile"]) == code
+        assert "B2" not in capsys.readouterr().err
+
+    def test_lower_envelope_above_its_tangent_exits_2_naming_b2(
+            self, tmp_path, capsys, monkeypatch):
+        # the p=100 lower envelope lifted by 1e-4 u^1.5, far more than
+        # rounding on [0, k]: B2 fails at the grid's first point
+        ricker_envelope = bounds.RickerEnvelope.value
+        monkeypatch.setattr(bounds.RickerEnvelope, "value", lambda self, u: (
+            ricker_envelope(self, u) + 1e-4 * np.asarray(u, dtype=float)**1.5))
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace(
+            "birth.p = 2.0", "birth.p = 100.0") + "\n[profile]\nh = 0.02\n")
+        assert run_cli(["--config", p, "--out", tmp_path / "x.csv",
+                        "profile"]) == 2
+        err = capsys.readouterr().err
+        assert "lower-envelope model; failed: B2: b(u) >= b'(0)*u at u=3.88" in err
 
     def test_sidecar_report_fields(self, profile_run):
         _, out, _ = profile_run

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdwave import model
+from sdwave import bounds, model
 from sdwave.errors import ModelInvalidError
 from conftest import bisect, golden_max
 
@@ -198,6 +198,13 @@ def _convex_birth():
     return _table(u, 2.0 * u + 0.5 * u * u)
 
 
+def _linear_start_birth():
+    """2u up to u = 0.5, then 2u exp(0.5 - u): b''(0) = 0, and the first
+    cells lie on the tangent up to rounding, which B2 and C2 still flag."""
+    u = np.linspace(0.0, 6.0, 601)
+    return _table(u, np.where(u <= 0.5, 2.0 * u, 2.0 * u * np.exp(0.5 - u)))
+
+
 def _fails(u, violated):
     """The witness of a failed check."""
     return (u, violated)
@@ -233,6 +240,17 @@ FAILING_ENTRIES = {
                                   "u=2.99985; gap hypothesis fails"),
                 "C2": _fails(0.0105, "b(u) >= b'(0)*u at u=0.0105"),
                 "C3": _fails(0.00105, "|b'(0.00105)| > b'(0)")}),
+    "linear start": (_linear_start_birth, lambda: model.RationalDelay(0.2, 0.7),
+                     {"B2": _fails(0.0001193147263226142,
+                                   "b(u) >= b'(0)*u at u=0.000119315"),
+                      "B3": _fails(1.0000960360361522,
+                                   "b'(1.0001) = -0.000173133 < 0"),
+                      "B4": _fails(0.0, "b(u) exceeds its linearization at "
+                                        "u=0.496707; gap hypothesis fails"),
+                      "C2": _fails(0.0012130613194252667,
+                                   "b(u) >= b'(0)*u at u=0.00121306"),
+                      "C3": _fails(0.4900767730478078,
+                                   "|b'(0.490077)| > b'(0)")}),
     "ricker p=3": (lambda: model.RickerBirth(3.0),
                    lambda: model.RationalDelay(0.2, 0.7),
                    {"B3": _fails(1.0000667663745804,
@@ -259,6 +277,20 @@ def test_failing_hypotheses_report_exact_witnesses(name, solver):
     ids = model.SHARED_SET + SOLVER_SETS[solver]
     assert rep.failures(ids) == "; ".join(
         f"{id}: {expected[id][1]}" for id in ids if id in expected)
+
+
+@pytest.mark.parametrize("p", [100.0, 120.0])
+def test_rounding_to_the_tangent_is_no_witness(p):
+    # the lower-envelope model of Ricker p=100, d=1, has k = 3.9e-13 (3.6e-16
+    # at p=120); on the first points of its grid [0, k], p u exp(-u) rounds
+    # to p u exactly, which failed B2 at u = 3.88e-17 (3.56e-20)
+    m = model.ModelSpec(d=1.0, birth=model.RickerBirth(p),
+                        delay=model.RationalDelay(0.2, 0.7))
+    pair = bounds.build_envelopes(m, False)
+    first = np.linspace(0.0, pair.k, model.GRID_POINTS)[1]
+    assert pair.lower.value(first) == p * first
+    rep = model.validate_hypotheses(pair.lower_model(m))
+    assert not rep.failures(model.SHARED_SET + model.MONOTONE_SET)
 
 
 class TestModelInvariants:

@@ -1,14 +1,12 @@
 """Byte-identity guard for the profile solver's outputs.
 
-Four small `profile` runs write their CSVs through `cli.main`; the sha256 of
-every CSV, and the exact text of the sidecar's solver figures, must match
+Three small `profile` runs write their CSVs through `cli.main`; the sha256
+of every CSV, and the exact text of the sidecar's solver figures, must match
 `data/profile_digest_golden.json`.  The runs cover the plain monotone path,
-the nonmonotone path twice (damped by an explicit `damping = 0.5`, where no
-step is mixed, and at the default undamped step; both anchor by whole cells
-throughout, as every nonmonotone solve does), and a near-critical solve at a
-coarse grid, where exact anchoring and the geometric extrapolation run
-under the monotone projection.  Every undamped whole-cell phase takes
-Anderson-mixed steps.  Both solvers iterate in the same closed-form
+the nonmonotone path (which anchors by whole cells throughout, as every
+nonmonotone solve does), and a near-critical solve at a coarse grid, where
+exact anchoring and the geometric extrapolation run under the monotone
+projection.  Every whole-cell phase takes Anderson-mixed steps.  Both solvers iterate in the same closed-form
 sandwich, which for the nonmonotone birth is built from its envelope
 equations.  A change to the iteration engine or the convolution kernel that
 moves one bit fails here.  Each profile is then re-checked by `verify`,
@@ -47,11 +45,7 @@ RUNS = {
     # monotone iteration with whole-cell anchoring only, Anderson-mixed:
     # 31 iterations (81 unmixed)
     "monotone": (ricker(2.0) + "[profile]\nh = 0.05\nc_factor = 1.2\n", []),
-    # nonmonotone band damped by 0.5, so never mixed, with whole-cell
-    # anchoring only: 162 iterations
-    "nonmonotone": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n"
-                    "damping = 0.5\n", []),
-    # the same band at the default undamped step, Anderson-mixed: 26
+    # nonmonotone band with whole-cell anchoring only, Anderson-mixed: 26
     # iterations (83 unmixed)
     "nonmonotone_auto": (ricker(3.0) + "[profile]\nh = 0.02\nc_factor = 1.1\n",
                          []),
@@ -138,8 +132,7 @@ def test_profile_outputs_byte_identical(outputs, envelope_digests):
 def test_report_names_exact_anchoring_iteration(outputs):
     # the plateau trigger fires after iteration 185 of the near-critical
     # solve; it never fires on a nonmonotone solve
-    want = {"monotone": None, "nonmonotone": None, "nonmonotone_auto": None,
-            "critical": 186}
+    want = {"monotone": None, "nonmonotone_auto": None, "critical": 186}
     for label, (_, report, _) in outputs.items():
         results = report["results"]
         assert results["exact_anchor_from"] == want[label], label
@@ -148,19 +141,10 @@ def test_report_names_exact_anchoring_iteration(outputs):
 
 
 def test_nonmonotone_band_reaches_its_fixed_point(outputs):
-    # anchored by whole cells throughout, the damped band solve ends at a
-    # true fixed point of F: |F(v) - v| is 1.7e-8
-    _, report, _ = outputs["nonmonotone"]
-    assert report["invariants"]["f_consistency"] <= 1e-7
-
-
-def test_undamped_band_reaches_a_closer_fixed_point(outputs):
-    # the default undamped step ends nearer a fixed point of F than damping
-    # by 0.5 does: |F(v) - v| is 3.3e-9 against 1.7e-8
-    undamped = outputs["nonmonotone_auto"][1]["invariants"]["f_consistency"]
-    damped = outputs["nonmonotone"][1]["invariants"]["f_consistency"]
-    assert undamped <= 2e-8
-    assert undamped < damped
+    # anchored by whole cells throughout, the band solve ends at a true
+    # fixed point of F: |F(v) - v| is 3.3e-9
+    _, report, _ = outputs["nonmonotone_auto"]
+    assert report["invariants"]["f_consistency"] <= 2e-8
 
 
 def test_mixing_cuts_whole_cell_iterations(outputs):
@@ -173,7 +157,4 @@ def test_mixing_cuts_whole_cell_iterations(outputs):
 def test_report_counts_mixed_steps(outputs):
     for label, (_, report, _) in outputs.items():
         steps = report["results"]["anderson_steps"]
-        if label == "nonmonotone":                # damped: never mixed
-            assert steps == 0
-        else:
-            assert 0 < steps < report["results"]["iterations"], label
+        assert 0 < steps < report["results"]["iterations"], label
