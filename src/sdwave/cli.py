@@ -109,7 +109,9 @@ def cmd_speed(cfg: RunConfig, args, rep: reporting.Report) -> None:
               for c in args.c or cfg.get("dispersion", "speeds") or []]
     sr = dispersion.critical_speed(ctx)
     speeds = speeds or [1.1 * sr.c_star, 1.5 * sr.c_star, 2.0 * sr.c_star]
-    # the kernel rates of the solve: on [0, level] of the model's envelopes
+    # the paper's kernel rates, on [0, level] of the model's envelopes: their
+    # beta sets membership's Lipschitz bound (the solve iterates at the
+    # smaller 1.01 (d + 1))
     level = bounds.build_envelopes(
         model, validate_hypotheses(model).monotone).level
     roots_rows, beta_rows = [], []

@@ -123,16 +123,15 @@ def critical_speed(ctx: CharacteristicContext) -> SpeedResult:
 
     The lag term only lowers char, so the minimum is at most its zero-lag
     value b'(0) - d - c^2/4, and c* is at most 2 sqrt(b'(0) - d): the
-    bracket [1e-6, 2 sqrt(b'(0) - d) + 1] holds the sign change.  The result
-    carries the residuals of char = 0 and d char / d lam = 0 at
-    (lambda*, c*).
+    bracket [1e-6, 2 sqrt(b'(0) - d) + 1] holds the sign change.  A c*
+    below 1e-6 lies in [0, 1e-6], since the minimum at c = 0 is
+    b'(0) - d > 0, which the context checks.  The result carries the
+    residuals of char = 0 and d char / d lam = 0 at (lambda*, c*).
     """
     c_lo = 1e-6
     minimum = lambda c: char_min(c, ctx)[1]
     if minimum(c_lo) <= 0.0:
-        raise ModelInvalidError(
-            "characteristic minimum nonpositive at near-zero speed; "
-            "context invalid")
+        c_lo = 0.0
     c_hi = 2.0 * math.sqrt(ctx.growth_at_zero - ctx.d) + 1.0
     c_star = _bisect_root(minimum, c_lo, c_hi)
     lam_star, value = char_min(c_star, ctx)

@@ -5,10 +5,11 @@ tridiagonal solve, the (delayed) reaction explicitly.  The matrix is made
 symmetric exactly (end rows halved, or boundary couplings moved to the
 right-hand side), so it is factored once per run as LDLᵀ and each step is
 one in-place solve.  A ring buffer of past snapshots serves the
-state-dependent delayed lookups, one flat gather per step.  Pre-initial
-times read the initial datum translated at the history speed: a frozen
-history is the translation at speed 0.  The same machinery, with the same
-history, runs the fixed-delay comparison system with a quadratic reaction.
+state-dependent delayed lookups, one flat gather per step.  Its first rows
+are the history on [-M, 0]: the initial datum translated at the history
+speed (a frozen history is the translation at speed 0), so every delayed
+value is one ring lookup.  The same machinery, with the same history, runs
+the fixed-delay comparison system with a quadratic reaction.
 Front positions are tracked by level crossings and fitted to a speed.
 
 `SimConfig` holds resolved inputs only: the initial datum is a function of
@@ -120,15 +121,22 @@ class HistoryBuffer:
     """Ring of (t, snapshot) pairs spanning at least [t - window, t].
 
     A snapshot is stored every step, so spacing is uniform;
-    lookups interpolate linearly in time at fixed x.  Times ahead of the
-    newest snapshot fall back to it (counted as warnings); times before the
-    first snapshot are the caller's history function's job.
+    lookups interpolate linearly in time at fixed x and need at least two
+    rows, which the simulators' history rows guarantee.  Times ahead of the
+    newest snapshot fall back to it (counted as warnings), times before the
+    oldest to the oldest.
     """
 
     def __init__(self, nx: int, spacing: float, window: float):
         self.spacing = float(spacing)
         self.window = float(window)
-        cap = int(math.ceil(window / spacing)) + 6
+        steps = window / spacing
+        cap = math.ceil(steps) + 6 if steps <= MAX_HISTORY_VALUES else math.inf
+        if cap * nx > MAX_HISTORY_VALUES:            # checked before allocating
+            raise ConfigError(
+                f"nx = {nx} at dt = {spacing:g} needs a history ring of "
+                f"{cap * nx:.4g} values, more than {MAX_HISTORY_VALUES:,}; "
+                "lower nx or raise dt")
         self.cap = cap
         self._times = np.empty(cap)
         self._snaps = np.empty((cap, nx))
@@ -161,8 +169,6 @@ class HistoryBuffer:
 
     def lookup_pointwise(self, td: np.ndarray) -> np.ndarray:
         """Per-point temporal interpolation; td must be >= oldest snapshot."""
-        if self.count == 1:
-            return self._snaps[self.start].copy()
         rel = (td - self.oldest) / self.spacing
         j = rel.astype(np.int64)
         if rel.min() >= 0.0 and rel.max() < self.count - 1:
@@ -199,8 +205,6 @@ class HistoryBuffer:
 
     def lookup_uniform(self, td: float) -> np.ndarray:
         """Whole-snapshot interpolation at a single past time."""
-        if self.count == 1:
-            return self._snaps[self.start].copy()
         rel = (td - self.oldest) / self.spacing
         j = min(max(math.floor(rel), 0), self.count - 2)
         w = rel - j
@@ -224,16 +228,10 @@ class _BaseSim:
         self.config = config
         self.dt = config.validate(m_lag, reaction_scale)
         # the lag, 2 dt of lookup slack and two ring spacings of dt, summed
-        # in this order: max_lag + 4.0 * dt can round to another cutoff
+        # in this order: max_lag + 4.0 * dt can round to another cutoff;
+        # the ring checks its size before any grid-length array exists
         window = max_lag + 2.0 * self.dt + 2.0 * self.dt
-        steps = window / self.dt      # the ring's rows are ceil(steps) + 6
-        values = ((math.ceil(steps) + 6) * config.nx
-                  if steps <= MAX_HISTORY_VALUES else math.inf)
-        if values > MAX_HISTORY_VALUES:              # checked before allocating
-            raise ConfigError(
-                f"nx = {config.nx} at dt = {self.dt:g} needs a history ring of "
-                f"{values:.4g} values, more than {MAX_HISTORY_VALUES:,}; "
-                "lower nx or raise dt")
+        self.buffer = HistoryBuffer(config.nx, self.dt, window)
         self.x = np.linspace(config.x_min, config.x_max, config.nx)
         self.dx = float(self.x[1] - self.x[0])
         self.u = u0 = np.asarray(config.initial(self.x), dtype=float)
@@ -245,16 +243,15 @@ class _BaseSim:
         self.t = 0.0
         self.band_violation = 0.0
         self.max_lag = max_lag
-        # factored (and LAPACK loaded) before the ring is allocated:
-        # the other order peaks about 1% higher in resident memory
         self._setup_matrix()
-        self.buffer = HistoryBuffer(config.nx, self.dt, window)
-        self.buffer.append(0.0, self.u)
-        # the history at s < 0: the datum translated by speed * s, held at its
-        # end values beyond the grid; a step replaces self.u rather than
-        # writing into it, so u0 stays the datum
+        # the history rows at s = -k dt, back one step past the longest lag
+        # (the reaction's floor t - max_lag - dt): the datum translated by
+        # speed * s, held at its end values beyond the grid; then the datum
         x, speed = self.x, float(config.history_speed)
-        self._psi = lambda xq, s: np.interp(xq + speed * s, x, u0)
+        for k in range(math.ceil(max_lag / self.dt) + 1, 0, -1):
+            s = -k * self.dt
+            self.buffer.append(s, np.interp(x + speed * s, x, u0))
+        self.buffer.append(0.0, u0)
 
     def _setup_matrix(self):
         # backward Euler, (1 + 2r) u_i - r (u_{i-1} + u_{i+1}) = rhs_i, made
@@ -287,23 +284,8 @@ class _BaseSim:
         return rhs
 
     def history_values(self, td: np.ndarray) -> np.ndarray:
-        """Delayed values per grid point, splitting buffer and pre-initial times.
-
-        td must be >= t - max_lag - dt; once that bound is >= 0 no point
-        reaches back before the initial time.
-        """
-        if self.t - self.max_lag - self.dt >= 0.0:
-            return self.buffer.lookup_pointwise(td)
-        pre = td < 0.0
-        if not np.any(pre):
-            return self.buffer.lookup_pointwise(td)
-        out = np.empty_like(td)
-        out[pre] = self._psi(self.x[pre], td[pre])
-        post = ~pre
-        if np.any(post):
-            vals = self.buffer.lookup_pointwise(np.where(post, td, 0.0))
-            out[post] = vals[post]
-        return out
+        """Delayed values per grid point at times td >= t - max_lag - dt."""
+        return self.buffer.lookup_pointwise(td)
 
     def _post_step(self) -> tuple:
         """Finish the step on the new `u`; its largest and smallest value."""
@@ -398,14 +380,7 @@ class ComparisonSim(_BaseSim):
 
     def reaction(self) -> np.ndarray:
         p = self.params
-        if p.m == 0.0:
-            delayed = self.u
-        else:
-            td = self.t - p.m
-            if td < 0.0:
-                delayed = self._psi(self.x, td)
-            else:
-                delayed = self.buffer.lookup_uniform(td)
+        delayed = self.u if p.m == 0.0 else self.buffer.lookup_uniform(self.t - p.m)
         return -p.D1 * self.u + p.D2 * delayed - p.D3 * self.u * self.u
 
     def _post_step(self) -> tuple:

@@ -80,7 +80,6 @@ class MembershipReport:
     monotone_ok: bool
     lipschitz_ok: bool
     margins: dict
-    shift: float
 
     @property
     def member(self) -> bool:
@@ -93,7 +92,6 @@ class WaveSolution:
     c: float
     residual_sup: float
     iterations: int
-    trace: list
     beta: float                       # the paper's rate, for membership's bound
     iteration_beta: float             # the rate of the F that was iterated
     lambda1: float
@@ -176,8 +174,7 @@ def gamma_membership(phi: ProfileGrid, c: float, beta: float, model: ModelSpec,
         sandwich_ok=sandwich_ok, monotone_ok=monotone_ok, lipschitz_ok=lipschitz_ok,
         margins={"sandwich_over": over, "sandwich_under": under,
                  "monotone_min_step": mono_margin,
-                 "lipschitz_ratio": steep / lip_bound},
-        shift=float(shift))
+                 "lipschitz_ratio": steep / lip_bound})
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +583,7 @@ def _solve(model: ModelSpec, c: float, config: SolverConfig,
                            upper=upper, lower=lower, require_monotone=monotone)
     return WaveSolution(
         profile=phi, c=c, residual_sup=res_sup, iterations=res.iterations,
-        trace=res.trace, beta=paper_beta, iteration_beta=rates.beta,
+        beta=paper_beta, iteration_beta=rates.beta,
         lambda1=roots.lambda1, lambda2=roots.lambda2, shift=shift,
         clamp_excess=res.clamp_excess,
         f_consistency=f_cons, membership=mem,

@@ -191,6 +191,31 @@ class TestSpeedCommand:
         p = write_cfg(tmp_path, bad)
         assert run_cli(["--config", p, "speed"]) == 2
 
+    def test_threshold_speed_below_one_millionth(self, tmp_path, capsys):
+        # p/d = 1 + 1e-13 puts c* near 5e-7, below the speed bracket's usual
+        # lower end 1e-6; there the double root is near its small-gap limit
+        # c* = 2 sqrt(b'(0) - d) / (1 + b'(0) tau(0))
+        birth_p = 1.0 + 1e-13
+        p = write_cfg(tmp_path, DELAYED_MODEL.replace(
+            "birth.p = 2.0", f"birth.p = {birth_p!r}"))
+        assert run_cli(["--config", p, "--json", "speed"]) == 0
+        c_star = json.loads(capsys.readouterr().out)["results"]["c_star"]
+        limit = 2.0 * math.sqrt(birth_p - 1.0) / (1.0 + birth_p * 0.2)
+        assert c_star == pytest.approx(limit, rel=1e-3)
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 5.0])
+    def test_growth_an_ulp_above_death_ends_with_one_line(self, tmp_path,
+                                                          capsys, d):
+        # p/d = 1 + 2.2e-16: b'(0) - d is one ulp of d, too coarse for the
+        # decay roots at 1.1 c* to resolve at every d
+        p = write_cfg(tmp_path, DELAYED_MODEL
+                      .replace("d = 1.0", f"d = {d!r}")
+                      .replace("birth.p = 2.0", f"birth.p = {(1.0 + 2.2e-16) * d!r}"))
+        code = run_cli(["--config", p, "speed"])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 2 and err.count("\n") == 1)
+        assert "near-zero speed" not in err
+
     @pytest.mark.parametrize("key, old, new", [
         ("d", "d = 1.0", "d = nan"),
         ("birth.p", "birth.p = 2.0", "birth.p = nan"),

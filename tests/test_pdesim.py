@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import step_datum
 from sdwave import _kernels, cli, model, pdesim
@@ -407,8 +410,7 @@ class TestHistoryLookup:
             buf.append(t, u)
             history.append((t, u))
             live = history[-buf.count:]
-            if buf.count == 1:
-                np.testing.assert_array_equal(buf.lookup_pointwise(np.full(nx, t)), u)
+            if buf.count < 2:         # a lookup needs two rows
                 continue
             wrapped += buf.start + buf.count > buf.cap
             # the live window, its two ends and points past the newest
@@ -474,39 +476,64 @@ class TestHistoryLookup:
         assert np.signbit(got).tolist() == np.signbit(want).tolist() == [True, False]
 
 
-def split_history_values(sim, td):
-    """History values by the per-point pre-initial split at every time."""
-    pre = td < 0.0
-    out = np.empty_like(td)
-    out[pre] = sim._psi(sim.x[pre], td[pre])
-    post = ~pre
-    if np.any(post):
-        vals = sim.buffer.lookup_pointwise(np.where(post, td, 0.0))
-        out[post] = vals[post]
-    return out
+def ring_rows(buf):
+    """The live (t, snapshot) pairs of a history ring, oldest first."""
+    rows = [(buf.start + i) % buf.cap for i in range(buf.count)]
+    return [(float(buf._times[r]), buf._snaps[r]) for r in rows]
 
 
-def test_history_values_before_and_after_the_initial_window(ricker2):
-    # td spans the reaction's range [t - M - dt, t]: before t = M + dt some
-    # points reach back past 0 and come from the history function
-    cfg = small_config(t_end=2.0, dt=0.05, history_speed=1.3,
-                       initial=lambda x: 0.5 + 0.4 * np.tanh(x))
-    sim = pdesim.DelaySim(ricker2, cfg)
-    rng = np.random.default_rng(3)
-    before = after = 0
-    for _ in range(40):
-        floor = sim.t - ricker2.delay.M - sim.dt
-        td = rng.uniform(floor, sim.t, cfg.nx)
-        td[0] = floor
-        want = split_history_values(sim, td)
-        np.testing.assert_array_equal(sim.history_values(td), want)
-        if floor < 0.0:
-            before += bool(np.any(td < 0.0))
-        else:
-            after += 1
-        sim.step()
-    assert before >= 10 and after >= 20
-    assert sim.buffer.clamp_warnings == 0
+class TestHistoryRows:
+    @pytest.mark.parametrize("speed", [0.0, 1.3, -0.7])
+    def test_rows_are_the_translated_datum(self, ricker2, speed):
+        # one row per step back to -(ceil(M / dt) + 1) dt, then the datum
+        cfg = small_config(dt=0.05, history_speed=speed,
+                           initial=lambda x: 0.5 + 0.4 * np.tanh(x))
+        sim = pdesim.DelaySim(ricker2, cfg)
+        u0 = 0.5 + 0.4 * np.tanh(sim.x)
+        rows = ring_rows(sim.buffer)
+        back = math.ceil(ricker2.delay.M / sim.dt) + 1
+        assert [t for t, _ in rows] == [-k * sim.dt for k in range(back, -1, -1)]
+        assert rows[0][0] <= -ricker2.delay.M - sim.dt
+        for t, row in rows:
+            want = np.interp(sim.x + speed * t, sim.x, u0)
+            np.testing.assert_array_equal(row, want)
+            if speed == 0.0:
+                np.testing.assert_array_equal(row, u0)
+
+    @given(speed=st.floats(-2.0, 2.0), dt=st.floats(0.01, 0.125),
+           M=st.floats(0.0, 1.5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_history_values_are_ring_lookups(self, speed, dt, M, seed):
+        # td spans the reaction's range [t - M - dt, t] over the steps whose
+        # lookups reach back into the history rows, and past them
+        spec = model.ModelSpec(d=1.0, birth=model.RickerBirth(2.0),
+                               delay=model.RationalDelay(0.0, M))
+        cfg = small_config(x_min=-10.0, x_max=10.0, nx=32, dt=dt,
+                           t_end=M + 10.0 * dt, history_speed=speed,
+                           initial=lambda x: 0.5 + 0.4 * np.tanh(x))
+        sim = pdesim.DelaySim(spec, cfg)
+        rng = np.random.default_rng(seed)
+        for _ in range(int(M / dt) + 5):
+            floor = sim.t - M - sim.dt
+            td = rng.uniform(floor, sim.t, cfg.nx)
+            td[:2] = floor, sim.t
+            want, clamped = naive_pointwise(ring_rows(sim.buffer), sim.dt, td)
+            np.testing.assert_array_equal(sim.history_values(td), want)
+            assert clamped == 0
+            sim.step()
+        assert sim.buffer.clamp_warnings == 0
+
+    def test_zero_and_one_step_lags_run_without_a_clamp(self, kpp):
+        # RationalDelay(0, 0) reads the newest row, a comparison lag m = dt
+        # the row one step back: at t = 0 the history row at -dt
+        record = pdesim.run(small_config(dt=0.05, t_end=1.0), kpp)
+        assert record.warnings["history_clamped"] == 0
+        params = pdesim.ComparisonParams(D1=1.0, D2=2.0, D3=1.0, m=0.05)
+        cfg = small_config(dt=0.05, t_end=1.0,
+                           initial=lambda x: 0.5 * np.exp(-x * x))
+        sim = pdesim.ComparisonSim(params, cfg)
+        assert [t for t, _ in ring_rows(sim.buffer)] == [-0.1, -0.05, 0.0]
+        assert sim.run().warnings["history_clamped"] == 0
 
 
 def test_dt_validation(ricker2):
